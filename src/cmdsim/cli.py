@@ -35,7 +35,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, analytics, clustering, contrastive, evaluation, jsonl, synthesis
-from .core import CommandLine, Source, dataset_stats
+from .core import Source, dataset_stats
 from .embedding import (
     EmbeddingCache,
     EmbeddingIntegrityError,
@@ -56,9 +56,9 @@ logger = logging.getLogger(__name__)
 class Settings:
     """Flag/config/default resolution for one subcommand invocation."""
 
-    def __init__(self, args: argparse.Namespace, stage: str) -> None:
+    def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.stage = stage
+        self.stage = args.stage
         self.config = configparser.ConfigParser()
         config_path = getattr(args, "config", None)
         if config_path:
@@ -87,6 +87,11 @@ class Settings:
         path = Path(value)
         return path if path.is_absolute() else self.output_dir() / path
 
+    def path_or(self, key: str, default: Path) -> Path:
+        """The path given for ``key``, else ``default`` (derived by the caller)."""
+        value = self.get(key)
+        return self.out_path(value) if value else default
+
     def backend(self):
         kind = self.get("backend", "local")
         dim = self.get("dim", 256, int)
@@ -108,6 +113,21 @@ class Settings:
         path = self.get("cache")
         return EmbeddingCache(self.out_path(path)) if path else None
 
+    def report(self, fields, default_out: str | None = None, **meta) -> None:
+        """Print ``key=value`` lines for ``fields`` (pairs, in order).
+
+        With an output path (``--out``, config, or ``default_out``) the
+        same text also goes to that file, with a ``.meta.json`` sidecar
+        holding ``meta``.
+        """
+        text = "".join(f"{key}={value}\n" for key, value in fields)
+        print(text, end="")
+        out_value = self.get("out", default_out)
+        if out_value:
+            out = self.out_path(out_value)
+            out.write_text(text, encoding="utf-8")
+            jsonl.write_meta(out, self.stage, **meta)
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -126,19 +146,26 @@ def _k_list(text: str) -> list[int]:
     return ks
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_stage(subparsers, stage: str, help: str, handler, backend: bool = False) -> argparse.ArgumentParser:
+    """Register one pipeline stage with the flags every stage takes.
+
+    ``stage`` (``group.name`` or ``name``) also names the config section
+    and the ``.meta.json`` stage; ``backend`` adds the embedding-backend
+    flags.
+    """
+    parser = subparsers.add_parser(stage.rpartition(".")[2], help=help)
+    if backend:
+        parser.add_argument("--backend", choices=("local", "remote"), help="embedding backend (default local)")
+        parser.add_argument("--dim", type=int, help="embedding dimension (default 256)")
+        parser.add_argument("--embed-endpoint", dest="embed_endpoint", help="remote embeddings URL")
+        parser.add_argument("--embed-model", dest="embed_model", help="remote embeddings model id")
+        parser.add_argument("--embed-key-env", dest="embed_key_env", help="env var holding the embeddings API key")
+        parser.add_argument("--cache", help="embedding cache file (JSONL, append-only)")
     parser.add_argument("--config", help="INI config file with per-stage sections")
     parser.add_argument("--output-dir", dest="output_dir", help="directory for all outputs (default .)")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-
-
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("local", "remote"), help="embedding backend (default local)")
-    parser.add_argument("--dim", type=int, help="embedding dimension (default 256)")
-    parser.add_argument("--embed-endpoint", dest="embed_endpoint", help="remote embeddings URL")
-    parser.add_argument("--embed-model", dest="embed_model", help="remote embeddings model id")
-    parser.add_argument("--embed-key-env", dest="embed_key_env", help="env var holding the embeddings API key")
-    parser.add_argument("--cache", help="embedding cache file (JSONL, append-only)")
+    parser.set_defaults(handler=handler, stage=stage)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = subparsers.add_parser("synth", help="generation stages")
     synth_sub = synth.add_subparsers(dest="subcommand")
 
-    run_p = synth_sub.add_parser("run", help="grow the pool of synthesized commands")
+    run_p = _add_stage(synth_sub, "synth.run", "grow the pool of synthesized commands", cmd_synth_run)
     run_p.add_argument("--seeds", required=True, help="initial seeds JSONL ({text, source})")
     run_p.add_argument("--providers", help="provider pool INI file")
     run_p.add_argument("--target", type=_positive_int, help="number of new commands (default 28520)")
@@ -165,69 +192,51 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output JSONL (default synthesized.jsonl)")
     run_p.add_argument("--checkpoint-dir", dest="checkpoint_dir", help="checkpoint directory (default: alongside --out)")
     run_p.add_argument("--resume", action="store_true", help="resume from an existing checkpoint")
-    _add_common(run_p)
-    run_p.set_defaults(handler=cmd_synth_run, stage="synth.run")
 
-    pairs_p = synth_sub.add_parser("pairs", help="generate similar-command positives")
+    pairs_p = _add_stage(synth_sub, "synth.pairs", "generate similar-command positives", cmd_synth_generate)
     pairs_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
     pairs_p.add_argument("--providers", help="provider pool INI file")
     pairs_p.add_argument("--provider", help="provider name (default: first in pool)")
     pairs_p.add_argument("--out", help="pairs JSONL (default pairs.jsonl)")
     pairs_p.add_argument("--rejects", help="rejects JSONL (default <out>.rejects.jsonl)")
     pairs_p.add_argument("--jobs", type=int, help="concurrent provider calls (default 1)")
-    _add_common(pairs_p)
-    pairs_p.set_defaults(handler=cmd_synth_pairs, stage="synth.pairs")
 
-    explain_p = synth_sub.add_parser("explain", help="generate explanations")
+    explain_p = _add_stage(synth_sub, "synth.explain", "generate explanations", cmd_synth_generate)
     explain_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
     explain_p.add_argument("--providers", help="provider pool INI file")
     explain_p.add_argument("--provider", help="provider name (default: first in pool)")
     explain_p.add_argument("--out", help="explanations JSONL (default explanations.jsonl)")
     explain_p.add_argument("--rejects", help="rejects JSONL (default <out>.rejects.jsonl)")
     explain_p.add_argument("--jobs", type=int, help="concurrent provider calls (default 1)")
-    _add_common(explain_p)
-    explain_p.set_defaults(handler=cmd_synth_explain, stage="synth.explain")
 
-    embed_p = subparsers.add_parser("embed", help="embed texts to vectors")
+    embed_p = _add_stage(subparsers, "embed", "embed texts to vectors", cmd_embed, backend=True)
     embed_p.add_argument("--in", dest="input", required=True, help="JSONL with a text field")
     embed_p.add_argument("--text-field", dest="text_field", help="record field to embed (default text)")
     embed_p.add_argument("--out", help="vectors JSONL (default embeddings.jsonl)")
-    _add_backend_flags(embed_p)
-    _add_common(embed_p)
-    embed_p.set_defaults(handler=cmd_embed, stage="embed")
 
     cluster = subparsers.add_parser("cluster", help="clustering stages")
     cluster_sub = cluster.add_subparsers(dest="subcommand")
 
-    dedup_p = cluster_sub.add_parser("dedup", help="deduplicate by explanation clusters")
+    dedup_p = _add_stage(cluster_sub, "cluster.dedup", "deduplicate by explanation clusters", cmd_cluster_dedup, backend=True)
     dedup_p.add_argument("--in", dest="input", required=True, help="explanations JSONL ({text, explanation})")
     dedup_p.add_argument("--eps", type=float, help="cosine-distance radius (default 0.08)")
     dedup_p.add_argument("--min-pts", dest="min_pts", type=int, help="core-point threshold (default 5)")
     dedup_p.add_argument("--keep", type=int, help="entries kept per cluster (default 2)")
     dedup_p.add_argument("--out", help="surviving records JSONL (default testset.jsonl)")
-    _add_backend_flags(dedup_p)
-    _add_common(dedup_p)
-    dedup_p.set_defaults(handler=cmd_cluster_dedup, stage="cluster.dedup")
 
-    negatives_p = cluster_sub.add_parser("negatives", help="mine least-similar negatives")
+    negatives_p = _add_stage(cluster_sub, "cluster.negatives", "mine least-similar negatives", cmd_cluster_negatives, backend=True)
     negatives_p.add_argument("--in", dest="input", required=True, help="explanations JSONL")
     negatives_p.add_argument("--n", type=int, help="negatives per query (default 1000)")
     negatives_p.add_argument("--out", help="output JSONL of {query_id, negative_ids} (default negatives.jsonl)")
-    _add_backend_flags(negatives_p)
-    _add_common(negatives_p)
-    negatives_p.set_defaults(handler=cmd_cluster_negatives, stage="cluster.negatives")
 
-    coverage_p = cluster_sub.add_parser("coverage", help="per-source cluster coverage")
+    coverage_p = _add_stage(cluster_sub, "cluster.coverage", "per-source cluster coverage", cmd_cluster_coverage, backend=True)
     coverage_p.add_argument("--in", dest="input", required=True, help="explanations JSONL with a source field")
     coverage_p.add_argument("--eps", type=float, help="cosine-distance radius (default 0.08)")
     coverage_p.add_argument("--min-pts", dest="min_pts", type=int, help="core-point threshold (default 5)")
     coverage_p.add_argument("--tag-field", dest="tag_field", help="record field naming the source (default source)")
     coverage_p.add_argument("--out", help="optional report file")
-    _add_backend_flags(coverage_p)
-    _add_common(coverage_p)
-    coverage_p.set_defaults(handler=cmd_cluster_coverage, stage="cluster.coverage")
 
-    train_p = subparsers.add_parser("train", help="train the embedding adapter")
+    train_p = _add_stage(subparsers, "train", "train the embedding adapter", cmd_train, backend=True)
     train_p.add_argument("--pairs", required=True, help="pairs JSONL ({anchor, positive})")
     train_p.add_argument("--out", help="adapter checkpoint JSON (default adapter.json)")
     train_p.add_argument("--history", help="history CSV (default <out>.history.csv)")
@@ -238,69 +247,65 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--val-pairs", dest="val_pairs", type=int, help="validation pairs (default 1000)")
     train_p.add_argument("--eval-every", dest="eval_every", type=int, help="steps between evals (default 50)")
     train_p.add_argument("--seed", type=int, help="rng seed (default 0)")
-    _add_backend_flags(train_p)
-    _add_common(train_p)
-    train_p.set_defaults(handler=cmd_train, stage="train")
 
     evaluate = subparsers.add_parser("eval", help="evaluation suites")
     eval_sub = evaluate.add_subparsers(dest="subcommand")
 
-    retrieval_p = eval_sub.add_parser("retrieval", help="MRR@K / Top@K retrieval")
+    retrieval_p = _add_stage(eval_sub, "eval.retrieval", "MRR@K / Top@K retrieval", cmd_eval_retrieval, backend=True)
     retrieval_p.add_argument("--testset", required=True, help="JSONL of {query, positive, negative_ids}")
     retrieval_p.add_argument("--corpus", required=True, help="commands JSONL the negative ids index into")
     retrieval_p.add_argument("--k", type=_k_list, help="comma-separated K values (default 3,10)")
     retrieval_p.add_argument("--adapter", help="adapter checkpoint JSON (default: identity)")
     retrieval_p.add_argument("--out", help="report file (default retrieval_report.txt)")
     retrieval_p.add_argument("--ranks", help="per-case ranks CSV (default retrieval_ranks.csv)")
-    _add_backend_flags(retrieval_p)
-    _add_common(retrieval_p)
-    retrieval_p.set_defaults(handler=cmd_eval_retrieval, stage="eval.retrieval")
 
-    detect_p = eval_sub.add_parser("detect", help="gene-pool detection AUC")
+    detect_p = _add_stage(eval_sub, "eval.detect", "gene-pool detection AUC", cmd_eval_detect, backend=True)
     detect_p.add_argument("--corpus", required=True, help="technique corpus JSONL ({technique_id, command})")
     detect_p.add_argument("--rate", type=float, help="pool sample rate percent (default 20)")
     detect_p.add_argument("--mode", choices=("concatenated", "averaged"), help="AUC aggregation (default concatenated)")
     detect_p.add_argument("--out", help="optional report file")
-    _add_backend_flags(detect_p)
-    _add_common(detect_p)
-    detect_p.set_defaults(handler=cmd_eval_detect, stage="eval.detect")
 
-    classify_p = eval_sub.add_parser("classify", help="seven-command classification probe")
+    classify_p = _add_stage(eval_sub, "eval.classify", "seven-command classification probe", cmd_eval_classify, backend=True)
     classify_p.add_argument("--seed", type=int, help="rng seed (default 0)")
     classify_p.add_argument("--per-command", dest="per_command", type=int, help="lines per command (default 7000)")
     classify_p.add_argument("--decoy-probability", dest="decoy_probability", type=float, help="per-slot decoy probability (default 0.5)")
     classify_p.add_argument("--out", help="optional report file")
-    _add_backend_flags(classify_p)
-    _add_common(classify_p)
-    classify_p.set_defaults(handler=cmd_eval_classify, stage="eval.classify")
 
-    stats_p = subparsers.add_parser("stats", help="pair-dataset statistics")
+    stats_p = _add_stage(subparsers, "stats", "pair-dataset statistics", cmd_stats)
     stats_p.add_argument("--pairs", required=True, help="pairs JSONL")
-    _add_common(stats_p)
-    stats_p.set_defaults(handler=cmd_stats, stage="stats")
 
     analyze = subparsers.add_parser("analyze", help="diversity analytics")
     analyze_sub = analyze.add_subparsers(dest="subcommand")
 
-    rouge_p = analyze_sub.add_parser("rouge", help="overlap histograms")
+    rouge_p = _add_stage(analyze_sub, "analyze.rouge", "overlap histograms", cmd_analyze_rouge)
     rouge_p.add_argument("--pairs", help="pairs JSONL: anchor-vs-positive overlap")
     rouge_p.add_argument("--generated", help="generated commands JSONL: max overlap vs seeds")
     rouge_p.add_argument("--seeds", help="seeds JSONL (required with --generated)")
     rouge_p.add_argument("--rouge-mode", dest="rouge_mode", choices=analytics.ROUGE_MODES, help="score variant (default f1)")
     rouge_p.add_argument("--out", help="histogram CSV (default rouge_hist.csv)")
     rouge_p.add_argument("--scores", help="optional per-command scores CSV (--generated mode)")
-    _add_common(rouge_p)
-    rouge_p.set_defaults(handler=cmd_analyze_rouge, stage="analyze.rouge")
 
-    an_cov_p = analyze_sub.add_parser("coverage", help="command-group and extension coverage")
+    an_cov_p = _add_stage(analyze_sub, "analyze.coverage", "command-group and extension coverage", cmd_analyze_coverage)
     an_cov_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
     an_cov_p.add_argument("--command-universe", dest="command_universe", help="groups file (default: bundled 306 groups)")
     an_cov_p.add_argument("--extension-universe", dest="extension_universe", help="extensions file (default: bundled 75 extensions)")
     an_cov_p.add_argument("--out", help="optional report file")
-    _add_common(an_cov_p)
-    an_cov_p.set_defaults(handler=cmd_analyze_coverage, stage="analyze.coverage")
 
     return parser
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _dbscan_params(settings: Settings) -> clustering.DbscanParams:
+    return clustering.DbscanParams(
+        eps=settings.get("eps", 0.08, float),
+        min_pts=settings.get("min_pts", 5, int),
+    )
 
 
 def _load_pool(settings: Settings):
@@ -317,13 +322,11 @@ def _pick_client(settings: Settings):
     return ClientFactory()(spec)
 
 
-def cmd_synth_run(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_synth_run(settings: Settings) -> int:
     seeds = jsonl.read_commands(settings.get("seeds"), default_source=Source.INITIAL_SEED)
     pool = _load_pool(settings)
     out = settings.out_path(settings.get("out", "synthesized.jsonl"))
-    checkpoint_dir = settings.get("checkpoint_dir")
-    checkpoint_path = settings.out_path(checkpoint_dir) if checkpoint_dir else out.parent / "checkpoint"
+    checkpoint_path = settings.path_or("checkpoint_dir", out.parent / "checkpoint")
     seed = settings.get("seed", 0, int)
     cfg = synthesis.SynthesisConfig(
         target_count=settings.get("target", synthesis.DEFAULT_TARGET_COUNT, int),
@@ -332,7 +335,7 @@ def cmd_synth_run(args: argparse.Namespace) -> int:
         checkpoint_dir=checkpoint_path,
     )
     resume_state = None
-    if getattr(args, "resume", False):
+    if settings.args.resume:
         resume_state = synthesis.load_checkpoint(checkpoint_path)
         if resume_state is None:
             raise ValueError(f"--resume given but no checkpoint under {checkpoint_path}")
@@ -340,73 +343,61 @@ def cmd_synth_run(args: argparse.Namespace) -> int:
         synthesized = synthesis.run_synthesis(pool, seeds, cfg, resume=resume_state)
     except synthesis.SynthesisAborted as exc:
         jsonl.write_commands(out, exc.partial)
-        jsonl.write_meta(out, "synth.run", seed=seed, target=cfg.target_count,
+        jsonl.write_meta(out, settings.stage, seed=seed, target=cfg.target_count,
                          aborted=True, synthesized=len(exc.partial))
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial results: {len(exc.partial)} commands written to {out}", file=sys.stderr)
         return 1
     jsonl.write_commands(out, synthesized)
-    jsonl.write_meta(out, "synth.run", seed=seed, target=cfg.target_count,
+    jsonl.write_meta(out, settings.stage, seed=seed, target=cfg.target_count,
                      providers=[p.name for p in pool.providers], synthesized=len(synthesized))
     print(f"synthesized {len(synthesized)} commands -> {out}")
     return 0
 
 
-def _write_rejects(settings: Settings, rejects, out: Path) -> Path:
-    rejects_value = settings.get("rejects")
-    rejects_path = settings.out_path(rejects_value) if rejects_value else Path(str(out) + ".rejects.jsonl")
+def cmd_synth_generate(settings: Settings) -> int:
+    """``synth pairs`` and ``synth explain``: one provider call per command."""
+    commands = jsonl.read_commands(settings.get("input"))
+    client = _pick_client(settings)
+    pairs = settings.stage == "synth.pairs"
+    noun = "pairs" if pairs else "explanations"
+    generate = synthesis.generate_pairs if pairs else synthesis.generate_explanations
+    results, rejects = generate(commands, client, jobs=settings.get("jobs", 1, int))
+    out = settings.out_path(settings.get("out", f"{noun}.jsonl"))
+    if pairs:
+        jsonl.write_pairs(out, results)
+    else:
+        jsonl.write_records(
+            out,
+            (
+                {"text": command.text, "explanation": explanation, "source": command.source.value}
+                for command, explanation in results
+            ),
+        )
+    rejects_path = settings.path_or("rejects", Path(str(out) + ".rejects.jsonl"))
     jsonl.write_records(
         rejects_path,
         ({"text": r.command.text, "reason": r.reason} for r in rejects),
     )
-    return rejects_path
-
-
-def cmd_synth_pairs(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
-    commands = jsonl.read_commands(settings.get("input"))
-    client = _pick_client(settings)
-    jobs = settings.get("jobs", 1, int)
-    pairs, rejects = synthesis.generate_pairs(commands, client, jobs=jobs)
-    out = settings.out_path(settings.get("out", "pairs.jsonl"))
-    jsonl.write_pairs(out, pairs)
-    rejects_path = _write_rejects(settings, rejects, out)
-    jsonl.write_meta(out, "synth.pairs", provider=getattr(client, "name", "?"),
-                     pairs=len(pairs), rejects=len(rejects))
-    print(f"{len(pairs)} pairs -> {out} ({len(rejects)} rejects -> {rejects_path})")
+    jsonl.write_meta(out, settings.stage, provider=getattr(client, "name", "?"),
+                     rejects=len(rejects), **{noun: len(results)})
+    print(f"{len(results)} {noun} -> {out} ({len(rejects)} rejects -> {rejects_path})")
     return 0
 
 
-def cmd_synth_explain(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
-    commands = jsonl.read_commands(settings.get("input"))
-    client = _pick_client(settings)
-    jobs = settings.get("jobs", 1, int)
-    explanations, rejects = synthesis.generate_explanations(commands, client, jobs=jobs)
-    out = settings.out_path(settings.get("out", "explanations.jsonl"))
-    jsonl.write_records(
-        out,
-        (
-            {"text": command.text, "explanation": explanation, "source": command.source.value}
-            for command, explanation in explanations
-        ),
-    )
-    rejects_path = _write_rejects(settings, rejects, out)
-    jsonl.write_meta(out, "synth.explain", provider=getattr(client, "name", "?"),
-                     explanations=len(explanations), rejects=len(rejects))
-    print(f"{len(explanations)} explanations -> {out} ({len(rejects)} rejects -> {rejects_path})")
-    return 0
-
-
-def cmd_embed(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
-    field = settings.get("text_field", "text")
-    records = list(jsonl.read_records(settings.get("input")))
-    texts = []
+def _column(records: list[dict], field: str) -> list:
+    """Each record's ``field``; raises on the first record without it."""
+    values = []
     for i, record in enumerate(records):
         if field not in record:
             raise ValueError(f"record {i} has no field {field!r}")
-        texts.append(record[field])
+        values.append(record[field])
+    return values
+
+
+def cmd_embed(settings: Settings) -> int:
+    records = list(jsonl.read_records(settings.get("input")))
+    texts = _column(records, settings.get("text_field", "text"))
     backend = settings.backend()
     matrix = embed_batch(backend, texts, settings.cache())
     out = settings.out_path(settings.get("out", "embeddings.jsonl"))
@@ -417,7 +408,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             for text, row in zip(texts, matrix)
         ),
     )
-    jsonl.write_meta(out, "embed", backend=backend.identity, vectors=len(texts))
+    jsonl.write_meta(out, settings.stage, backend=backend.identity, vectors=len(texts))
     print(f"{len(texts)} vectors ({backend.identity}) -> {out}")
     return 0
 
@@ -426,29 +417,20 @@ def _read_explanations(settings: Settings) -> tuple[list[dict], list[str]]:
     records = list(jsonl.read_records(settings.get("input")))
     if not records:
         raise ValueError("input file has no records")
-    explanations = []
-    for i, record in enumerate(records):
-        if "explanation" not in record:
-            raise ValueError(f"record {i} has no 'explanation' field")
-        explanations.append(record["explanation"])
-    return records, explanations
+    return records, _column(records, "explanation")
 
 
-def cmd_cluster_dedup(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_cluster_dedup(settings: Settings) -> int:
     records, explanations = _read_explanations(settings)
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
-    params = clustering.DbscanParams(
-        eps=settings.get("eps", 0.08, float),
-        min_pts=settings.get("min_pts", 5, int),
-    )
+    params = _dbscan_params(settings)
     labeling = clustering.dbscan(matrix, params)
     keep = settings.get("keep", 2, int)
     kept = clustering.dedup_by_clusters(records, labeling, keep)
     out = settings.out_path(settings.get("out", "testset.jsonl"))
     jsonl.write_records(out, (records[i] for i in kept))
-    jsonl.write_meta(out, "cluster.dedup", eps=params.eps, min_pts=params.min_pts,
+    jsonl.write_meta(out, settings.stage, eps=params.eps, min_pts=params.min_pts,
                      keep=keep, clusters=labeling.num_clusters,
                      kept=len(kept), dropped=len(records) - len(kept),
                      backend=backend.identity)
@@ -458,8 +440,7 @@ def cmd_cluster_dedup(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster_negatives(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_cluster_negatives(settings: Settings) -> int:
     records, explanations = _read_explanations(settings)
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
@@ -473,44 +454,29 @@ def cmd_cluster_negatives(args: argparse.Namespace) -> int:
             yield {"query_id": i, "negative_ids": negatives}
 
     jsonl.write_records(out, rows())
-    jsonl.write_meta(out, "cluster.negatives", n=n, queries=len(records),
+    jsonl.write_meta(out, settings.stage, n=n, queries=len(records),
                      backend=backend.identity)
     print(f"{len(records)} queries x {n} negatives -> {out}")
     return 0
 
 
-def cmd_cluster_coverage(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_cluster_coverage(settings: Settings) -> int:
     records, explanations = _read_explanations(settings)
-    tag_field = settings.get("tag_field", "source")
-    tags = []
-    for i, record in enumerate(records):
-        if tag_field not in record:
-            raise ValueError(f"record {i} has no {tag_field!r} field")
-        tags.append(str(record[tag_field]))
+    tags = [str(tag) for tag in _column(records, settings.get("tag_field", "source"))]
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
-    params = clustering.DbscanParams(
-        eps=settings.get("eps", 0.08, float),
-        min_pts=settings.get("min_pts", 5, int),
-    )
+    params = _dbscan_params(settings)
     labeling = clustering.dbscan(matrix, params)
     rates = clustering.cluster_coverage(labeling, tags)
     pooled = clustering.cluster_coverage(labeling, ["pool"] * len(tags))["pool"]
-    lines = [f"clusters={labeling.num_clusters}", f"pool={pooled!r}"]
-    lines += [f"{tag}={rate!r}" for tag, rate in rates.items()]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    out_value = settings.get("out")
-    if out_value:
-        out = settings.out_path(out_value)
-        out.write_text(text, encoding="utf-8")
-        jsonl.write_meta(out, "cluster.coverage", eps=params.eps, min_pts=params.min_pts)
+    settings.report(
+        [("clusters", labeling.num_clusters), ("pool", pooled), *rates.items()],
+        eps=params.eps, min_pts=params.min_pts,
+    )
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_train(settings: Settings) -> int:
     pairs = jsonl.read_pairs(settings.get("pairs"))
     backend = settings.backend()
     seed = settings.get("seed", 0, int)
@@ -526,15 +492,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, history = contrastive.train(pairs, backend, cfg, settings.cache())
     out = settings.out_path(settings.get("out", "adapter.json"))
     model.save(out)
-    history_value = settings.get("history")
-    history_path = settings.out_path(history_value) if history_value else Path(str(out) + ".history.csv")
-    with open(history_path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "train_loss", "val_mrr3"])
-        for event in history:
-            loss = "" if event.train_loss is None else repr(event.train_loss)
-            writer.writerow([event.step, loss, repr(event.val_mrr3)])
-    jsonl.write_meta(out, "train", seed=seed, pairs=len(pairs),
+    _write_csv(
+        settings.path_or("history", Path(str(out) + ".history.csv")),
+        ["step", "train_loss", "val_mrr3"],
+        (
+            [event.step, "" if event.train_loss is None else repr(event.train_loss), repr(event.val_mrr3)]
+            for event in history
+        ),
+    )
+    jsonl.write_meta(out, settings.stage, seed=seed, pairs=len(pairs),
                      backend=backend.identity, best_step=model.step,
                      batch=cfg.batch_pairs, lr=cfg.learning_rate,
                      epochs=cfg.epochs, tau=cfg.temperature)
@@ -545,8 +511,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_eval_retrieval(settings: Settings) -> int:
     corpus = jsonl.read_commands(settings.get("corpus"))
     cases = evaluation.load_retrieval_cases(settings.get("testset"), corpus)
     backend = settings.backend()
@@ -554,44 +519,33 @@ def cmd_eval_retrieval(args: argparse.Namespace) -> int:
     adapter = contrastive.AdapterModel.load(adapter_value) if adapter_value else None
     ks = settings.get("k", [3, 10], _k_list)
     report = evaluation.evaluate_retrieval(cases, backend, ks, adapter, settings.cache())
-    lines = [f"cases={len(cases)}"]
-    lines += [f"{name}={value!r}" for name, value in report.metrics.items()]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    out = settings.out_path(settings.get("out", "retrieval_report.txt"))
-    out.write_text(text, encoding="utf-8")
-    ranks_value = settings.get("ranks")
-    ranks_path = settings.out_path(ranks_value) if ranks_value else settings.out_path("retrieval_ranks.csv")
-    with open(ranks_path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["case", "rank"])
-        for i, rank in enumerate(report.ranks):
-            writer.writerow([i, rank])
-    jsonl.write_meta(out, "eval.retrieval", backend=backend.identity,
-                     adapter=str(adapter_value) if adapter_value else None,
-                     cases=len(cases))
+    settings.report(
+        [("cases", len(cases)), *report.metrics.items()], "retrieval_report.txt",
+        backend=backend.identity, adapter=str(adapter_value) if adapter_value else None,
+        cases=len(cases),
+    )
+    _write_csv(
+        settings.path_or("ranks", settings.out_path("retrieval_ranks.csv")),
+        ["case", "rank"],
+        enumerate(report.ranks),
+    )
     return 0
 
 
-def cmd_eval_detect(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_eval_detect(settings: Settings) -> int:
     corpus = evaluation.load_technique_corpus(settings.get("corpus"))
     backend = settings.backend()
     rate = settings.get("rate", 20.0, float)
     mode = settings.get("mode", "concatenated")
     auc = evaluation.detection_auc(corpus, rate, backend, mode, settings.cache())
-    text = f"techniques={len(corpus)}\nrate={rate!r}\nmode={mode}\nauc={auc!r}\n"
-    print(text, end="")
-    out_value = settings.get("out")
-    if out_value:
-        out = settings.out_path(out_value)
-        out.write_text(text, encoding="utf-8")
-        jsonl.write_meta(out, "eval.detect", rate=rate, mode=mode, backend=backend.identity)
+    settings.report(
+        [("techniques", len(corpus)), ("rate", rate), ("mode", mode), ("auc", auc)],
+        rate=rate, mode=mode, backend=backend.identity,
+    )
     return 0
 
 
-def cmd_eval_classify(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_eval_classify(settings: Settings) -> int:
     seed = settings.get("seed", 0, int)
     rng = random.Random(seed)
     dataset = evaluation.synth_classification_dataset(
@@ -610,21 +564,15 @@ def cmd_eval_classify(args: argparse.Namespace) -> int:
         [label for label, _ in dataset.test],
         rng=rng,
     )
-    text = (
-        f"train_records={len(dataset.train)}\ntest_records={len(dataset.test)}\n"
-        f"seed={seed}\naccuracy={accuracy!r}\n"
+    settings.report(
+        [("train_records", len(dataset.train)), ("test_records", len(dataset.test)),
+         ("seed", seed), ("accuracy", accuracy)],
+        seed=seed, backend=backend.identity,
     )
-    print(text, end="")
-    out_value = settings.get("out")
-    if out_value:
-        out = settings.out_path(out_value)
-        out.write_text(text, encoding="utf-8")
-        jsonl.write_meta(out, "eval.classify", seed=seed, backend=backend.identity)
     return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_stats(settings: Settings) -> int:
     pairs = jsonl.read_pairs(settings.get("pairs"))
     stats = dataset_stats(pairs)
     print(f"num_pairs={stats.num_pairs}")
@@ -636,8 +584,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze_rouge(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_analyze_rouge(settings: Settings) -> int:
     mode = settings.get("rouge_mode", "f1")
     pairs_value = settings.get("pairs")
     generated_value = settings.get("generated")
@@ -647,7 +594,7 @@ def cmd_analyze_rouge(args: argparse.Namespace) -> int:
     if pairs_value:
         pairs = jsonl.read_pairs(pairs_value)
         histogram = analytics.pair_overlap_distribution(pairs, mode)
-        jsonl.write_meta(out, "analyze.rouge", mode=mode, source="pairs", n=histogram.n)
+        jsonl.write_meta(out, settings.stage, mode=mode, source="pairs", n=histogram.n)
     else:
         seeds_value = settings.get("seeds")
         if not seeds_value:
@@ -657,13 +604,12 @@ def cmd_analyze_rouge(args: argparse.Namespace) -> int:
         scores, histogram = analytics.max_overlap_vs_seeds(generated, seeds, mode)
         scores_value = settings.get("scores")
         if scores_value:
-            scores_path = settings.out_path(scores_value)
-            with open(scores_path, "w", encoding="utf-8", newline="\n") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["index", "max_overlap"])
-                for i, score in enumerate(scores):
-                    writer.writerow([i, repr(score)])
-        jsonl.write_meta(out, "analyze.rouge", mode=mode, source="generated-vs-seeds",
+            _write_csv(
+                settings.out_path(scores_value),
+                ["index", "max_overlap"],
+                ([i, repr(score)] for i, score in enumerate(scores)),
+            )
+        jsonl.write_meta(out, settings.stage, mode=mode, source="generated-vs-seeds",
                          n=histogram.n)
     analytics.write_histogram_csv(out, histogram)
     print(f"histogram of {histogram.n} scores -> {out}")
@@ -675,8 +621,7 @@ def _bundled_universe(filename: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]
 
 
-def cmd_analyze_coverage(args: argparse.Namespace) -> int:
-    settings = Settings(args, args.stage)
+def cmd_analyze_coverage(settings: Settings) -> int:
     commands = jsonl.read_commands(settings.get("input"))
     groups_value = settings.get("command_universe")
     extensions_value = settings.get("extension_universe")
@@ -684,19 +629,14 @@ def cmd_analyze_coverage(args: argparse.Namespace) -> int:
     extensions = analytics.load_universe(extensions_value) if extensions_value else _bundled_universe("windows_file_extensions.txt")
     group_report = analytics.command_coverage(commands, groups)
     extension_report = analytics.extension_coverage(commands, extensions)
-    text = (
-        f"command_groups_covered={group_report.covered}\n"
-        f"command_groups_universe={group_report.universe_size}\n"
-        f"command_groups_rate={group_report.rate!r}\n"
-        f"extensions_covered={extension_report.covered}\n"
-        f"extensions_universe={extension_report.universe_size}\n"
-        f"extensions_rate={extension_report.rate!r}\n"
-    )
-    print(text, end="")
-    out_value = settings.get("out")
-    if out_value:
-        out = settings.out_path(out_value)
-        out.write_text(text, encoding="utf-8")
+    settings.report([
+        ("command_groups_covered", group_report.covered),
+        ("command_groups_universe", group_report.universe_size),
+        ("command_groups_rate", group_report.rate),
+        ("extensions_covered", extension_report.covered),
+        ("extensions_universe", extension_report.universe_size),
+        ("extensions_rate", extension_report.rate),
+    ])
     return 0
 
 
@@ -717,8 +657,9 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return handler(args)
-    except (ValueError, KeyError, OSError, GatewayError, EmbeddingIntegrityError) as exc:
+        return handler(Settings(args))
+    except (ValueError, KeyError, OSError, GatewayError, EmbeddingIntegrityError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

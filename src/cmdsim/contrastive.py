@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import CommandLinePair
 from .embedding import EmbeddingCache, embed_batch
-from .evaluation import mrr_at_k, rank_from_scores
+from .evaluation import _softmax_rows, mrr_at_k, rank_from_scores
 
 logger = logging.getLogger(__name__)
 
@@ -131,15 +131,6 @@ class AdapterModel:
         )
 
 
-def similarity_matrix(anchor_vectors: np.ndarray, positive_vectors: np.ndarray) -> np.ndarray:
-    """k x k matrix of dot products between adapted unit vectors."""
-    anchors = np.asarray(anchor_vectors, dtype=np.float64)
-    positives = np.asarray(positive_vectors, dtype=np.float64)
-    if anchors.shape != positives.shape or anchors.ndim != 2:
-        raise ValueError(f"shape mismatch: {anchors.shape} vs {positives.shape}")
-    return anchors @ positives.T
-
-
 def info_nce_loss(sims: np.ndarray, temperature: float) -> float:
     """The in-batch-negative contrastive loss, summed over rows."""
     if temperature <= 0:
@@ -151,12 +142,6 @@ def info_nce_loss(sims: np.ndarray, temperature: float) -> float:
     shift = scaled.max(axis=1, keepdims=True)
     log_denominator = shift[:, 0] + np.log(np.exp(scaled - shift).sum(axis=1))
     return float(np.sum(log_denominator - np.diag(scaled)))
-
-
-def _softmax_rows(scaled: np.ndarray) -> np.ndarray:
-    shift = scaled.max(axis=1, keepdims=True)
-    exp = np.exp(scaled - shift)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def _normalize_rows_with_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

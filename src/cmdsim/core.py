@@ -159,10 +159,6 @@ class SeedPool:
     def __contains__(self, command: CommandLine | str) -> bool:
         return canonical_dedup_key(command) in self._keys
 
-    @property
-    def entries(self) -> list[CommandLine]:
-        return list(self._entries)
-
     def sample(self, rng, k: int) -> list[CommandLine]:
         """Draw ``k`` distinct entries without replacement using ``rng``."""
         if k > len(self._entries):

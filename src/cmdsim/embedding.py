@@ -1,4 +1,4 @@
-"""Embedding backends, a persistent vector cache, and cosine similarity.
+"""Embedding backends, a persistent vector cache, and batch embedding.
 
 Vectors are plain numpy float64 arrays.  All vectors leaving
 :func:`embed_batch` are L2-normalized exactly once, so downstream dot
@@ -11,14 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 import requests
 
-from .gateway import ConfigurationError, ProviderError, TransportError
+from .gateway import ProviderError, TransportError, json_headers
 
 logger = logging.getLogger(__name__)
 
@@ -45,23 +44,6 @@ def unit_normalize(vectors: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise EmbeddingIntegrityError("cannot normalize zero rows")
     return array / norms
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two nonzero vectors, clamped into [-1, 1].
-
-    The clamp only trims float round-off of one or two ulps; for unit
-    vectors the value equals their dot product.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    norm_u = np.linalg.norm(u)
-    norm_v = np.linalg.norm(v)
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / (norm_u * norm_v))))
 
 
 class HashingEmbeddingBackend:
@@ -141,15 +123,7 @@ class RemoteEmbeddingBackend:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.calls += 1
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env:
-            key = os.environ.get(self.api_key_env)
-            if key is None:
-                raise ConfigurationError(
-                    f"environment variable {self.api_key_env} is not set "
-                    f"(required by embedding backend {self.model_id})"
-                )
-            headers["Authorization"] = f"Bearer {key}"
+        headers = json_headers(self.api_key_env, f"embedding backend {self.model_id}")
         post = self._session.post if self._session is not None else requests.post
         try:
             response = post(
@@ -175,12 +149,6 @@ class RemoteEmbeddingBackend:
                 body=response.text[:2000],
             ) from exc
         return np.asarray(rows, dtype=np.float64)
-
-
-def local_deterministic_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """One-shot unit-normalized hashing embedding of a single text."""
-    backend = HashingEmbeddingBackend(dim)
-    return unit_normalize(backend._embed_one(text))
 
 
 class EmbeddingCache:

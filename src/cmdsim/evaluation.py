@@ -12,7 +12,7 @@ import logging
 import math
 import random
 import string
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,12 +48,6 @@ class RetrievalCase:
 def rank_from_scores(positive_score: float, negative_scores: Iterable[float]) -> int:
     """1-based rank by descending score; ties count against the positive."""
     return 1 + sum(1 for s in negative_scores if s >= positive_score)
-
-
-def rank_of_positive(case: RetrievalCase, scorer: Callable[[CommandLine], float]) -> int:
-    """Rank of the positive among {positive} union negatives under scorer."""
-    positive_score = scorer(case.positive)
-    return rank_from_scores(positive_score, (scorer(n) for n in case.negatives))
 
 
 def _check_ranks(ranks: Sequence[int], k: int) -> None:
@@ -210,17 +204,15 @@ class GenePoolSplit:
     """Reference-versus-query split of one technique at sample rate r.
 
     ``pool`` is the technique's first ceil((r/100) * size) commands in
-    corpus order, ``queries`` the remainder.  ``candidates`` is every
-    corpus command outside the pool and ``negatives`` every corpus
-    command outside the technique; both keep corpus order and may repeat
-    texts when different techniques share a command.
+    corpus order, ``queries`` the remainder.  ``negatives`` is every
+    corpus command outside the technique; it keeps corpus order and may
+    repeat texts when different techniques share a command.
     """
 
     technique_id: str
     sample_rate: float
     pool: tuple[str, ...]
     queries: tuple[str, ...]
-    candidates: tuple[str, ...]
     negatives: tuple[str, ...]
 
 
@@ -243,11 +235,6 @@ def build_gene_pools(corpus: TechniqueCorpus, rate: float) -> list[GenePoolSplit
         pool_size = _ceil_fraction(rate, technique.size)
         pool = technique.commands[:pool_size]
         queries = technique.commands[pool_size:]
-        pool_set = set(pool)
-        candidates = tuple(
-            c for t in corpus.techniques for c in t.commands
-            if not (t.technique_id == technique.technique_id and c in pool_set)
-        )
         negatives = tuple(
             c for t in corpus.techniques if t.technique_id != technique.technique_id
             for c in t.commands
@@ -258,24 +245,10 @@ def build_gene_pools(corpus: TechniqueCorpus, rate: float) -> list[GenePoolSplit
                 sample_rate=rate,
                 pool=pool,
                 queries=queries,
-                candidates=candidates,
                 negatives=negatives,
             )
         )
     return splits
-
-
-def malicious_score(
-    command: str,
-    split: GenePoolSplit,
-    backend,
-    cache: EmbeddingCache | None = None,
-) -> float:
-    """Maximum cosine similarity between the command and the pool."""
-    if not split.pool:
-        raise ValueError(f"technique {split.technique_id}: empty gene pool")
-    matrix = embed_batch(backend, [command, *split.pool], cache)
-    return float(np.max(matrix[1:] @ matrix[0]))
 
 
 def mann_whitney_auc(

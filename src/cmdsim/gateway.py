@@ -16,7 +16,6 @@ import configparser
 import hashlib
 import logging
 import os
-import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -163,6 +162,20 @@ def pick_provider(pool: ProviderPool, rng) -> ProviderSpec:
     return rng.choice(pool.providers)
 
 
+def json_headers(api_key_env: str, owner: str) -> dict[str, str]:
+    """JSON request headers, with a bearer token read from ``api_key_env``
+    when one is named; ``owner`` names the caller in the error."""
+    headers = {"Content-Type": "application/json"}
+    if api_key_env:
+        key = os.environ.get(api_key_env)
+        if key is None:
+            raise ConfigurationError(
+                f"environment variable {api_key_env} is not set (required by {owner})"
+            )
+        headers["Authorization"] = f"Bearer {key}"
+    return headers
+
+
 def complete(
     spec: ProviderSpec,
     prompt: str,
@@ -177,15 +190,7 @@ def complete(
     with exponential backoff up to ``spec.max_retries`` extra attempts.
     Other HTTP errors fail immediately.  ``spec`` is never mutated.
     """
-    headers = {"Content-Type": "application/json"}
-    if spec.api_key_env:
-        key = os.environ.get(spec.api_key_env)
-        if key is None:
-            raise ConfigurationError(
-                f"environment variable {spec.api_key_env} is not set "
-                f"(required by provider {spec.name})"
-            )
-        headers["Authorization"] = f"Bearer {key}"
+    headers = json_headers(spec.api_key_env, f"provider {spec.name}")
     body = {
         "model": spec.model_id,
         "messages": [{"role": "user", "content": prompt}],
@@ -226,75 +231,18 @@ def complete(
     raise last_error
 
 
-class TokenBucket:
-    """Thread-safe token bucket: bursts up to ``capacity``, refills at
-    ``refill_rate`` tokens per second."""
-
-    def __init__(
-        self,
-        capacity: float,
-        refill_rate: float,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if capacity <= 0 or refill_rate <= 0:
-            raise ValueError("capacity and refill_rate must be positive")
-        self.capacity = capacity
-        self.refill_rate = refill_rate
-        self._clock = clock
-        self._sleep = sleep
-        self._tokens = capacity
-        self._last = clock()
-        self._lock = threading.Lock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.refill_rate)
-        self._last = now
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        with self._lock:
-            self._refill()
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                return True
-            return False
-
-    def acquire(self, tokens: float = 1.0) -> None:
-        if tokens > self.capacity:
-            raise ValueError(f"cannot acquire {tokens} tokens from bucket of capacity {self.capacity}")
-        while True:
-            with self._lock:
-                self._refill()
-                if self._tokens >= tokens:
-                    self._tokens -= tokens
-                    return
-                deficit = tokens - self._tokens
-            self._sleep(deficit / self.refill_rate)
-
-
 class HttpChatProvider:
-    """A ProviderSpec bound to a session and optional rate limiter."""
+    """A ProviderSpec bound to a session."""
 
-    def __init__(
-        self,
-        spec: ProviderSpec,
-        *,
-        session: requests.Session | None = None,
-        rate_limiter: TokenBucket | None = None,
-    ) -> None:
+    def __init__(self, spec: ProviderSpec, *, session: requests.Session | None = None) -> None:
         self.spec = spec
         self._session = session
-        self._rate_limiter = rate_limiter
 
     @property
     def name(self) -> str:
         return self.spec.name
 
     def complete(self, prompt: str) -> str:
-        if self._rate_limiter is not None:
-            self._rate_limiter.acquire()
         return complete(self.spec, prompt, session=self._session)
 
 
@@ -434,17 +382,12 @@ def is_mock_endpoint(endpoint: str) -> bool:
     return endpoint.startswith("mock:")
 
 
-def build_client(
-    spec: ProviderSpec,
-    *,
-    session: requests.Session | None = None,
-    rate_limiter: TokenBucket | None = None,
-):
+def build_client(spec: ProviderSpec, *, session: requests.Session | None = None):
     """Turn a spec into a callable provider; mock:// endpoints get the
     deterministic in-process mock."""
     if is_mock_endpoint(spec.endpoint):
         return MockProvider(name=spec.name, salt=spec.model_id)
-    return HttpChatProvider(spec, session=session, rate_limiter=rate_limiter)
+    return HttpChatProvider(spec, session=session)
 
 
 class ClientFactory:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .core import CommandLine, CommandLinePair, SeedPool, Source, parse_llm_response
 from .gateway import (
+    SEEDS_PER_PROMPT,
     ClientFactory,
     ConfigurationError,
     GatewayError,
@@ -34,19 +35,16 @@ DEFAULT_TARGET_COUNT = 28_520
 CHECKPOINT_EVERY = 100
 
 
+# The generation protocol: SEEDS_PER_PROMPT (12) seeds in, at most
+# REQUESTED_PER_CALL command lines kept per call.
+REQUESTED_PER_CALL = 4
+
+
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Settings for one synthesis run.
-
-    ``seeds_per_prompt`` and ``requested_per_call`` are part of the
-    generation protocol (12 in, 4 out) and are validated rather than
-    tunable; they appear as fields so the protocol is visible in one
-    place.
-    """
+    """Settings for one synthesis run."""
 
     target_count: int = DEFAULT_TARGET_COUNT
-    seeds_per_prompt: int = 12
-    requested_per_call: int = 4
     rng_seed: int = 0
     max_consecutive_failures: int = 20
     checkpoint_dir: Path | None = None
@@ -54,11 +52,6 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         if self.target_count < 0:
             raise ValueError("target_count must be >= 0")
-        if self.seeds_per_prompt != 12 or self.requested_per_call != 4:
-            raise ValueError(
-                "the generation protocol is fixed at 12 seeds per prompt "
-                "and 4 requested command lines per call"
-            )
         if self.max_consecutive_failures < 1:
             raise ValueError("max_consecutive_failures must be >= 1")
 
@@ -90,11 +83,11 @@ def synthesize_step(
     caller's failure counter decides when to give up.  Configuration
     errors propagate, since retrying cannot fix a missing API key.
     """
-    if len(seeds) < cfg.seeds_per_prompt:
+    if len(seeds) < SEEDS_PER_PROMPT:
         raise ValueError(
-            f"seed pool has {len(seeds)} entries, needs >= {cfg.seeds_per_prompt}"
+            f"seed pool has {len(seeds)} entries, needs >= {SEEDS_PER_PROMPT}"
         )
-    sampled = seeds.sample(rng, cfg.seeds_per_prompt)
+    sampled = seeds.sample(rng, SEEDS_PER_PROMPT)
     prompt = build_synthesis_prompt(sampled)
     spec = pick_provider(pool, rng)
     client = client_for(spec)
@@ -107,7 +100,7 @@ def synthesize_step(
         return []
     parsed = parse_llm_response(response, provenance=spec.name)
     accepted: list[CommandLine] = []
-    for command in parsed[: cfg.requested_per_call]:
+    for command in parsed[:REQUESTED_PER_CALL]:
         if seeds.add(command):
             accepted.append(command)
     return accepted
@@ -166,9 +159,9 @@ def run_synthesis(
             len(seeds),
             len(synthesized),
         )
-    if len(seeds) < cfg.seeds_per_prompt:
+    if len(seeds) < SEEDS_PER_PROMPT:
         raise ValueError(
-            f"need >= {cfg.seeds_per_prompt} distinct initial seeds, got {len(seeds)}"
+            f"need >= {SEEDS_PER_PROMPT} distinct initial seeds, got {len(seeds)}"
         )
     if client_for is None:
         client_for = ClientFactory()

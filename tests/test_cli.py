@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,38 @@ class TestParsing:
         code = cli.run(["stats", "--pairs", str(pairs), "--config", str(tmp_path / "nope.ini")])
         assert code == 1
         assert "config file not found" in capsys.readouterr().err
+
+
+_BACKEND_FLAGS = ["--backend", "--dim", "--embed-endpoint", "--embed-model", "--embed-key-env", "--cache"]
+_COMMON_FLAGS = ["--config", "--output-dir", "--verbose", "-h", "--help"]
+
+# Every option string each stage accepts; a refactor of the parser must
+# keep this surface exactly.
+STAGE_OPTIONS = {
+    "synth.run": ["--seeds", "--providers", "--target", "--seed", "--max-failures", "--out",
+                  "--checkpoint-dir", "--resume"],
+    "synth.pairs": ["--in", "--providers", "--provider", "--out", "--rejects", "--jobs"],
+    "synth.explain": ["--in", "--providers", "--provider", "--out", "--rejects", "--jobs"],
+    "embed": ["--in", "--text-field", "--out", *_BACKEND_FLAGS],
+    "cluster.dedup": ["--in", "--eps", "--min-pts", "--keep", "--out", *_BACKEND_FLAGS],
+    "cluster.negatives": ["--in", "--n", "--out", *_BACKEND_FLAGS],
+    "cluster.coverage": ["--in", "--eps", "--min-pts", "--tag-field", "--out", *_BACKEND_FLAGS],
+    "train": ["--pairs", "--out", "--history", "--batch", "--lr", "--epochs", "--tau", "--val-pairs",
+              "--eval-every", "--seed", *_BACKEND_FLAGS],
+    "eval.retrieval": ["--testset", "--corpus", "--k", "--adapter", "--out", "--ranks", *_BACKEND_FLAGS],
+    "eval.detect": ["--corpus", "--rate", "--mode", "--out", *_BACKEND_FLAGS],
+    "eval.classify": ["--seed", "--per-command", "--decoy-probability", "--out", *_BACKEND_FLAGS],
+    "stats": ["--pairs"],
+    "analyze.rouge": ["--pairs", "--generated", "--seeds", "--rouge-mode", "--out", "--scores"],
+    "analyze.coverage": ["--in", "--command-universe", "--extension-universe", "--out"],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_OPTIONS))
+def test_stage_flag_surface(stage, capsys):
+    assert cli.run([*stage.split("."), "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+    assert listed == set(STAGE_OPTIONS[stage] + _COMMON_FLAGS)
 
 
 class TestSynthRun:
@@ -375,6 +408,23 @@ class TestEvalRetrievalCli:
         assert len(rows) == 7
         assert all(int(rank) >= 1 for _, rank in rows[1:])
 
+    def test_bad_k_from_config_exits_one(self, tmp_path, capsys):
+        corpus, testset = self.build_inputs(tmp_path)
+        config = tmp_path / "config.ini"
+        config.write_text("[eval.retrieval]\nk = 0\n", encoding="utf-8")
+        code = cli.run(
+            [
+                "eval", "retrieval",
+                "--testset", str(testset),
+                "--corpus", str(corpus),
+                "--config", str(config),
+                "--dim", "64",
+                "--output-dir", str(tmp_path / "bad_k"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: K values must be >= 1")
+
     def test_adapter_flag_and_determinism(self, tmp_path):
         corpus, testset = self.build_inputs(tmp_path)
         adapter_path = tmp_path / "identity.json"
@@ -537,16 +587,19 @@ class TestAnalyzeCoverageCli:
                 "--command-universe", str(groups),
                 "--extension-universe", str(extensions),
                 "--output-dir", str(tmp_path),
+                "--out", "coverage.txt",
             ]
         )
         assert code == 0
-        lines = dict(
-            line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines()
-        )
+        out = capsys.readouterr().out
+        lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert lines["command_groups_covered"] == "1"
         assert lines["command_groups_universe"] == "2"
         assert lines["extensions_covered"] == "1"
         assert lines["extensions_universe"] == "2"
+        assert (tmp_path / "coverage.txt").read_text() == out
+        meta = json.loads((tmp_path / "coverage.txt.meta.json").read_text())
+        assert meta["stage"] == "analyze.coverage"
 
     def test_bundled_universes(self, tmp_path, seeds_file, capsys):
         code = cli.run(

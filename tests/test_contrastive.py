@@ -15,7 +15,6 @@ from cmdsim.contrastive import (
     TrainEvent,
     info_nce_gradients,
     info_nce_loss,
-    similarity_matrix,
     train,
 )
 from cmdsim.core import CommandLine, CommandLinePair, Source
@@ -125,20 +124,6 @@ class TestAdapterModel:
         assert loaded.backend_identity == "hash3-4"
         assert loaded.step == 17
         assert loaded.d_in == 4 and loaded.d_out == 2
-
-
-class TestSimilarityMatrix:
-    def test_hand_case(self):
-        anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
-        positives = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
-        sims = similarity_matrix(anchors, positives)
-        np.testing.assert_allclose(
-            sims, [[1.0, math.sqrt(0.5)], [0.0, math.sqrt(0.5)]]
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            similarity_matrix(np.ones((2, 3)), np.ones((3, 3)))
 
 
 class TestInfoNceLoss:

@@ -13,9 +13,7 @@ from cmdsim.embedding import (
     EmbeddingIntegrityError,
     HashingEmbeddingBackend,
     RemoteEmbeddingBackend,
-    cosine_similarity,
     embed_batch,
-    local_deterministic_embed,
     unit_normalize,
 )
 from cmdsim.gateway import ConfigurationError, ProviderError, TransportError
@@ -39,42 +37,6 @@ class TestUnitNormalize:
     def test_zero_row_rejected(self):
         with pytest.raises(EmbeddingIntegrityError):
             unit_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-class TestCosineSimilarity:
-    def test_identical(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_opposite(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([-2.0, 0.0])) == -1.0
-
-    def test_known_angle(self):
-        # 45 degrees: cos = 1/sqrt(2).
-        value = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert value == pytest.approx(1.0 / np.sqrt(2.0))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(3), np.ones(3))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.ones(3), np.ones(4))
-
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8),
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8),
-    )
-    def test_bounds(self, a, b):
-        u = np.asarray(a[: min(len(a), len(b))])
-        v = np.asarray(b[: min(len(a), len(b))])
-        if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
-            return
-        assert -1.0 <= cosine_similarity(u, v) <= 1.0
 
 
 class TestHashingBackend:
@@ -216,14 +178,6 @@ class TestEmbeddingCache:
         cache.put("id", "text", vector)
         cache.put("id", "text", vector)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
-
-
-class TestLocalDeterministicEmbed:
-    def test_unit_and_deterministic(self):
-        a = local_deterministic_embed("tasklist /v", 64)
-        b = local_deterministic_embed("tasklist /v", 64)
-        np.testing.assert_array_equal(a, b)
-        assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 class FakeEmbedResponse:

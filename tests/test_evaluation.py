@@ -15,7 +15,6 @@ from cmdsim.embedding import HashingEmbeddingBackend
 from cmdsim.evaluation import (
     CLASS_COMMANDS,
     MIN_TECHNIQUE_SIZE,
-    GenePoolSplit,
     RetrievalCase,
     Technique,
     TechniqueCorpus,
@@ -24,11 +23,9 @@ from cmdsim.evaluation import (
     evaluate_retrieval,
     load_retrieval_cases,
     load_technique_corpus,
-    malicious_score,
     mann_whitney_auc,
     mrr_at_k,
     rank_from_scores,
-    rank_of_positive,
     synth_classification_dataset,
     top_at_k,
     train_logreg,
@@ -116,15 +113,6 @@ class TestRetrievalCase:
                 positive=CommandLine("p cmd"),
                 negatives=(CommandLine("q cmd"),),
             )
-
-    def test_rank_of_positive_with_scorer(self):
-        case = RetrievalCase(
-            query=CommandLine("q cmd"),
-            positive=CommandLine("p cmd"),
-            negatives=(CommandLine("n one"), CommandLine("n two")),
-        )
-        scores = {"p cmd": 0.5, "n one": 0.7, "n two": 0.1}
-        assert rank_of_positive(case, lambda c: scores[c.text]) == 2
 
 
 class TestLoadRetrievalCases:
@@ -307,46 +295,6 @@ class TestBuildGenePools:
                 if t.technique_id != split.technique_id for c in t.commands
             ]
             assert list(split.negatives) == others
-            assert sorted(split.candidates) == sorted(
-                list(split.queries) + others
-            )
-
-    def test_shared_text_across_techniques_stays_candidate(self):
-        shared = "shared probe cmd"
-        t1 = Technique("t1", (shared,) + tuple(f"t1 c{i}" for i in range(8)))
-        t2 = Technique("t2", (shared,) + tuple(f"t2 c{i}" for i in range(8)))
-        corpus = TechniqueCorpus([t1, t2])
-        split = next(
-            s for s in build_gene_pools(corpus, 10) if s.technique_id == "t1"
-        )
-        assert split.pool == (shared,)
-        # t1's own pool copy is gone, t2's copy survives as a candidate.
-        assert split.candidates.count(shared) == 1
-        assert len(split.candidates) == 17
-
-
-class TestMaliciousScore:
-    def test_max_pool_similarity(self):
-        table = {
-            "query cmd": [1.0, 1.0, 0.0],
-            "pool close": [1.0, 0.0, 0.0],
-            "pool far": [0.0, 0.0, 1.0],
-        }
-        split = GenePoolSplit(
-            technique_id="t1",
-            sample_rate=50,
-            pool=("pool close", "pool far"),
-            queries=(),
-            candidates=(),
-            negatives=(),
-        )
-        score = malicious_score("query cmd", split, VectorBackend(table))
-        assert score == pytest.approx(np.sqrt(0.5))
-
-    def test_empty_pool_rejected(self):
-        split = GenePoolSplit("t1", 50, (), (), (), ())
-        with pytest.raises(ValueError, match="empty gene pool"):
-            malicious_score("query cmd", split, HashingEmbeddingBackend(dim=16))
 
 
 class TestMannWhitneyAuc:

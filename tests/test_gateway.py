@@ -1,4 +1,4 @@
-"""Providers, prompt builders, retry logic, rate limiting, and the mock."""
+"""Providers, prompt builders, retry logic, and the mock."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from cmdsim.gateway import (
     ProviderError,
     ProviderPool,
     ProviderSpec,
-    TokenBucket,
     TransportError,
     build_client,
     build_explanation_prompt,
@@ -261,49 +260,6 @@ class TestComplete:
         session = FakeSession([FakeResponse(200, chat_payload("ok"))])
         complete(make_spec(api_key_env="CMDSIM_TEST_KEY"), "p", session=session)
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
-
-
-class TestTokenBucket:
-    def test_burst_up_to_capacity(self):
-        clock = [0.0]
-        bucket = TokenBucket(3, 1.0, clock=lambda: clock[0], sleep=lambda _: None)
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refill_over_time(self):
-        clock = [0.0]
-        bucket = TokenBucket(2, 2.0, clock=lambda: clock[0], sleep=lambda _: None)
-        assert bucket.try_acquire(2)
-        assert not bucket.try_acquire()
-        clock[0] = 0.5  # 1 token refilled
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_acquire_blocks_for_deficit(self):
-        clock = [0.0]
-        slept = []
-
-        def fake_sleep(seconds):
-            slept.append(seconds)
-            clock[0] += seconds
-
-        bucket = TokenBucket(1, 4.0, clock=lambda: clock[0], sleep=fake_sleep)
-        bucket.acquire()
-        bucket.acquire()  # must wait 1/4 s for one token
-        assert slept == [pytest.approx(0.25)]
-
-    def test_acquire_more_than_capacity(self):
-        bucket = TokenBucket(1, 1.0)
-        with pytest.raises(ValueError):
-            bucket.acquire(2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(0, 1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(1.0, 0)
 
 
 def token_trigrams(token: str) -> set[str]:

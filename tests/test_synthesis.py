@@ -70,12 +70,6 @@ class FailingClient:
 
 
 class TestSynthesisConfig:
-    def test_protocol_fixed(self):
-        with pytest.raises(ValueError, match="12 seeds per prompt"):
-            SynthesisConfig(seeds_per_prompt=10)
-        with pytest.raises(ValueError, match="4 requested"):
-            SynthesisConfig(requested_per_call=8)
-
     def test_target_bounds(self):
         with pytest.raises(ValueError):
             SynthesisConfig(target_count=-1)
