@@ -62,7 +62,11 @@ class Settings:
         self.config = configparser.ConfigParser()
         config_path = getattr(args, "config", None)
         if config_path:
-            if not self.config.read(config_path, encoding="utf-8"):
+            try:
+                read = self.config.read(config_path, encoding="utf-8")
+            except configparser.Error as exc:
+                raise ValueError(f"config file {config_path}: {exc}") from exc
+            if not read:
                 raise ValueError(f"config file not found: {config_path}")
 
     def get(self, key: str, default=None, cast=None):
@@ -442,14 +446,17 @@ def cmd_cluster_dedup(settings: Settings) -> int:
 
 def cmd_cluster_negatives(settings: Settings) -> int:
     records, explanations = _read_explanations(settings)
+    positives = [record.get("positive_id") for record in records]
+    for i, positive in enumerate(positives):
+        if positive is not None and (not isinstance(positive, int) or isinstance(positive, bool)):
+            raise ValueError(f"record {i}: positive_id must be an integer index")
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
     n = settings.get("n", 1000, int)
     out = settings.out_path(settings.get("out", "negatives.jsonl"))
 
     def rows():
-        for i, record in enumerate(records):
-            positive = record.get("positive_id")
+        for i, positive in enumerate(positives):
             negatives = clustering.mine_negatives(i, matrix, n, positive_index=positive)
             yield {"query_id": i, "negative_ids": negatives}
 

@@ -140,10 +140,17 @@ def mine_negatives(
 
     Excludes the query itself and, when given, its paired positive.
     Result is in ascending-similarity order; equal similarities break
-    toward the smaller index.
+    toward the smaller index.  Similarities, and so ties, are those of
+    the computed vector ``embeddings @ embeddings[query_index]``; a
+    per-pair ``np.dot`` can differ from it in the last bit.
+
+    Cost per query: O(N*d) for the mat-vec, then O(N + n log n) to
+    select and order the n smallest.
     """
     matrix = np.asarray(embeddings, dtype=np.float64)
     count = matrix.shape[0]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= query_index < count:
         raise ValueError(f"query_index {query_index} outside corpus of {count}")
     if positive_index is not None and not 0 <= positive_index < count:
@@ -155,9 +162,13 @@ def mine_negatives(
     if n > available:
         raise ValueError(f"requested {n} negatives but only {available} candidates exist")
     similarities = matrix @ matrix[query_index]
-    candidates = [i for i in range(count) if i not in excluded]
-    candidates.sort(key=lambda i: (similarities[i], i))
-    return candidates[:n]
+    similarities[list(excluded)] = np.inf
+    # n <= available keeps the cut finite, so no excluded point is in
+    # the head; the head holds every point tied with the cut, in index
+    # order, and a stable sort of it is the (similarity, index) order.
+    cut = np.partition(similarities, n - 1)[n - 1]
+    head = np.flatnonzero(similarities <= cut)
+    return head[np.argsort(similarities[head], kind="stable")][:n].tolist()
 
 
 def cluster_coverage(

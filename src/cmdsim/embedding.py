@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -157,6 +158,8 @@ class EmbeddingCache:
     Keys are (backend identity, exact raw text).  Vectors are stored
     after normalization; JSON's shortest-repr floats round-trip float64
     exactly, so reloaded vectors are bitwise equal to what was written.
+    A final line left unterminated and unparseable by a crash is dropped
+    and cut from the file on load; a corrupt line anywhere else raises.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -165,18 +168,30 @@ class EmbeddingCache:
         self.hits = 0
         self.misses = 0
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for lineno, line in enumerate(handle, start=1):
-                    line = line.strip()
+            torn_at = None
+            with open(self.path, "rb") as handle:
+                offset = 0
+                for lineno, raw in enumerate(handle, start=1):
+                    start, offset = offset, offset + len(raw)
+                    line = raw.strip()
                     if not line:
                         continue
                     try:
-                        record = json.loads(line)
+                        record = json.loads(line.decode("utf-8"))
                         key = (record["identity"], record["text"])
                         vector = np.asarray(record["vector"], dtype=np.float64)
                     except (ValueError, LookupError, TypeError) as exc:
-                        raise ValueError(f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
+                        # Every put ends its line with a newline, so an
+                        # unterminated last line is a write cut short.
+                        if raw.endswith(b"\n"):
+                            raise ValueError(f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
+                        torn_at = start
+                        break
                     self._entries[key] = vector
+            if torn_at is not None:
+                # Cut the fragment off so the next put starts a fresh line.
+                logger.warning("%s: dropping torn final line at byte %d", self.path, torn_at)
+                os.truncate(self.path, torn_at)
             logger.debug("loaded %d cached embeddings from %s", len(self._entries), self.path)
 
     def __len__(self) -> int:

@@ -415,7 +415,10 @@ def load_provider_pool(path: str | Path, *, rng_seed: int | None = None) -> Prov
     Secrets never appear in the file, only environment-variable names.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigurationError(f"provider configuration file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"provider configuration file not found: {path}")
     file_seed = 0

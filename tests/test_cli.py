@@ -298,6 +298,28 @@ class TestClusterStages:
         assert 0 not in first["negative_ids"]
         assert 1 not in first["negative_ids"]
 
+    @pytest.mark.parametrize("positive", ["3", True, 1.0])
+    def test_negatives_reject_non_integer_positive_id(self, tmp_path, capsys, positive):
+        records = explanation_records()
+        records[2]["positive_id"] = positive
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        code = cli.run(
+            ["cluster", "negatives", "--in", str(input_path), "--n", "3",
+             "--dim", "64", "--output-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "record 2: positive_id must be an integer index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_negatives_reject_n_below_one(self, tmp_path, capsys, n):
+        input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
+        code = cli.run(
+            ["cluster", "negatives", "--in", str(input_path), f"--n={n}",
+             "--dim", "64", "--output-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "n must be >= 1" in capsys.readouterr().err
+
     def test_coverage_report(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
         code = cli.run(
@@ -653,6 +675,25 @@ class TestConfigPrecedence:
         )
         assert code == 0
         assert len(read_jsonl(out_dir / "synthesized.jsonl")) == 6
+
+    def test_config_without_section_header_exits_one(self, tmp_path, capsys):
+        pairs = write_jsonl(tmp_path / "p.jsonl", [{"anchor": "ab", "positive": "cde"}])
+        config = tmp_path / "bad.ini"
+        config.write_text("dim = 3\n", encoding="utf-8")
+        assert cli.run(["stats", "--pairs", str(pairs), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: ")
+
+    def test_providers_without_section_header_exits_one(self, tmp_path, seeds_file, capsys):
+        providers = tmp_path / "bad.conf"
+        providers.write_text("endpoint = mock:\n", encoding="utf-8")
+        code = cli.run(
+            ["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers),
+             "--target", "2", "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: provider configuration file {providers}: ")
 
 
 class TestOutputConfinement:

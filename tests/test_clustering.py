@@ -14,6 +14,7 @@ from cmdsim.clustering import (
     dedup_by_clusters,
     mine_negatives,
 )
+from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
 
 from oracles import clustered_unit_vectors, naive_dbscan, naive_mine_negatives
 
@@ -176,6 +177,34 @@ class TestMineNegatives:
             mine_negatives(5, matrix, 1)
         with pytest.raises(ValueError):
             mine_negatives(0, matrix, 1, positive_index=9)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        matrix = unit_rows([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            mine_negatives(0, matrix, n)
+
+    def test_tie_heavy_corpus_matches_sort_of_computed_vector(self):
+        # Few distinct texts, so every query has long runs of exactly
+        # equal similarities for the tie rule to order.
+        rng = np.random.default_rng(29)
+        distinct = [f"copies archive {i % 7} onto share {i % 5} nightly" for i in range(25)]
+        texts = [distinct[int(rng.integers(len(distinct)))] for _ in range(300)]
+        matrix = embed_batch(HashingEmbeddingBackend(64), texts)
+        count = len(texts)
+        for _ in range(40):
+            query = int(rng.integers(count))
+            positive = int(rng.integers(count)) if rng.random() < 0.7 else None
+            sims = matrix @ matrix[query]
+            candidates = [i for i in range(count) if i not in (query, positive)]
+            reference = sorted(candidates, key=lambda i: (sims[i], i))
+            # n = p puts the cut between two equal similarities.
+            tied = [p for p in range(1, len(reference))
+                    if sims[reference[p - 1]] == sims[reference[p]]]
+            sizes = {len(reference), int(rng.integers(1, len(reference) + 1)),
+                     tied[int(rng.integers(len(tied)))]}
+            for n in sizes:
+                assert mine_negatives(query, matrix, n, positive_index=positive) == reference[:n]
 
 
 class TestClusterCoverage:

@@ -171,6 +171,34 @@ class TestEmbeddingCache:
         with pytest.raises(ValueError, match="cache.jsonl:1"):
             EmbeddingCache(path)
 
+    def test_corrupt_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EmbeddingCache(path)
+        cache.put("id", "a", np.array([1.0, 0.0]))
+        good = path.read_bytes()
+        path.write_bytes(good[: len(good) // 2] + b"\n" + good)
+        with pytest.raises(ValueError, match="cache.jsonl:1: corrupt cache line"):
+            EmbeddingCache(path)
+
+    def test_torn_final_line_dropped_and_truncated(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = HashingEmbeddingBackend(16)
+        first = embed_batch(backend, ["net user", "net view"], EmbeddingCache(path))
+        whole = path.read_bytes()
+        complete = whole.index(b"\n") + 1
+        path.write_bytes(whole[:-7])  # cut inside the second vector
+
+        cache = EmbeddingCache(path)
+        assert len(cache) == 1
+        assert path.read_bytes() == whole[:complete]
+        again = embed_batch(backend, ["net user", "net view"], cache)
+        assert backend.calls == 2  # "net view" embedded again
+        np.testing.assert_array_equal(again, first)
+
+        reloaded = EmbeddingCache(path)
+        assert len(reloaded) == 2
+        np.testing.assert_array_equal(reloaded.get(backend.identity, "net view"), first[1])
+
     def test_put_is_idempotent(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
