@@ -74,7 +74,10 @@ class Settings:
         if value is None:
             for section in (self.stage, "common"):
                 if self.config.has_option(section, key):
-                    value = self.config.get(section, key)
+                    try:
+                        value = self.config.get(section, key)
+                    except configparser.Error as exc:
+                        raise ValueError(f"config file {self.args.config}: [{section}] {key}: {exc}") from exc
                     break
         if value is None:
             return default
@@ -164,7 +167,7 @@ def _add_stage(subparsers, stage: str, help: str, handler, backend: bool = False
         parser.add_argument("--embed-endpoint", dest="embed_endpoint", help="remote embeddings URL")
         parser.add_argument("--embed-model", dest="embed_model", help="remote embeddings model id")
         parser.add_argument("--embed-key-env", dest="embed_key_env", help="env var holding the embeddings API key")
-        parser.add_argument("--cache", help="embedding cache file (JSONL, append-only)")
+        parser.add_argument("--cache", help="embedding cache index; rows go to the same path + .f64")
     parser.add_argument("--config", help="INI config file with per-stage sections")
     parser.add_argument("--output-dir", dest="output_dir", help="directory for all outputs (default .)")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")

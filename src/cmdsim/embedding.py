@@ -2,8 +2,8 @@
 
 Vectors are plain numpy float64 arrays.  All vectors leaving
 :func:`embed_batch` are L2-normalized exactly once, so downstream dot
-products are cosine similarities and cache hits are bitwise identical
-to the vectors produced on the original miss.
+products are cosine similarities.  The cache keeps them as raw float64
+rows, so its hits are bitwise equal to the vectors of the original miss.
 """
 
 from __future__ import annotations
@@ -153,67 +153,67 @@ class RemoteEmbeddingBackend:
 
 
 class EmbeddingCache:
-    """Append-only JSON Lines store of {identity, text, vector}.
+    """Append-only store of unit vectors keyed by (backend identity, text).
 
-    Keys are (backend identity, exact raw text).  Vectors are stored
-    after normalization; JSON's shortest-repr floats round-trip float64
-    exactly, so reloaded vectors are bitwise equal to what was written.
-    A final line left unterminated and unparseable by a crash is dropped
-    and cut from the file on load; a corrupt line anywhere else raises.
+    ``path`` indexes batches, one ``{"identity", "dim", "offset", "texts"}``
+    line each, of rows kept in ``path + ".f64"`` as little-endian float64.
+    A load keeps the complete lines whose rows are all there, cutting the rest.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+        self.path, self.rows_path = Path(path), Path(f"{path}.f64")
         self._entries: dict[tuple[str, str], np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
-        if self.path.exists():
-            torn_at = None
-            with open(self.path, "rb") as handle:
-                offset = 0
-                for lineno, raw in enumerate(handle, start=1):
-                    start, offset = offset, offset + len(raw)
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line.decode("utf-8"))
-                        key = (record["identity"], record["text"])
-                        vector = np.asarray(record["vector"], dtype=np.float64)
-                    except (ValueError, LookupError, TypeError) as exc:
-                        # Every put ends its line with a newline, so an
-                        # unterminated last line is a write cut short.
-                        if raw.endswith(b"\n"):
-                            raise ValueError(f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
-                        torn_at = start
-                        break
-                    self._entries[key] = vector
-            if torn_at is not None:
-                # Cut the fragment off so the next put starts a fresh line.
-                logger.warning("%s: dropping torn final line at byte %d", self.path, torn_at)
-                os.truncate(self.path, torn_at)
-            logger.debug("loaded %d cached embeddings from %s", len(self._entries), self.path)
+        self.hits = self.misses = self._values = self._index_bytes = 0
+        index = self.path.read_bytes() if self.path.exists() else b""
+        rows = np.fromfile(self.rows_path, "<f8") if self.rows_path.exists() else np.empty(0)
+        rows.flags.writeable = False  # served vectors are views into it
+        # Only the last line can be torn, and a torn line has no newline.
+        for lineno, line in enumerate(index[:index.rfind(b"\n") + 1].splitlines(True), start=1):
+            try:
+                batch = json.loads(line)
+                identity, dim, offset, texts = (batch[k] for k in ("identity", "dim", "offset", "texts"))
+                if offset != self._values:
+                    raise ValueError(f"batch starts at value {offset}, not {self._values}")
+                end = offset + dim * len(texts)
+                if end > rows.size:
+                    break  # its rows were cut short
+                self._entries.update(zip(((identity, t) for t in texts), rows[offset:end].reshape(-1, dim)))
+            except (ValueError, LookupError, TypeError) as exc:
+                if isinstance(exc, KeyError) and "vector" in batch:
+                    raise ValueError(f"{self.path}: old JSONL cache; delete it to rebuild") from None
+                raise ValueError(f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
+            self._values, self._index_bytes = end, self._index_bytes + len(line)
+        for file, keep in ((self.path, self._index_bytes), (self.rows_path, 8 * self._values)):
+            if file.exists() and file.stat().st_size > keep:
+                logger.warning("%s: cutting off what a crash left after byte %d", file, keep)
+                os.truncate(file, keep)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, identity: str, text: str) -> np.ndarray | None:
         vector = self._entries.get((identity, text))
-        if vector is None:
-            self.misses += 1
-            return None
-        self.hits += 1
+        self.hits += vector is not None
+        self.misses += vector is None
         return vector
 
-    def put(self, identity: str, text: str, vector: np.ndarray) -> None:
-        key = (identity, text)
-        if key in self._entries:
-            return
-        self._entries[key] = np.asarray(vector, dtype=np.float64)
-        record = {"identity": identity, "text": text, "vector": [float(x) for x in vector]}
-        with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
+    def put(self, identity: str, texts: Sequence[str], vectors: np.ndarray) -> None:
+        """Append the rows of the uncached ``texts`` as one batch; may keep views of ``vectors``."""
+        fresh = {text: i for i, text in enumerate(texts) if (identity, text) not in self._entries}
+        if fresh:
+            block = np.ascontiguousarray(vectors, dtype="<f8")
+            block = block[list(fresh.values())] if len(fresh) < len(block) else block.view()
+            block.flags.writeable = False
+            line = json.dumps({"identity": identity, "dim": block.shape[1], "offset": self._values,
+                               "texts": list(fresh)}, ensure_ascii=False).encode() + b"\n"
+            # Rows before their index line; cutting back to the kept ends drops a failed put.
+            for file, keep, data in ((self.rows_path, 8 * self._values, block.data),
+                                     (self.path, self._index_bytes, line)):
+                with open(file, "ab") as handle:
+                    handle.truncate(keep)
+                    handle.write(data)
+            self._entries.update(zip(((identity, text) for text in fresh), block))
+            self._values, self._index_bytes = self._values + block.size, self._index_bytes + len(line)
 
 
 def embed_batch(
@@ -253,8 +253,8 @@ def embed_batch(
                 f"backend {backend.identity} returned non-finite values"
             )
         normalized = unit_normalize(raw)
-        for text, vector in zip(missing, normalized):
-            resolved[text] = vector
-            if cache is not None:
-                cache.put(backend.identity, text, vector)
+        del raw  # one n x d matrix fewer held while the cache writes and the result is stacked
+        resolved.update(zip(missing, normalized))
+        if cache is not None:
+            cache.put(backend.identity, missing, normalized)
     return np.stack([resolved[t] for t in texts])

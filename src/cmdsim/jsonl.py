@@ -7,7 +7,9 @@ rerun with the same inputs produces byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
@@ -31,10 +33,27 @@ def read_records(path: str | Path) -> Iterator[dict[str, Any]]:
             yield record
 
 
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[Any]:
+    """A text handle on ``path + ".tmp"`` that replaces ``path`` when the
+    block ends cleanly.  A crash or an exception mid-write leaves the old
+    ``path`` whole; an exception also removes the temp file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
-    """Write records one per line; returns the number written."""
+    """Write records one per line, replacing ``path`` whole; returns the
+    number written."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _replacing(path) as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False))
             handle.write("\n")
@@ -121,7 +140,7 @@ def write_meta(path: str | Path, stage: str, *, seed: int | None = None, **extra
     if seed is not None:
         payload["seed"] = seed
     payload.update(extra)
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as handle:
+    with _replacing(meta_path) as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
         handle.write("\n")
     return meta_path

@@ -684,6 +684,19 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {config}: ")
 
+    def test_percent_in_config_value_exits_one(self, tmp_path, seeds_file, capsys):
+        config = tmp_path / "percent.ini"
+        config.write_text("[common]\ndim = 5%\n", encoding="utf-8")
+        base = ["embed", "--in", str(seeds_file), "--text-field", "text", "--config", str(config),
+                "--output-dir", str(tmp_path / "out")]
+        assert cli.run(base) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: [common] dim: ")
+
+        config.write_text("[common]\ndim = 16\nout = vec%%.jsonl\n", encoding="utf-8")
+        assert cli.run(base) == 0
+        assert len(read_jsonl(tmp_path / "out" / "vec%.jsonl")[0]["vector"]) == 16
+
     def test_providers_without_section_header_exits_one(self, tmp_path, seeds_file, capsys):
         providers = tmp_path / "bad.conf"
         providers.write_text("endpoint = mock:\n", encoding="utf-8")

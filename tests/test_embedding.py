@@ -164,6 +164,35 @@ class TestEmbedBatch:
         np.testing.assert_array_equal(together, np.stack(separate))
 
 
+def _two_batches(path):
+    """A cache at ``path`` holding one 16-d batch of one text, then one of
+    two; returns the backend and the three vectors in that order."""
+    backend = HashingEmbeddingBackend(16)
+    first = embed_batch(backend, ["net user"], EmbeddingCache(path))
+    second = embed_batch(backend, ["net view", "net use"], EmbeddingCache(path))
+    return backend, np.concatenate([first, second])
+
+
+def _rows_path(path):
+    return path.parent / (path.name + ".f64")
+
+
+def _assert_recovers(path, backend, vectors, kept, index):
+    """Loading the damaged cache at ``path`` keeps its first ``kept``
+    vectors, cuts the index back to ``index`` and the rows to the kept
+    vectors' bytes; the lost texts are embedded again, bitwise equal."""
+    cache = EmbeddingCache(path)
+    assert len(cache) == kept
+    assert path.read_bytes() == index
+    assert _rows_path(path).read_bytes() == vectors[:kept].tobytes()
+    texts = ["net user", "net view", "net use"]
+    np.testing.assert_array_equal(embed_batch(backend, texts, cache), vectors)
+    assert backend.calls == 2 + (kept < 3)
+    reloaded = EmbeddingCache(path)
+    for text, vector in zip(texts, vectors):
+        assert reloaded.get(backend.identity, text).tobytes() == vector.tobytes()
+
+
 class TestEmbeddingCache:
     def test_corrupt_line_reported(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -174,38 +203,102 @@ class TestEmbeddingCache:
     def test_corrupt_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        cache.put("id", "a", np.array([1.0, 0.0]))
+        cache.put("id", ["a"], np.array([[1.0, 0.0]]))
         good = path.read_bytes()
         path.write_bytes(good[: len(good) // 2] + b"\n" + good)
         with pytest.raises(ValueError, match="cache.jsonl:1: corrupt cache line"):
             EmbeddingCache(path)
 
+    def test_batch_not_starting_where_the_last_ended_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        _two_batches(path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1].replace('"offset": 16', '"offset": 8'), encoding="utf-8")
+        with pytest.raises(ValueError, match="cache.jsonl:2: corrupt cache line: batch starts at value 8"):
+            EmbeddingCache(path)
+
     def test_torn_final_line_dropped_and_truncated(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        backend = HashingEmbeddingBackend(16)
-        first = embed_batch(backend, ["net user", "net view"], EmbeddingCache(path))
-        whole = path.read_bytes()
-        complete = whole.index(b"\n") + 1
-        path.write_bytes(whole[:-7])  # cut inside the second vector
+        backend, vectors = _two_batches(path)
+        index = path.read_bytes()
+        path.write_bytes(index[:-7])  # cut inside the second index line
+        _assert_recovers(path, backend, vectors, 1, index[: index.index(b"\n") + 1])
 
-        cache = EmbeddingCache(path)
-        assert len(cache) == 1
-        assert path.read_bytes() == whole[:complete]
-        again = embed_batch(backend, ["net user", "net view"], cache)
-        assert backend.calls == 2  # "net view" embedded again
-        np.testing.assert_array_equal(again, first)
-
-        reloaded = EmbeddingCache(path)
-        assert len(reloaded) == 2
-        np.testing.assert_array_equal(reloaded.get(backend.identity, "net view"), first[1])
+    @pytest.mark.parametrize("damage", ["short_rows", "orphan_rows", "partial_float"])
+    def test_crash_leftovers_cut(self, tmp_path, damage):
+        path = tmp_path / "cache.jsonl"
+        backend, vectors = _two_batches(path)
+        index, rows = path.read_bytes(), _rows_path(path).read_bytes()
+        first_line = index[: index.index(b"\n") + 1]
+        if damage == "short_rows":
+            _rows_path(path).write_bytes(rows[:-8])
+        elif damage == "orphan_rows":  # a crash between the rows and their index line
+            path.write_bytes(first_line)
+        else:
+            _rows_path(path).write_bytes(rows + b"\x01\x02\x03")
+        kept = 3 if damage == "partial_float" else 1
+        _assert_recovers(path, backend, vectors, kept, index if kept == 3 else first_line)
 
     def test_put_is_idempotent(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        vector = np.array([1.0, 0.0])
-        cache.put("id", "text", vector)
-        cache.put("id", "text", vector)
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
+        cache.put("id", ["text", "text"], vectors)
+        cache.put("id", ["text"], vectors[:1])
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        assert _rows_path(path).stat().st_size == 2 * 8
+
+    def test_put_cuts_what_a_failed_put_left(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend, vectors = _two_batches(path)
+        cache = EmbeddingCache(path)
+        # A put of this process that failed between the two writes.
+        with open(_rows_path(path), "ab") as handle:
+            handle.write(np.ones(16).tobytes())
+        with open(path, "ab") as handle:
+            handle.write(b'{"identity": "hash3-16", "dim"')
+        again = embed_batch(backend, ["net use", "net start"], cache)
+        reloaded = EmbeddingCache(path)
+        assert len(reloaded) == 4
+        assert reloaded.get(backend.identity, "net start").tobytes() == again[1].tobytes()
+        assert _rows_path(path).read_bytes() == vectors.tobytes() + again[1].tobytes()
+
+    def test_old_format_names_the_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"identity": "hash3-2", "text": "a", "vector": [1.0, 0.0]}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="cache.jsonl: old JSONL cache; delete it to rebuild"):
+            EmbeddingCache(path)
+
+    def test_mixed_dims_reload_bitwise(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        wide, narrow = HashingEmbeddingBackend(64), HashingEmbeddingBackend(32)
+        cache = EmbeddingCache(path)
+        expected = {(b.identity, t): embed_batch(b, [t], cache)[0]
+                    for b in (wide, narrow, wide) for t in (f"whoami /{b.dim}", "hostname")}
+        reloaded = EmbeddingCache(path)
+        assert len(reloaded) == 4
+        for (identity, text), vector in expected.items():
+            served = reloaded.get(identity, text)
+            assert served.shape == vector.shape
+            assert served.tobytes() == vector.tobytes()
+
+    def test_cached_vectors_are_read_only(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend = HashingEmbeddingBackend(16)
+        embed_batch(backend, ["net user"], EmbeddingCache(path))
+        cache = EmbeddingCache(path)
+        embed_batch(backend, ["net view"], cache)
+        for text in ("net user", "net view"):
+            with pytest.raises(ValueError, match="read-only"):
+                cache.get(backend.identity, text)[0] = 2.0
+
+        c_order, f_order = np.array([[0.6, 0.8], [0.8, 0.6]]), np.asfortranarray([[0.0, 1.0], [1.0, 0.0]])
+        cache.put("id", ["a", "b"], c_order)
+        cache.put("id", ["c", "d"], f_order)
+        assert c_order.flags.writeable  # only the cache's view is read-only
+        reloaded = EmbeddingCache(path)
+        assert reloaded.get("id", "b").tobytes() == c_order[1].tobytes()
+        assert reloaded.get("id", "d").tobytes() == f_order[1].tobytes()
 
 
 class FakeEmbedResponse:

@@ -45,6 +45,21 @@ def test_write_records_uses_lf_and_utf8(tmp_path):
     assert "café".encode("utf-8") in raw
 
 
+def test_write_that_raises_midway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "r.jsonl"
+    jsonl.write_records(path, [{"a": 1}, {"a": 2}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"a": 3}
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        jsonl.write_records(path, records())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+
 def test_commands_roundtrip(tmp_path):
     path = tmp_path / "c.jsonl"
     commands = [
