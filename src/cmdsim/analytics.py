@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CommandLine, CommandLinePair, tokenize
+from .jsonl import _replacing
 
 ROUGE_MODES = ("f1", "precision", "recall")
 HISTOGRAM_BINS = 20
@@ -53,22 +54,50 @@ class CoverageReport:
             raise ValueError("covered must lie within [0, universe_size]")
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # Two-row dynamic program; quadratic time, linear memory.
-    if len(b) > len(a):
-        a, b = b, a
-    if not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+def _check_mode(mode: str) -> None:
+    if mode not in ROUGE_MODES:
+        raise ValueError(f"mode must be one of {ROUGE_MODES}, got {mode!r}")
+
+
+def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Bit i of ``masks[t]`` is set when ``tokens[i] == t``."""
+    masks: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    return masks
+
+
+def _lcs_length(masks: dict[str, int], length: int, tokens: Sequence[str]) -> int:
+    """LCS length of ``tokens`` and the ``length``-token sequence whose
+    :func:`_position_masks` are ``masks``.
+
+    Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004): the zero bits of
+    ``v`` mark the positions of the masked side where the DP row of the
+    tokens read so far steps up by one, so their count is the LCS length.
+    Each token of ``tokens`` updates all positions at once with one add,
+    one subtract and three logical operations on Python ints.  Cost:
+    O(len(tokens) * ceil(length / w)) word operations for a w-bit word.
+    """
+    full = (1 << length) - 1
+    v = full
+    for token in tokens:
+        m = masks.get(token)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return length - v.bit_count()
+
+
+def _score(lcs: int, len_a: int, len_b: int, mode: str) -> float:
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len_b
+    recall = lcs / len_a
+    if mode == "precision":
+        return precision
+    if mode == "recall":
+        return recall
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def rouge_l(a: Sequence[str], b: Sequence[str], mode: str = "f1") -> float:
@@ -76,24 +105,11 @@ def rouge_l(a: Sequence[str], b: Sequence[str], mode: str = "f1") -> float:
 
     With L the LCS length, precision = L/|b|, recall = L/|a|, and f1
     their harmonic mean.  Returns 0.0 when either sequence is empty or
-    nothing is shared.
+    nothing is shared.  L is exact, computed bit-parallel over position
+    masks of ``b`` in O(|a| * ceil(|b|/w)) word operations.
     """
-    if mode not in ROUGE_MODES:
-        raise ValueError(f"mode must be one of {ROUGE_MODES}, got {mode!r}")
-    if not a or not b:
-        return 0.0
-    if not set(a) & set(b):
-        return 0.0
-    lcs = _lcs_length(a, b)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(b)
-    recall = lcs / len(a)
-    if mode == "precision":
-        return precision
-    if mode == "recall":
-        return recall
-    return 2.0 * precision * recall / (precision + recall)
+    _check_mode(mode)
+    return _score(_lcs_length(_position_masks(b), len(b), a), len(a), len(b), mode)
 
 
 def overlap_histogram(scores: Sequence[float]) -> OverlapHistogram:
@@ -114,16 +130,26 @@ def max_overlap_vs_seeds(
     seeds: Sequence[CommandLine | str],
     mode: str = "f1",
 ) -> tuple[list[float], OverlapHistogram]:
-    """Per generated command, its highest overlap against any seed."""
+    """Per generated command, its highest overlap against any seed.
+
+    Each seed is tokenized and masked once.  A seed is skipped when its
+    score with L = min(|a|, |b|), an upper bound since the score grows
+    with L, cannot beat the best so far; ties never replace the best, so
+    the result is the plain maximum of :func:`rouge_l` over the seeds.
+    """
+    _check_mode(mode)
     if not seeds:
         raise ValueError("seed list must not be empty")
-    seed_tokens = [tokenize(s) for s in seeds]
+    references = [(len(t), _position_masks(t)) for t in map(tokenize, seeds)]
     scores: list[float] = []
     for command in generated:
         tokens = tokenize(command)
+        size = len(tokens)
         best = 0.0
-        for reference in seed_tokens:
-            score = rouge_l(tokens, reference, mode)
+        for length, masks in references:
+            if _score(min(size, length), size, length, mode) <= best:
+                continue
+            score = _score(_lcs_length(masks, length, tokens), size, length, mode)
             if score > best:
                 best = score
                 if best == 1.0:
@@ -137,6 +163,7 @@ def pair_overlap_distribution(
     mode: str = "f1",
 ) -> OverlapHistogram:
     """Distribution of anchor-versus-positive overlap over a pair set."""
+    _check_mode(mode)
     scores = [
         rouge_l(tokenize(p.anchor), tokenize(p.positive), mode) for p in pairs
     ]
@@ -144,8 +171,9 @@ def pair_overlap_distribution(
 
 
 def write_histogram_csv(path: str | Path, histogram: OverlapHistogram) -> None:
-    """Write bin_start,bin_end,count rows for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    """Write bin_start,bin_end,count rows for external plotting, replacing
+    ``path`` whole."""
+    with _replacing(path) as handle:
         handle.write("bin_start,bin_end,count\n")
         for i, count in enumerate(histogram.counts):
             handle.write(

@@ -132,7 +132,8 @@ class Settings:
         out_value = self.get("out", default_out)
         if out_value:
             out = self.out_path(out_value)
-            out.write_text(text, encoding="utf-8")
+            with jsonl._replacing(out) as handle:
+                handle.write(text)
             jsonl.write_meta(out, self.stage, **meta)
 
 
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with jsonl._replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -411,7 +412,7 @@ def cmd_embed(settings: Settings) -> int:
     jsonl.write_records(
         out,
         (
-            {"text": text, "vector": [float(x) for x in row]}
+            {"text": text, "vector": row.tolist()}
             for text, row in zip(texts, matrix)
         ),
     )

@@ -29,6 +29,7 @@ import numpy as np
 from .core import CommandLinePair
 from .embedding import EmbeddingCache, embed_batch
 from .evaluation import _softmax_rows, mrr_at_k, rank_from_scores
+from .jsonl import _replacing
 
 logger = logging.getLogger(__name__)
 
@@ -109,13 +110,12 @@ class AdapterModel:
         payload = {
             "d_in": self.d_in,
             "d_out": self.d_out,
-            "W": [float(x) for x in self.weights.reshape(-1)],
+            "W": self.weights.reshape(-1).tolist(),
             "backend_identity": self.backend_identity,
             "step": self.step,
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
+        with _replacing(path) as handle:
+            handle.write(json.dumps(payload) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "AdapterModel":

@@ -20,7 +20,7 @@ from cmdsim.analytics import (
     rouge_l,
     write_histogram_csv,
 )
-from cmdsim.core import CommandLine, CommandLinePair
+from cmdsim.core import CommandLine, CommandLinePair, tokenize
 
 from oracles import rouge_scores
 
@@ -76,6 +76,21 @@ class TestRougeL:
             assert rouge_l(a, b, "precision") == pytest.approx(precision, abs=0)
             assert rouge_l(a, b, "recall") == pytest.approx(recall, abs=0)
             assert rouge_l(a, b, "f1") == pytest.approx(f1, abs=0)
+
+    def test_long_repetitive_sequences_match_oracle(self):
+        # Three tokens give many repeats and long carry chains; lengths run
+        # past the 30- and 64-bit word boundaries of the position masks.
+        rng = np.random.default_rng(7)
+        alphabet = ["a", "b", "c"]
+        lengths = [0, 1, 29, 30, 31, 32, 63, 64, 65, 128, 129, 200]
+        cases = [(m, n) for m in lengths for n in (0, 30, 64, 65, 200)]
+        cases += [tuple(rng.integers(0, 201, size=2)) for _ in range(60)]
+        for m, n in cases:
+            a = [alphabet[i] for i in rng.integers(0, 3, size=m)]
+            b = [alphabet[i] for i in rng.integers(0, 3, size=n)]
+            expected = dict(zip(("precision", "recall", "f1"), rouge_scores(a, b)))
+            for mode in ("f1", "precision", "recall"):
+                assert rouge_l(a, b, mode) == expected[mode], (m, n, mode)
 
     @given(tokens_strategy, tokens_strategy)
     def test_f1_symmetry_and_bound(self, a, b):
@@ -155,6 +170,39 @@ class TestMaxOverlapVsSeeds:
         assert scores == []
         assert histogram.n == 0
 
+    # Per mode, seeds for "a b c d": a seed scoring s, then one whose bound
+    # equals s, one whose bound beats s while it scores 0, and one that
+    # scores s again.
+    @pytest.mark.parametrize(
+        "mode, crafted",
+        [
+            ("f1", ["a b c", "a b x", "w x y z", "b c d"]),
+            ("precision", ["a b c d x y", "a b x y z w", "w x y z", "x a b c d y"]),
+            ("recall", ["a b c", "a b x", "w x y z", "b c d"]),
+        ],
+    )
+    def test_matches_brute_force_oracle(self, mode, crafted):
+        column = ("precision", "recall", "f1").index(mode)
+        rng = np.random.default_rng(11)
+
+        def command(size):
+            return " ".join(["a", "b", "c"][i] for i in rng.integers(0, 3, size=size))
+
+        cases = [
+            (["", "   "] + [command(rng.integers(0, 70)) for _ in range(60)],
+             ["", "  "] + [command(rng.integers(0, 70)) for _ in range(25)]),
+            (["a b c d", ""], ["", *crafted]),
+        ]
+        for generated, seeds in cases:
+            scores, histogram = max_overlap_vs_seeds(generated, seeds, mode)
+            expected = [
+                max(rouge_scores(tokenize(g), tokenize(s))[column] for s in seeds)
+                for g in generated
+            ]
+            assert scores == expected
+            assert histogram.n == len(generated)
+        assert 0.0 < scores[0] < 1.0
+
 
 class TestPairOverlapDistribution:
     def test_known_pair_bin(self):
@@ -168,6 +216,15 @@ class TestPairOverlapDistribution:
 
     def test_empty_pairs(self):
         assert pair_overlap_distribution([]).n == 0
+
+
+def test_mode_checked_before_any_work():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        pair_overlap_distribution([], "fscore")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        max_overlap_vs_seeds([], ["whoami"], "fscore")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        max_overlap_vs_seeds([], [], "fscore")
 
 
 class TestWriteHistogramCsv:

@@ -591,6 +591,19 @@ class TestAnalyzeRougeCli:
         assert "exactly one" in capsys.readouterr().err
         assert cli.run(["analyze", "rouge", "--output-dir", str(tmp_path)]) == 1
 
+    def test_bad_mode_from_config_exits_one(self, tmp_path, seeds_file, capsys):
+        # argparse's choices never see a config value, and an empty input
+        # gives no pair to score.
+        config = tmp_path / "config.ini"
+        config.write_text("[analyze.rouge]\nrouge_mode = fscore\n", encoding="utf-8")
+        empty = write_jsonl(tmp_path / "empty.jsonl", [])
+        for inputs in (["--pairs", str(empty)], ["--generated", str(empty), "--seeds", str(seeds_file)]):
+            code = cli.run(["analyze", "rouge", *inputs, "--config", str(config),
+                            "--output-dir", str(tmp_path / "out")])
+            assert code == 1
+            assert "error: mode must be one of" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "rouge_hist.csv.meta.json").exists()
+
 
 class TestAnalyzeCoverageCli:
     def test_explicit_universes(self, tmp_path, capsys):

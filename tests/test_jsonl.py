@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cmdsim import jsonl
+from cmdsim import analytics, cli, jsonl
+from cmdsim.contrastive import AdapterModel
 from cmdsim.core import CommandLine, CommandLinePair, Source
 
 
@@ -45,6 +51,43 @@ def test_write_records_uses_lf_and_utf8(tmp_path):
     assert "café".encode("utf-8") in raw
 
 
+def _rows(items, fail):
+    """``items``, or with ``fail`` a generator that raises after the first."""
+    if not fail:
+        return items
+
+    def first_then_raise():
+        yield items[0]
+        raise RuntimeError("source failed")
+
+    return first_then_raise()
+
+
+def _report(path, value):
+    args = argparse.Namespace(stage="eval.detect", config=None, out=str(path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.Settings(args).report([("auc", 0.5), ("mode", value)])
+
+
+# Each writer, given fail=True, raises after it has opened its target.
+_WRITERS = {
+    "write_records": lambda path, fail: jsonl.write_records(
+        path, _rows([{"a": 1}, {"a": 2}], fail)
+    ),
+    "write_histogram_csv": lambda path, fail: analytics.write_histogram_csv(
+        path, SimpleNamespace(bin_edges=(0.0, 0.5, 1.0), counts=_rows([1, 1], fail))
+    ),
+    "cli._write_csv": lambda path, fail: cli._write_csv(
+        path, ["case", "rank"], _rows([[0, 1], [1, 3]], fail)
+    ),
+    # A lone surrogate cannot be encoded as UTF-8.
+    "Settings.report": lambda path, fail: _report(path, "\ud800" if fail else "averaged"),
+    "AdapterModel.save": lambda path, fail: AdapterModel(
+        np.eye(2), step=object() if fail else 3
+    ).save(path),
+}
+
+
 def test_write_that_raises_midway_leaves_the_old_file(tmp_path):
     path = tmp_path / "r.jsonl"
     jsonl.write_records(path, [{"a": 1}, {"a": 2}])
@@ -58,6 +101,19 @@ def test_write_that_raises_midway_leaves_the_old_file(tmp_path):
         jsonl.write_records(path, records())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_every_writer_that_raises_midway_leaves_the_old_file(tmp_path, writer):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, False)
+    before = path.read_bytes()
+    assert before
+
+    with pytest.raises((RuntimeError, UnicodeEncodeError, TypeError)):
+        _WRITERS[writer](path, True)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == ["out"]
 
 
 def test_commands_roundtrip(tmp_path):
