@@ -45,8 +45,8 @@ from .embedding import (
 )
 from .gateway import (
     TEMPLATE_VERSION,
-    ClientFactory,
     GatewayError,
+    build_client,
     load_provider_pool,
 )
 
@@ -327,7 +327,7 @@ def _pick_client(settings: Settings):
     pool = _load_pool(settings)
     name = settings.get("provider")
     spec = pool.by_name(name) if name else pool.providers[0]
-    return ClientFactory()(spec)
+    return build_client(spec)
 
 
 def cmd_synth_run(settings: Settings) -> int:

@@ -33,6 +33,11 @@ from .jsonl import _replacing
 
 logger = logging.getLogger(__name__)
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -44,9 +49,6 @@ class TrainConfig:
     temperature: float = 0.05
     val_pairs: int = 1000
     eval_every_steps: int = 50
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -270,11 +272,11 @@ def train(
             batch_positives = positive_vectors[batch]
             gradient = info_nce_gradients(batch_anchors, batch_positives, weights, cfg.temperature)
             step += 1
-            moment1 = cfg.adam_beta1 * moment1 + (1 - cfg.adam_beta1) * gradient
-            moment2 = cfg.adam_beta2 * moment2 + (1 - cfg.adam_beta2) * gradient * gradient
-            corrected1 = moment1 / (1 - cfg.adam_beta1 ** step)
-            corrected2 = moment2 / (1 - cfg.adam_beta2 ** step)
-            weights = weights - cfg.learning_rate * corrected1 / (np.sqrt(corrected2) + cfg.adam_eps)
+            moment1 = ADAM_BETA1 * moment1 + (1 - ADAM_BETA1) * gradient
+            moment2 = ADAM_BETA2 * moment2 + (1 - ADAM_BETA2) * gradient * gradient
+            corrected1 = moment1 / (1 - ADAM_BETA1 ** step)
+            corrected2 = moment2 / (1 - ADAM_BETA2 ** step)
+            weights = weights - cfg.learning_rate * corrected1 / (np.sqrt(corrected2) + ADAM_EPS)
             if step % cfg.eval_every_steps == 0:
                 unit_a, _ = _normalize_rows_with_norms(batch_anchors @ weights)
                 unit_b, _ = _normalize_rows_with_norms(batch_positives @ weights)

@@ -12,17 +12,22 @@ import hashlib
 import json
 import logging
 import os
-from collections.abc import Sequence
+import time
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
 import requests
 
-from .gateway import ProviderError, TransportError, json_headers
+from .gateway import post_json
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
+
+# Texts per embeddings request.  OpenAI documents 2,048 inputs as the
+# cap of one request to its embeddings endpoint; stay at or under it.
+REMOTE_CHUNK = 2048
 
 
 class EmbeddingIntegrityError(Exception):
@@ -97,7 +102,10 @@ class HashingEmbeddingBackend:
 
 class RemoteEmbeddingBackend:
     """Backend speaking the common embeddings HTTP JSON shape:
-    {input: [texts], model: id} -> {data: [{embedding: [...]}]}."""
+    {input: [texts], model: id} -> {data: [{embedding: [...]}]}.
+
+    Texts go out REMOTE_CHUNK per request, each request through
+    :func:`cmdsim.gateway.post_json` with the chat calls' retries."""
 
     kind = "remote_api"
 
@@ -110,6 +118,7 @@ class RemoteEmbeddingBackend:
         *,
         timeout: float = 60.0,
         session: requests.Session | None = None,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
@@ -121,34 +130,25 @@ class RemoteEmbeddingBackend:
         self.identity = f"{model_id}-{dim}"
         self.calls = 0
         self._session = session
+        self._sleep = sleep
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.calls += 1
-        headers = json_headers(self.api_key_env, f"embedding backend {self.model_id}")
-        post = self._session.post if self._session is not None else requests.post
-        try:
-            response = post(
-                self.endpoint,
-                json={"input": list(texts), "model": self.model_id},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding backend {self.model_id}: {exc}") from exc
-        if response.status_code != 200:
-            raise ProviderError(
-                f"embedding backend {self.model_id}: HTTP {response.status_code}",
-                status=response.status_code,
-                body=response.text[:2000],
-            )
-        try:
-            rows = [item["embedding"] for item in response.json()["data"]]
-        except (ValueError, LookupError, TypeError) as exc:
-            raise ProviderError(
-                f"embedding backend {self.model_id}: malformed payload: {exc}",
-                status=200,
-                body=response.text[:2000],
-            ) from exc
+        texts = list(texts)
+        rows: list = []
+        for start in range(0, len(texts), REMOTE_CHUNK):
+            chunk = texts[start:start + REMOTE_CHUNK]
+            chunk_rows = post_json(self.endpoint, {"input": chunk, "model": self.model_id},
+                                   lambda reply: [item["embedding"] for item in reply["data"]],
+                                   owner=f"embedding backend {self.model_id}", payload="embeddings",
+                                   api_key_env=self.api_key_env, timeout=self.timeout,
+                                   session=self._session, sleep=self._sleep)
+            # A short chunk followed by a long one would shift every later row.
+            if len(chunk_rows) != len(chunk):
+                raise EmbeddingIntegrityError(
+                    f"backend {self.identity} returned {len(chunk_rows)} rows for {len(chunk)} texts"
+                )
+            rows += chunk_rows
         return np.asarray(rows, dtype=np.float64)
 
 

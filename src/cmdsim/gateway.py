@@ -30,6 +30,11 @@ logger = logging.getLogger(__name__)
 
 SEEDS_PER_PROMPT = 12
 
+# One failure policy for every external service, chat and embeddings:
+# MAX_RETRIES extra attempts after the first, waiting BACKOFF_BASE_S and
+# then twice as long before each.
+MAX_RETRIES = 2
+BACKOFF_BASE_S = 0.5
 _HTTP_RETRYABLE = frozenset({429, 500, 502, 503, 504})
 
 
@@ -63,7 +68,7 @@ class ProviderSpec:
     model_id: str
     api_key_env: str = ""
     temperature: float = 1.0
-    max_retries: int = 2
+    max_retries: int = MAX_RETRIES
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
@@ -86,7 +91,6 @@ class ProviderPool:
     """A non-empty collection of providers sampled uniformly per call."""
 
     providers: tuple[ProviderSpec, ...]
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.providers:
@@ -162,9 +166,29 @@ def pick_provider(pool: ProviderPool, rng) -> ProviderSpec:
     return rng.choice(pool.providers)
 
 
-def json_headers(api_key_env: str, owner: str) -> dict[str, str]:
-    """JSON request headers, with a bearer token read from ``api_key_env``
-    when one is named; ``owner`` names the caller in the error."""
+def post_json(
+    url: str,
+    body: dict,
+    read: Callable[[object], object],
+    *,
+    owner: str,
+    payload: str,
+    api_key_env: str,
+    timeout: float,
+    max_retries: int = MAX_RETRIES,
+    session: requests.Session | None = None,
+    sleep: Callable[[float], None] = time.sleep,
+):
+    """POST ``body`` as JSON to ``url`` and return ``read`` of the reply's JSON.
+
+    The one place external-service failures are handled.  Transport
+    failures and retryable HTTP statuses (429, 5xx) are retried with
+    exponential backoff up to ``max_retries`` extra attempts, then the
+    last error is raised.  Other HTTP errors fail at once.  A 200 reply
+    that ``read`` cannot take apart is a :class:`ProviderError` naming
+    the ``payload`` kind.  ``owner`` names the caller in errors and logs;
+    a bearer token is read from ``api_key_env`` when one is named.
+    """
     headers = {"Content-Type": "application/json"}
     if api_key_env:
         key = os.environ.get(api_key_env)
@@ -173,7 +197,38 @@ def json_headers(api_key_env: str, owner: str) -> dict[str, str]:
                 f"environment variable {api_key_env} is not set (required by {owner})"
             )
         headers["Authorization"] = f"Bearer {key}"
-    return headers
+    post = session.post if session is not None else requests.post
+
+    last_error: GatewayError | None = None
+    for attempt in range(max_retries + 1):
+        if attempt > 0:
+            sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+        try:
+            response = post(url, json=body, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = TransportError(f"{owner}: {exc}")
+            logger.warning("transport failure on %s (attempt %d): %s", owner, attempt + 1, exc)
+            continue
+        if response.status_code == 200:
+            try:
+                return read(response.json())
+            except (ValueError, LookupError, TypeError) as exc:
+                raise ProviderError(
+                    f"{owner}: malformed {payload} payload: {exc}",
+                    status=200,
+                    body=response.text[:2000],
+                ) from exc
+        error = ProviderError(
+            f"{owner}: HTTP {response.status_code}",
+            status=response.status_code,
+            body=response.text[:2000],
+        )
+        if response.status_code not in _HTTP_RETRYABLE:
+            raise error
+        last_error = error
+        logger.warning("retryable HTTP %d from %s (attempt %d)", response.status_code, owner, attempt + 1)
+    assert last_error is not None
+    raise last_error
 
 
 def complete(
@@ -182,68 +237,29 @@ def complete(
     *,
     session: requests.Session | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    backoff_base: float = 0.5,
 ) -> str:
-    """Send one chat-completion request and return the assistant text.
-
-    Retries transport failures and retryable HTTP statuses (429, 5xx)
-    with exponential backoff up to ``spec.max_retries`` extra attempts.
-    Other HTTP errors fail immediately.  ``spec`` is never mutated.
-    """
-    headers = json_headers(spec.api_key_env, f"provider {spec.name}")
+    """Send one chat-completion request and return the assistant text,
+    with :func:`post_json`'s retries up to ``spec.max_retries``."""
     body = {
         "model": spec.model_id,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": spec.temperature,
     }
-    post = session.post if session is not None else requests.post
-
-    last_error: GatewayError | None = None
-    for attempt in range(spec.max_retries + 1):
-        if attempt > 0:
-            sleep(backoff_base * 2 ** (attempt - 1))
-        try:
-            response = post(spec.endpoint, json=body, headers=headers, timeout=spec.timeout)
-        except requests.RequestException as exc:
-            last_error = TransportError(f"provider {spec.name}: {exc}")
-            logger.warning("transport failure on %s (attempt %d): %s", spec.name, attempt + 1, exc)
-            continue
-        if response.status_code == 200:
-            try:
-                payload = response.json()
-                return payload["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError) as exc:
-                raise ProviderError(
-                    f"provider {spec.name}: malformed completion payload: {exc}",
-                    status=200,
-                    body=response.text[:2000],
-                ) from exc
-        error = ProviderError(
-            f"provider {spec.name}: HTTP {response.status_code}",
-            status=response.status_code,
-            body=response.text[:2000],
-        )
-        if response.status_code not in _HTTP_RETRYABLE:
-            raise error
-        last_error = error
-        logger.warning("retryable HTTP %d from %s (attempt %d)", response.status_code, spec.name, attempt + 1)
-    assert last_error is not None
-    raise last_error
+    return post_json(spec.endpoint, body, lambda reply: reply["choices"][0]["message"]["content"],
+                     owner=f"provider {spec.name}", payload="completion",
+                     api_key_env=spec.api_key_env, timeout=spec.timeout,
+                     max_retries=spec.max_retries, session=session, sleep=sleep)
 
 
 class HttpChatProvider:
-    """A ProviderSpec bound to a session."""
+    """A ProviderSpec that answers prompts over HTTP."""
 
-    def __init__(self, spec: ProviderSpec, *, session: requests.Session | None = None) -> None:
+    def __init__(self, spec: ProviderSpec) -> None:
         self.spec = spec
-        self._session = session
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+        self.name = spec.name
 
     def complete(self, prompt: str) -> str:
-        return complete(self.spec, prompt, session=self._session)
+        return complete(self.spec, prompt)
 
 
 # Vocabulary for the deterministic mock.  The two columns are synonym
@@ -378,40 +394,21 @@ class MockProvider:
         )
 
 
-def is_mock_endpoint(endpoint: str) -> bool:
-    return endpoint.startswith("mock:")
-
-
-def build_client(spec: ProviderSpec, *, session: requests.Session | None = None):
-    """Turn a spec into a callable provider; mock:// endpoints get the
+def build_client(spec: ProviderSpec):
+    """Turn a spec into a provider; ``mock:`` endpoints get the
     deterministic in-process mock."""
-    if is_mock_endpoint(spec.endpoint):
+    if spec.endpoint.startswith("mock:"):
         return MockProvider(name=spec.name, salt=spec.model_id)
-    return HttpChatProvider(spec, session=session)
+    return HttpChatProvider(spec)
 
 
-class ClientFactory:
-    """Memoizing spec-to-client resolver shared across a pipeline run."""
-
-    def __init__(self, *, session: requests.Session | None = None) -> None:
-        self._session = session
-        self._clients: dict[str, object] = {}
-
-    def __call__(self, spec: ProviderSpec):
-        client = self._clients.get(spec.name)
-        if client is None:
-            client = build_client(spec, session=self._session)
-            self._clients[spec.name] = client
-        return client
-
-
-def load_provider_pool(path: str | Path, *, rng_seed: int | None = None) -> ProviderPool:
+def load_provider_pool(path: str | Path) -> ProviderPool:
     """Read a provider pool from an INI-style configuration file.
 
     Each section defines one provider (section name = provider name)
     with keys endpoint, model, and optionally api_key_env, temperature,
-    max_retries, timeout.  A reserved ``[pool]`` section may set
-    rng_seed; an explicit ``rng_seed`` argument wins over the file.
+    max_retries, timeout.  A ``[pool]`` section, where older files set
+    an ``rng_seed`` that nothing read, is skipped.
     Secrets never appear in the file, only environment-variable names.
     """
     parser = configparser.ConfigParser()
@@ -421,9 +418,6 @@ def load_provider_pool(path: str | Path, *, rng_seed: int | None = None) -> Prov
         raise ConfigurationError(f"provider configuration file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"provider configuration file not found: {path}")
-    file_seed = 0
-    if parser.has_section("pool"):
-        file_seed = parser.getint("pool", "rng_seed", fallback=0)
     specs = []
     for section in parser.sections():
         if section == "pool":
@@ -441,10 +435,10 @@ def load_provider_pool(path: str | Path, *, rng_seed: int | None = None) -> Prov
                 model_id=entries["model"],
                 api_key_env=entries.get("api_key_env", ""),
                 temperature=entries.getfloat("temperature", fallback=1.0),
-                max_retries=entries.getint("max_retries", fallback=2),
+                max_retries=entries.getint("max_retries", fallback=MAX_RETRIES),
                 timeout=entries.getfloat("timeout", fallback=30.0),
             )
         )
     if not specs:
         raise ConfigurationError(f"no provider sections found in {path}")
-    return ProviderPool(providers=tuple(specs), rng_seed=rng_seed if rng_seed is not None else file_seed)
+    return ProviderPool(providers=tuple(specs))

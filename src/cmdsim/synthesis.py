@@ -18,11 +18,11 @@ from pathlib import Path
 from .core import CommandLine, CommandLinePair, SeedPool, Source, parse_llm_response
 from .gateway import (
     SEEDS_PER_PROMPT,
-    ClientFactory,
     ConfigurationError,
     GatewayError,
     ProviderPool,
     ProviderSpec,
+    build_client,
     build_explanation_prompt,
     build_pair_prompt,
     build_synthesis_prompt,
@@ -68,20 +68,29 @@ class SynthesisAborted(Exception):
         self.partial = partial
 
 
+def _ask(client, prompt: str) -> str | GatewayError:
+    """The client's reply, or the provider failure (transport or HTTP,
+    after the gateway's retries) that stands in for it.  Configuration
+    errors propagate, since retrying cannot fix a missing API key."""
+    try:
+        return client.complete(prompt)
+    except ConfigurationError:
+        raise
+    except GatewayError as exc:
+        return exc
+
+
 def synthesize_step(
     pool: ProviderPool,
     seeds: SeedPool,
-    cfg: SynthesisConfig,
     rng: random.Random,
     *,
     client_for: Callable[[ProviderSpec], object],
 ) -> list[CommandLine]:
     """Run one generation step; returns the newly accepted command lines.
 
-    Provider failures (transport or HTTP, after the gateway's own
-    retries) are not fatal: the step returns an empty list and the
-    caller's failure counter decides when to give up.  Configuration
-    errors propagate, since retrying cannot fix a missing API key.
+    A provider failure (see :func:`_ask`) returns an empty list, and the
+    caller's failure counter decides when to give up.
     """
     if len(seeds) < SEEDS_PER_PROMPT:
         raise ValueError(
@@ -90,13 +99,9 @@ def synthesize_step(
     sampled = seeds.sample(rng, SEEDS_PER_PROMPT)
     prompt = build_synthesis_prompt(sampled)
     spec = pick_provider(pool, rng)
-    client = client_for(spec)
-    try:
-        response = client.complete(prompt)
-    except ConfigurationError:
-        raise
-    except GatewayError as exc:
-        logger.warning("provider %s failed: %s", spec.name, exc)
+    response = _ask(client_for(spec), prompt)
+    if isinstance(response, GatewayError):
+        logger.warning("provider %s failed: %s", spec.name, response)
         return []
     parsed = parse_llm_response(response, provenance=spec.name)
     accepted: list[CommandLine] = []
@@ -132,7 +137,7 @@ def run_synthesis(
     initial_seeds: Sequence[CommandLine],
     cfg: SynthesisConfig,
     *,
-    client_for: Callable[[ProviderSpec], object] | None = None,
+    client_for: Callable[[ProviderSpec], object] = build_client,
     resume: tuple[list[CommandLine], list[CommandLine]] | None = None,
 ) -> list[CommandLine]:
     """Generate until ``cfg.target_count`` new command lines exist.
@@ -163,13 +168,11 @@ def run_synthesis(
         raise ValueError(
             f"need >= {SEEDS_PER_PROMPT} distinct initial seeds, got {len(seeds)}"
         )
-    if client_for is None:
-        client_for = ClientFactory()
     rng = random.Random(cfg.rng_seed)
     consecutive_failures = 0
     accepted_since_checkpoint = 0
     while len(synthesized) < cfg.target_count:
-        accepted = synthesize_step(pool, seeds, cfg, rng, client_for=client_for)
+        accepted = synthesize_step(pool, seeds, rng, client_for=client_for)
         if accepted:
             synthesized.extend(accepted)
             consecutive_failures = 0
@@ -202,9 +205,20 @@ class Reject:
 
 def _run_per_command(
     commands: Sequence[CommandLine],
-    worker: Callable[[CommandLine], object],
+    provider,
+    prompt_for: Callable[[CommandLine], str],
+    read: Callable[[CommandLine, str], object],
     jobs: int,
 ) -> list[object]:
+    """One provider call per command: ``read(command, reply)``, or a
+    :class:`Reject` when the call failed (see :func:`_ask`)."""
+
+    def worker(command: CommandLine):
+        response = _ask(provider, prompt_for(command))
+        if isinstance(response, GatewayError):
+            return Reject(command, f"provider failure: {response}")
+        return read(command, response)
+
     # Results stay in input order regardless of jobs; only the wall-clock
     # interleaving of provider calls changes with jobs > 1.
     if jobs <= 1:
@@ -228,13 +242,7 @@ def generate_pairs(
     sequentially from 0.
     """
 
-    def worker(command: CommandLine):
-        try:
-            response = provider.complete(build_pair_prompt(command))
-        except ConfigurationError:
-            raise
-        except GatewayError as exc:
-            return Reject(command, f"provider failure: {exc}")
+    def read(command: CommandLine, response: str):
         candidates = parse_llm_response(
             response, source=Source.PAIR_GENERATED, provenance=getattr(provider, "name", None)
         )
@@ -242,7 +250,7 @@ def generate_pairs(
             return Reject(command, "response contained no command lines")
         return candidates[0]
 
-    outcomes = _run_per_command(commands, worker, jobs)
+    outcomes = _run_per_command(commands, provider, build_pair_prompt, read, jobs)
     pairs: list[CommandLinePair] = []
     rejects: list[Reject] = []
     for command, outcome in zip(commands, outcomes):
@@ -268,19 +276,13 @@ def generate_explanations(
     responses are rejects.  Order follows the input.
     """
 
-    def worker(command: CommandLine):
-        try:
-            response = provider.complete(build_explanation_prompt(command))
-        except ConfigurationError:
-            raise
-        except GatewayError as exc:
-            return Reject(command, f"provider failure: {exc}")
+    def read(command: CommandLine, response: str):
         explanation = response.strip()
         if not explanation:
             return Reject(command, "empty explanation")
         return explanation
 
-    outcomes = _run_per_command(commands, worker, jobs)
+    outcomes = _run_per_command(commands, provider, build_explanation_prompt, read, jobs)
     explanations: list[tuple[CommandLine, str]] = []
     rejects: list[Reject] = []
     for command, outcome in zip(commands, outcomes):

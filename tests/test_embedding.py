@@ -11,6 +11,7 @@ from cmdsim.embedding import (
     DEFAULT_DIM,
     EmbeddingCache,
     EmbeddingIntegrityError,
+    REMOTE_CHUNK,
     HashingEmbeddingBackend,
     RemoteEmbeddingBackend,
     embed_batch,
@@ -314,6 +315,8 @@ class FakeEmbedResponse:
 
 
 class FakeEmbedSession:
+    """Answers every post with ``response``, or with ``response(json)`` when it is callable."""
+
     def __init__(self, response):
         self.response = response
         self.calls = []
@@ -322,7 +325,11 @@ class FakeEmbedSession:
         self.calls.append({"url": url, "json": json, "headers": headers})
         if isinstance(self.response, Exception):
             raise self.response
-        return self.response
+        return self.response(json) if callable(self.response) else self.response
+
+
+def no_sleep(_):
+    pass
 
 
 class TestRemoteBackend:
@@ -337,7 +344,7 @@ class TestRemoteBackend:
 
     def test_http_error(self):
         session = FakeEmbedSession(FakeEmbedResponse(500, text="boom"))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
         with pytest.raises(ProviderError):
             backend.embed(["aa"])
 
@@ -345,9 +352,33 @@ class TestRemoteBackend:
         import requests
 
         session = FakeEmbedSession(requests.ConnectionError("down"))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
         with pytest.raises(TransportError):
             backend.embed(["aa"])
+
+    def test_chunk_under_documented_cap(self):
+        assert 1 <= REMOTE_CHUNK <= 2048
+
+    @pytest.mark.parametrize("n", [1, REMOTE_CHUNK, REMOTE_CHUNK + 1, 2 * REMOTE_CHUNK + 3])
+    def test_requests_chunked_in_order(self, n):
+        session = FakeEmbedSession(lambda body: FakeEmbedResponse(
+            200, {"data": [{"embedding": [float(text), 1.0]} for text in body["input"]]}))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
+        matrix = backend.embed([str(i) for i in range(n)])
+        assert len(session.calls) == -(-n // REMOTE_CHUNK)
+        assert all(len(call["json"]["input"]) <= REMOTE_CHUNK for call in session.calls)
+        np.testing.assert_array_equal(matrix[:, 0], np.arange(n))
+
+    def test_chunk_row_count_checked(self):
+        # One row short in the first chunk, one extra in the second: the
+        # total matches, so only a per-chunk check sees the shift.
+        def reply(body):
+            count = len(body["input"]) + (-1 if body["input"][0] == "0" else 1)
+            return FakeEmbedResponse(200, {"data": [{"embedding": [1.0, 0.0]}] * count})
+
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=FakeEmbedSession(reply))
+        with pytest.raises(EmbeddingIntegrityError, match="rows for"):
+            backend.embed([str(i) for i in range(REMOTE_CHUNK + 1)])
 
     def test_missing_key_env(self, monkeypatch):
         monkeypatch.delenv("CMDSIM_EMB_KEY", raising=False)

@@ -8,10 +8,11 @@ import pytest
 import requests
 
 from cmdsim.core import CommandLine, parse_llm_response
+from cmdsim.embedding import RemoteEmbeddingBackend
 from cmdsim.gateway import (
+    MAX_RETRIES,
     MOCK_FLAG_SYNONYMS,
     MOCK_VERB_SYNONYMS,
-    ClientFactory,
     ConfigurationError,
     HttpChatProvider,
     MockProvider,
@@ -24,7 +25,6 @@ from cmdsim.gateway import (
     build_pair_prompt,
     build_synthesis_prompt,
     complete,
-    is_mock_endpoint,
     load_provider_pool,
     pick_provider,
 )
@@ -187,7 +187,83 @@ class FakeSession:
         return step
 
 
+def ask_chat(session, sleep):
+    return complete(make_spec(), "p", session=session, sleep=sleep)
+
+
+def ask_embeddings(session, sleep):
+    backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=sleep)
+    return backend.embed(["aa"]).tolist()
+
+
+# Chat and embeddings share one retrying POST, so each retry case below
+# runs through both: name -> (call, its 200 reply, the call's result).
+CALLERS = {
+    "chat": (ask_chat, FakeResponse(200, chat_payload("ok")), "ok"),
+    "embeddings": (ask_embeddings, FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}]}), [[1.0, 0.0]]),
+}
+
+
 class TestComplete:
+    def test_retry_on_429_then_success(self):
+        for name, (ask, ok, expected) in CALLERS.items():
+            session = FakeSession([FakeResponse(429, text="slow down"), ok])
+            sleeps = []
+            assert ask(session, sleeps.append) == expected, name
+            assert len(session.calls) == 2, name
+            assert sleeps == [0.5], name
+
+    def test_exponential_backoff_sequence(self):
+        for name, (ask, ok, expected) in CALLERS.items():
+            session = FakeSession([FakeResponse(503), FakeResponse(503), ok])
+            sleeps = []
+            assert ask(session, sleeps.append) == expected, name
+            assert sleeps == [0.5, 1.0], name
+
+    def test_backoff_doubles_each_retry(self):
+        # Two retries cannot tell doubling from linear growth; a third can.
+        session = FakeSession([FakeResponse(503)] * 3 + [FakeResponse(200, chat_payload("ok"))])
+        sleeps = []
+        assert complete(make_spec(max_retries=3), "p", session=session, sleep=sleeps.append) == "ok"
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    def test_non_retryable_status_fails_immediately(self):
+        for name, (ask, _, _) in CALLERS.items():
+            session = FakeSession([FakeResponse(404, text="nope")])
+            sleeps = []
+            with pytest.raises(ProviderError) as excinfo:
+                ask(session, sleeps.append)
+            assert excinfo.value.status == 404, name
+            assert excinfo.value.body == "nope", name
+            assert len(session.calls) == 1, name
+            assert sleeps == [], name
+
+    def test_retries_exhausted_raises_last_error(self):
+        for name, (ask, _, _) in CALLERS.items():
+            session = FakeSession([FakeResponse(500)] * (MAX_RETRIES + 1))
+            sleeps = []
+            with pytest.raises(ProviderError) as excinfo:
+                ask(session, sleeps.append)
+            assert excinfo.value.status == 500, name
+            assert len(session.calls) == MAX_RETRIES + 1, name
+            assert sleeps == [0.5, 1.0], name
+
+    def test_transport_failures_retried(self):
+        for name, (ask, ok, expected) in CALLERS.items():
+            session = FakeSession([requests.ConnectionError("boom"), ok])
+            sleeps = []
+            assert ask(session, sleeps.append) == expected, name
+            assert sleeps == [0.5], name
+
+    def test_transport_failures_exhausted(self):
+        for name, (ask, _, _) in CALLERS.items():
+            session = FakeSession([requests.ConnectionError("boom")] * (MAX_RETRIES + 1))
+            sleeps = []
+            with pytest.raises(TransportError):
+                ask(session, sleeps.append)
+            assert len(session.calls) == MAX_RETRIES + 1, name
+            assert sleeps == [0.5, 1.0], name
+
     def test_success_extracts_content(self):
         session = FakeSession([FakeResponse(200, chat_payload("<CMD>whoami"))])
         result = complete(make_spec(), "prompt text", session=session, sleep=lambda _: None)
@@ -198,54 +274,9 @@ class TestComplete:
         assert call["json"]["temperature"] == 1.0
         assert "Authorization" not in call["headers"]
 
-    def test_retry_on_429_then_success(self):
-        session = FakeSession(
-            [FakeResponse(429, text="slow down"), FakeResponse(200, chat_payload("ok"))]
-        )
-        sleeps = []
-        result = complete(make_spec(), "p", session=session, sleep=sleeps.append)
-        assert result == "ok"
-        assert len(session.calls) == 2
-        assert sleeps == [0.5]
-
-    def test_exponential_backoff_sequence(self):
-        session = FakeSession(
-            [FakeResponse(503), FakeResponse(503), FakeResponse(200, chat_payload("late"))]
-        )
-        sleeps = []
-        result = complete(make_spec(), "p", session=session, sleep=sleeps.append)
-        assert result == "late"
-        assert sleeps == [0.5, 1.0]
-
-    def test_non_retryable_status_fails_immediately(self):
-        session = FakeSession([FakeResponse(404, text="nope")])
-        with pytest.raises(ProviderError) as excinfo:
-            complete(make_spec(), "p", session=session, sleep=lambda _: None)
-        assert excinfo.value.status == 404
-        assert excinfo.value.body == "nope"
-        assert len(session.calls) == 1
-
-    def test_retries_exhausted_raises_last_error(self):
-        session = FakeSession([FakeResponse(500)] * 3)
-        with pytest.raises(ProviderError) as excinfo:
-            complete(make_spec(), "p", session=session, sleep=lambda _: None)
-        assert excinfo.value.status == 500
-        assert len(session.calls) == 3  # initial + max_retries
-
-    def test_transport_failures_retried(self):
-        session = FakeSession(
-            [requests.ConnectionError("boom"), FakeResponse(200, chat_payload("ok"))]
-        )
-        assert complete(make_spec(), "p", session=session, sleep=lambda _: None) == "ok"
-
-    def test_transport_failures_exhausted(self):
-        session = FakeSession([requests.ConnectionError("boom")] * 3)
-        with pytest.raises(TransportError):
-            complete(make_spec(), "p", session=session, sleep=lambda _: None)
-
     def test_malformed_payload(self):
         session = FakeSession([FakeResponse(200, {"unexpected": True})])
-        with pytest.raises(ProviderError) as excinfo:
+        with pytest.raises(ProviderError, match="provider p1: malformed completion payload") as excinfo:
             complete(make_spec(), "p", session=session, sleep=lambda _: None)
         assert excinfo.value.status == 200
 
@@ -326,22 +357,13 @@ class TestMockProvider:
 
 
 class TestClientFactory:
-    def test_mock_endpoint_detection(self):
-        assert is_mock_endpoint("mock:")
-        assert is_mock_endpoint("mock:whatever")
-        assert not is_mock_endpoint("https://api.example")
-
     def test_build_client_kinds(self):
         mock = build_client(make_spec(endpoint="mock:", model_id="salt-1"))
         assert isinstance(mock, MockProvider)
+        assert isinstance(build_client(make_spec(endpoint="mock:whatever")), MockProvider)
         http = build_client(make_spec())
         assert isinstance(http, HttpChatProvider)
-
-    def test_factory_memoizes_by_name(self):
-        factory = ClientFactory()
-        spec = make_spec(endpoint="mock:")
-        assert factory(spec) is factory(spec)
-        assert factory(spec) is not factory(make_spec(name="p2", endpoint="mock:"))
+        assert http.name == "p1"
 
 
 class TestLoadProviderPool:
@@ -355,7 +377,6 @@ class TestLoadProviderPool:
             encoding="utf-8",
         )
         pool = load_provider_pool(path)
-        assert pool.rng_seed == 3
         assert [p.name for p in pool.providers] == ["alpha", "beta"]
         alpha = pool.by_name("alpha")
         assert alpha.temperature == 0.5
@@ -364,11 +385,6 @@ class TestLoadProviderPool:
         assert alpha.api_key_env == "A_KEY"
         beta = pool.by_name("beta")
         assert beta.temperature == 1.0
-
-    def test_explicit_seed_wins(self, tmp_path):
-        path = tmp_path / "providers.conf"
-        path.write_text("[pool]\nrng_seed = 3\n\n[a]\nendpoint = mock:\nmodel = m\n", encoding="utf-8")
-        assert load_provider_pool(path, rng_seed=9).rng_seed == 9
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):

@@ -81,7 +81,7 @@ class TestSynthesizeStep:
         client = ScriptedClient(["\n".join(f"<CMD>new-cmd-{i}" for i in range(4))])
         seeds = SeedPool(make_seeds(12))
         accepted = synthesize_step(
-            make_pool(), seeds, SynthesisConfig(target_count=8), random.Random(0),
+            make_pool(), seeds, random.Random(0),
             client_for=lambda spec: client,
         )
         assert [c.text for c in accepted] == [f"new-cmd-{i}" for i in range(4)]
@@ -93,7 +93,7 @@ class TestSynthesizeStep:
         client = ScriptedClient(["\n".join(f"<CMD>new-cmd-{i}" for i in range(7))])
         seeds = SeedPool(make_seeds(12))
         accepted = synthesize_step(
-            make_pool(), seeds, SynthesisConfig(target_count=8), random.Random(0),
+            make_pool(), seeds, random.Random(0),
             client_for=lambda spec: client,
         )
         assert len(accepted) == 4
@@ -102,7 +102,7 @@ class TestSynthesizeStep:
         client = ScriptedClient(["<CMD>seed-cmd-000\n<CMD>SEED-CMD-001\n<CMD>brand-new"])
         seeds = SeedPool(make_seeds(12))
         accepted = synthesize_step(
-            make_pool(), seeds, SynthesisConfig(target_count=8), random.Random(0),
+            make_pool(), seeds, random.Random(0),
             client_for=lambda spec: client,
         )
         assert [c.text for c in accepted] == ["brand-new"]
@@ -111,7 +111,7 @@ class TestSynthesizeStep:
         client = FailingClient(TransportError("down"))
         seeds = SeedPool(make_seeds(12))
         accepted = synthesize_step(
-            make_pool(), seeds, SynthesisConfig(target_count=8), random.Random(0),
+            make_pool(), seeds, random.Random(0),
             client_for=lambda spec: client,
         )
         assert accepted == []
@@ -121,15 +121,15 @@ class TestSynthesizeStep:
         seeds = SeedPool(make_seeds(12))
         with pytest.raises(ConfigurationError):
             synthesize_step(
-                make_pool(), seeds, SynthesisConfig(target_count=8), random.Random(0),
+                make_pool(), seeds, random.Random(0),
                 client_for=lambda spec: client,
             )
 
     def test_small_pool_rejected(self):
         with pytest.raises(ValueError, match="needs >= 12"):
             synthesize_step(
-                make_pool(), SeedPool(make_seeds(11)), SynthesisConfig(target_count=8),
-                random.Random(0), client_for=lambda spec: ScriptedClient(["x"]),
+                make_pool(), SeedPool(make_seeds(11)), random.Random(0),
+                client_for=lambda spec: ScriptedClient(["x"]),
             )
 
 
@@ -339,6 +339,17 @@ class TestGenerateExplanations:
         provider = PairClient(lambda prompt: "  Lists users.  \n")
         explanations, _ = generate_explanations([CommandLine("net user")], provider)
         assert explanations[0][1] == "Lists users."
+
+    def test_provider_failure_rejected_not_fatal(self):
+        provider = FailingClient(TransportError("provider p1: down"))
+        explanations, rejects = generate_explanations([CommandLine("whoami")], provider)
+        assert explanations == []
+        assert rejects[0].reason == "provider failure: provider p1: down"
+
+    def test_configuration_error_fatal(self):
+        provider = FailingClient(ConfigurationError("no key"))
+        with pytest.raises(ConfigurationError):
+            generate_explanations([CommandLine("whoami")], provider)
 
     def test_jobs_preserve_order(self):
         commands = [CommandLine(f"cmd-{i:02d}") for i in range(10)]
