@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CommandLine, CommandLinePair, tokenize
-from .jsonl import _replacing
+from .jsonl import write_csv
 
 ROUGE_MODES = ("f1", "precision", "recall")
 HISTOGRAM_BINS = 20
@@ -173,12 +173,8 @@ def pair_overlap_distribution(
 def write_histogram_csv(path: str | Path, histogram: OverlapHistogram) -> None:
     """Write bin_start,bin_end,count rows for external plotting, replacing
     ``path`` whole."""
-    with _replacing(path) as handle:
-        handle.write("bin_start,bin_end,count\n")
-        for i, count in enumerate(histogram.counts):
-            handle.write(
-                f"{histogram.bin_edges[i]},{histogram.bin_edges[i + 1]},{count}\n"
-            )
+    edges = histogram.bin_edges
+    write_csv(path, ["bin_start", "bin_end", "count"], zip(edges, edges[1:], histogram.counts))
 
 
 def load_universe(path: str | Path) -> list[str]:

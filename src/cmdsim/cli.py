@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import logging
 import random
 import sys
@@ -38,7 +37,6 @@ from . import __version__, analytics, clustering, contrastive, evaluation, jsonl
 from .core import Source, dataset_stats
 from .embedding import (
     EmbeddingCache,
-    EmbeddingIntegrityError,
     HashingEmbeddingBackend,
     RemoteEmbeddingBackend,
     embed_batch,
@@ -302,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with jsonl._replacing(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _dbscan_params(settings: Settings) -> clustering.DbscanParams:
     return clustering.DbscanParams(
         eps=settings.get("eps", 0.08, float),
@@ -503,7 +494,7 @@ def cmd_train(settings: Settings) -> int:
     model, history = contrastive.train(pairs, backend, cfg, settings.cache())
     out = settings.out_path(settings.get("out", "adapter.json"))
     model.save(out)
-    _write_csv(
+    jsonl.write_csv(
         settings.path_or("history", Path(str(out) + ".history.csv")),
         ["step", "train_loss", "val_mrr3"],
         (
@@ -535,7 +526,7 @@ def cmd_eval_retrieval(settings: Settings) -> int:
         backend=backend.identity, adapter=str(adapter_value) if adapter_value else None,
         cases=len(cases),
     )
-    _write_csv(
+    jsonl.write_csv(
         settings.path_or("ranks", settings.out_path("retrieval_ranks.csv")),
         ["case", "rank"],
         enumerate(report.ranks),
@@ -615,7 +606,7 @@ def cmd_analyze_rouge(settings: Settings) -> int:
         scores, histogram = analytics.max_overlap_vs_seeds(generated, seeds, mode)
         scores_value = settings.get("scores")
         if scores_value:
-            _write_csv(
+            jsonl.write_csv(
                 settings.out_path(scores_value),
                 ["index", "max_overlap"],
                 ([i, repr(score)] for i, score in enumerate(scores)),
@@ -628,8 +619,8 @@ def cmd_analyze_rouge(settings: Settings) -> int:
 
 
 def _bundled_universe(filename: str) -> list[str]:
-    text = resources.files("cmdsim").joinpath("data", filename).read_text("utf-8")
-    return [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    with resources.as_file(resources.files("cmdsim").joinpath("data", filename)) as path:
+        return analytics.load_universe(path)
 
 
 def cmd_analyze_coverage(settings: Settings) -> int:
@@ -669,8 +660,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         return handler(Settings(args))
-    except (ValueError, KeyError, OSError, GatewayError, EmbeddingIntegrityError,
-            argparse.ArgumentTypeError) as exc:
+    except (ValueError, KeyError, OSError, GatewayError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

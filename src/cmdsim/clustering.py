@@ -48,9 +48,6 @@ class ClusterLabeling:
             if label != NOISE and not 0 <= label < self.num_clusters:
                 raise ValueError(f"label {label} outside [-1, {self.num_clusters})")
 
-    def members(self, cluster: int) -> list[int]:
-        return [i for i, label in enumerate(self.labels) if label == cluster]
-
 
 def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
     """Standard DBSCAN over unit vectors with cosine distance.

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CommandLinePair
-from .embedding import EmbeddingCache, embed_batch
+from .embedding import EmbeddingCache, embed_batch, unit_normalize
 from .evaluation import _softmax_rows, mrr_at_k, rank_from_scores
 from .jsonl import _replacing
 
@@ -82,10 +82,6 @@ class AdapterModel:
         self.backend_identity = backend_identity
         self.step = step
 
-    @classmethod
-    def identity(cls, dim: int, backend_identity: str = "") -> "AdapterModel":
-        return cls(np.eye(dim), backend_identity=backend_identity, step=0)
-
     @property
     def d_in(self) -> int:
         return self.weights.shape[0]
@@ -95,17 +91,14 @@ class AdapterModel:
         return self.weights.shape[1]
 
     def transform(self, base: np.ndarray) -> np.ndarray:
-        """Map base row vectors into the adapted unit-normalized space."""
+        """Map base row vectors into the adapted unit-normalized space
+        (a ``ValueError`` when W maps one to the zero vector)."""
         base = np.asarray(base, dtype=np.float64)
         squeeze = base.ndim == 1
         rows = base[None, :] if squeeze else base
         if rows.shape[1] != self.d_in:
             raise ValueError(f"expected vectors of dim {self.d_in}, got {rows.shape[1]}")
-        mapped = rows @ self.weights
-        norms = np.linalg.norm(mapped, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ValueError("adapter produced a zero vector; W is degenerate for this input")
-        unit = mapped / norms
+        unit = unit_normalize(rows @ self.weights)
         return unit[0] if squeeze else unit
 
     def save(self, path: str | Path) -> None:
@@ -146,18 +139,11 @@ def info_nce_loss(sims: np.ndarray, temperature: float) -> float:
     return float(np.sum(log_denominator - np.diag(scaled)))
 
 
-def _normalize_rows_with_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize zero rows")
-    return matrix / norms[:, None], norms
-
-
-def _normalize_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _normalize_backward(grad_unit: np.ndarray, unit: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     # d/da of a/|a| applied to an incoming gradient g:
     # (g - (g . a_hat) a_hat) / |a|, rowwise.
     radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    return (grad_unit - radial * unit) / norms[:, None]
+    return (grad_unit - radial * unit) / np.linalg.norm(mapped, axis=1, keepdims=True)
 
 
 def info_nce_gradients(
@@ -180,8 +166,8 @@ def info_nce_gradients(
         )
     mapped_a = anchors @ w
     mapped_b = positives @ w
-    unit_a, norms_a = _normalize_rows_with_norms(mapped_a)
-    unit_b, norms_b = _normalize_rows_with_norms(mapped_b)
+    unit_a = unit_normalize(mapped_a)
+    unit_b = unit_normalize(mapped_b)
     sims = unit_a @ unit_b.T
 
     probabilities = _softmax_rows(sims / temperature)
@@ -189,8 +175,8 @@ def info_nce_gradients(
 
     grad_unit_a = grad_sims @ unit_b
     grad_unit_b = grad_sims.T @ unit_a
-    grad_mapped_a = _normalize_backward(grad_unit_a, unit_a, norms_a)
-    grad_mapped_b = _normalize_backward(grad_unit_b, unit_b, norms_b)
+    grad_mapped_a = _normalize_backward(grad_unit_a, unit_a, mapped_a)
+    grad_mapped_b = _normalize_backward(grad_unit_b, unit_b, mapped_b)
     return anchors.T @ grad_mapped_a + positives.T @ grad_mapped_b
 
 
@@ -203,13 +189,11 @@ class TrainEvent(NamedTuple):
 
 
 def _validation_mrr3(
-    adapter_weights: np.ndarray,
+    adapter: AdapterModel,
     anchor_base: np.ndarray,
     positive_base: np.ndarray,
 ) -> float:
-    unit_a, _ = _normalize_rows_with_norms(anchor_base @ adapter_weights)
-    unit_b, _ = _normalize_rows_with_norms(positive_base @ adapter_weights)
-    sims = unit_a @ unit_b.T
+    sims = adapter.transform(anchor_base) @ adapter.transform(positive_base).T
     ranks = []
     for i in range(sims.shape[0]):
         negatives = np.delete(sims[i], i)
@@ -254,15 +238,19 @@ def train(
     moment1 = np.zeros_like(weights)
     moment2 = np.zeros_like(weights)
 
-    def evaluate(step: int, train_loss: float | None) -> TrainEvent:
-        return TrainEvent(step, train_loss, _validation_mrr3(weights, val_anchors, val_positives))
+    history: list[TrainEvent] = []
+    best: tuple[TrainEvent, np.ndarray] | None = None
 
-    history: list[TrainEvent] = [evaluate(0, None)]
-    best_mrr = history[0].val_mrr3
-    best_step = 0
-    best_weights = weights.copy()
+    def evaluate(step: int, train_loss: float | None) -> None:
+        nonlocal best
+        event = TrainEvent(step, train_loss, _validation_mrr3(AdapterModel(weights), val_anchors, val_positives))
+        history.append(event)
+        # Strictly greater, so the earliest step wins a tie.
+        if best is None or event.val_mrr3 > best[0].val_mrr3:
+            best = event, weights.copy()
 
     step = 0
+    evaluate(step, None)
     for _ in range(cfg.epochs):
         epoch_order = list(train_indices)
         rng.shuffle(epoch_order)
@@ -278,23 +266,13 @@ def train(
             corrected2 = moment2 / (1 - ADAM_BETA2 ** step)
             weights = weights - cfg.learning_rate * corrected1 / (np.sqrt(corrected2) + ADAM_EPS)
             if step % cfg.eval_every_steps == 0:
-                unit_a, _ = _normalize_rows_with_norms(batch_anchors @ weights)
-                unit_b, _ = _normalize_rows_with_norms(batch_positives @ weights)
-                loss = info_nce_loss(unit_a @ unit_b.T, cfg.temperature)
-                event = evaluate(step, loss)
-                history.append(event)
-                if event.val_mrr3 > best_mrr:
-                    best_mrr = event.val_mrr3
-                    best_step = step
-                    best_weights = weights.copy()
+                adapter = AdapterModel(weights)
+                sims = adapter.transform(batch_anchors) @ adapter.transform(batch_positives).T
+                evaluate(step, info_nce_loss(sims, cfg.temperature))
     if step % cfg.eval_every_steps != 0:
         # Final state always gets considered even off the eval cadence.
-        event = evaluate(step, None)
-        history.append(event)
-        if event.val_mrr3 > best_mrr:
-            best_mrr = event.val_mrr3
-            best_step = step
-            best_weights = weights.copy()
-    logger.info("best checkpoint: step %d, val MRR@3 %.3f", best_step, best_mrr)
-    model = AdapterModel(best_weights, backend_identity=backend.identity, step=best_step)
+        evaluate(step, None)
+    best_event, best_weights = best
+    logger.info("best checkpoint: step %d, val MRR@3 %.3f", best_event.step, best_event.val_mrr3)
+    model = AdapterModel(best_weights, backend_identity=backend.identity, step=best_event.step)
     return model, history

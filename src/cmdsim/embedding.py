@@ -19,36 +19,34 @@ from pathlib import Path
 import numpy as np
 import requests
 
+from .core import canonical_dedup_key
 from .gateway import post_json
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
 
-# Texts per embeddings request.  OpenAI documents 2,048 inputs as the
-# cap of one request to its embeddings endpoint; stay at or under it.
+# Texts per backend call, for every backend.  OpenAI documents 2,048
+# inputs as the cap of one request to its embeddings endpoint; stay at
+# or under it.
 REMOTE_CHUNK = 2048
 
 
-class EmbeddingIntegrityError(Exception):
-    """Backend returned vectors of the wrong shape or with non-finite values."""
+class EmbeddingIntegrityError(ValueError):
+    """Backend returned vectors of the wrong shape or with non-finite
+    values, or a vector to normalize was zero."""
 
 
 def unit_normalize(vectors: np.ndarray) -> np.ndarray:
     """L2-normalize a vector or a matrix of row vectors.
 
-    Raises on zero-norm rows: a zero embedding carries no direction and
+    Raises on zero-norm rows: a zero vector carries no direction and
     would poison every cosine downstream.
     """
     array = np.asarray(vectors, dtype=np.float64)
-    if array.ndim == 1:
-        norm = np.linalg.norm(array)
-        if norm == 0.0:
-            raise EmbeddingIntegrityError("cannot normalize a zero vector")
-        return array / norm
-    norms = np.linalg.norm(array, axis=1, keepdims=True)
+    norms = np.linalg.norm(array) if array.ndim == 1 else np.linalg.norm(array, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        raise EmbeddingIntegrityError("cannot normalize zero rows")
+        raise EmbeddingIntegrityError("cannot normalize a zero vector")
     return array / norms
 
 
@@ -60,8 +58,6 @@ class HashingEmbeddingBackend:
     lexical: synonym words land in unrelated coordinates, which is what
     the adapter-training stage is for.
     """
-
-    kind = "local_deterministic"
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
         if dim <= 0:
@@ -82,7 +78,7 @@ class HashingEmbeddingBackend:
         return cached
 
     def _embed_one(self, text: str) -> np.ndarray:
-        canonical = " ".join(text.lower().split())
+        canonical = canonical_dedup_key(text)
         if not canonical:
             raise ValueError("cannot embed blank text")
         if len(canonical) < 3:
@@ -104,10 +100,9 @@ class RemoteEmbeddingBackend:
     """Backend speaking the common embeddings HTTP JSON shape:
     {input: [texts], model: id} -> {data: [{embedding: [...]}]}.
 
-    Texts go out REMOTE_CHUNK per request, each request through
-    :func:`cmdsim.gateway.post_json` with the chat calls' retries."""
-
-    kind = "remote_api"
+    One :meth:`embed` is one request through :func:`cmdsim.gateway.post_json`,
+    with the chat calls' retries; :func:`embed_batch` keeps it to
+    REMOTE_CHUNK texts."""
 
     def __init__(
         self,
@@ -134,21 +129,11 @@ class RemoteEmbeddingBackend:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.calls += 1
-        texts = list(texts)
-        rows: list = []
-        for start in range(0, len(texts), REMOTE_CHUNK):
-            chunk = texts[start:start + REMOTE_CHUNK]
-            chunk_rows = post_json(self.endpoint, {"input": chunk, "model": self.model_id},
-                                   lambda reply: [item["embedding"] for item in reply["data"]],
-                                   owner=f"embedding backend {self.model_id}", payload="embeddings",
-                                   api_key_env=self.api_key_env, timeout=self.timeout,
-                                   session=self._session, sleep=self._sleep)
-            # A short chunk followed by a long one would shift every later row.
-            if len(chunk_rows) != len(chunk):
-                raise EmbeddingIntegrityError(
-                    f"backend {self.identity} returned {len(chunk_rows)} rows for {len(chunk)} texts"
-                )
-            rows += chunk_rows
+        rows = post_json(self.endpoint, {"input": list(texts), "model": self.model_id},
+                         lambda reply: [item["embedding"] for item in reply["data"]],
+                         owner=f"embedding backend {self.model_id}", payload="embeddings",
+                         api_key_env=self.api_key_env, timeout=self.timeout,
+                         session=self._session, sleep=self._sleep)
         return np.asarray(rows, dtype=np.float64)
 
 
@@ -225,7 +210,9 @@ def embed_batch(
 
     Returns an (n, backend.dim) float64 matrix of unit rows.  Texts
     already in the cache never reach the backend; duplicate texts within
-    one call are embedded once.
+    one call are embedded once.  The backend gets at most REMOTE_CHUNK
+    texts per call, and each chunk is checked, normalized and cached
+    before the next is sent, so a failure keeps the chunks answered.
     """
     texts = list(texts)
     for text in texts:
@@ -241,20 +228,22 @@ def embed_batch(
                 if hit is not None:
                     resolved[text] = hit
     missing = [t for t in dict.fromkeys(texts) if t not in resolved]
-    if missing:
-        raw = np.asarray(backend.embed(missing), dtype=np.float64)
-        if raw.shape != (len(missing), backend.dim):
+    for start in range(0, len(missing), REMOTE_CHUNK):
+        chunk = missing[start:start + REMOTE_CHUNK]
+        raw = np.asarray(backend.embed(chunk), dtype=np.float64)
+        # Per chunk: a short chunk followed by a long one would shift every later row.
+        if raw.shape != (len(chunk), backend.dim):
             raise EmbeddingIntegrityError(
                 f"backend {backend.identity} returned shape {raw.shape}, "
-                f"expected {(len(missing), backend.dim)}"
+                f"expected {(len(chunk), backend.dim)}"
             )
         if not np.all(np.isfinite(raw)):
             raise EmbeddingIntegrityError(
                 f"backend {backend.identity} returned non-finite values"
             )
         normalized = unit_normalize(raw)
-        del raw  # one n x d matrix fewer held while the cache writes and the result is stacked
-        resolved.update(zip(missing, normalized))
+        del raw  # one chunk x d matrix fewer held while the cache writes and the result is stacked
+        resolved.update(zip(chunk, normalized))
         if cache is not None:
-            cache.put(backend.identity, missing, normalized)
+            cache.put(backend.identity, chunk, normalized)
     return np.stack([resolved[t] for t in texts])

@@ -115,11 +115,17 @@ def evaluate_retrieval(
 ) -> RetrievalReport:
     """Cosine-score every case and aggregate MRR@K / Top@K per K.
 
-    ``adapter`` is any object with a ``transform`` method over row
-    vectors (identity when None).
+    ``adapter`` is a :class:`~cmdsim.contrastive.AdapterModel` (identity
+    when None); one that records a backend identity other than
+    ``backend.identity`` is refused before anything is embedded.
     """
     if not cases:
         raise ValueError("no retrieval cases given")
+    if adapter is not None and adapter.backend_identity not in ("", backend.identity):
+        raise ValueError(
+            f"adapter was trained on backend {adapter.backend_identity!r}, "
+            f"not {backend.identity!r}"
+        )
     texts: list[str] = []
     for case in cases:
         texts.append(case.query.text)

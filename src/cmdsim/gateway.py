@@ -24,7 +24,7 @@ from pathlib import Path
 
 import requests
 
-from .core import CommandLine
+from .core import CommandLine, canonical_dedup_key
 
 logger = logging.getLogger(__name__)
 
@@ -358,7 +358,7 @@ class MockProvider:
         tokens = query.split(" ")
         mapped = [self._flag_map.get(t, self._verb_map.get(t, t)) for t in tokens]
         candidate = " ".join(mapped)
-        if " ".join(candidate.lower().split()) == " ".join(query.lower().split()):
+        if canonical_dedup_key(candidate) == canonical_dedup_key(query):
             # Out-of-vocabulary command: fall back to a visible rewrite.
             candidate = "rerun " + query
         return candidate

@@ -8,9 +8,10 @@ rerun with the same inputs produces byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -47,6 +48,15 @@ def _replacing(path: str | Path) -> Iterator[Any]:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence[Any], rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` and then ``rows`` as CSV with LF line endings,
+    replacing ``path`` whole."""
+    with _replacing(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:

@@ -211,7 +211,10 @@ def _run_per_command(
     jobs: int,
 ) -> list[object]:
     """One provider call per command: ``read(command, reply)``, or a
-    :class:`Reject` when the call failed (see :func:`_ask`)."""
+    :class:`Reject` when the call failed (see :func:`_ask`).  ``jobs``
+    calls run at once; it must be >= 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     def worker(command: CommandLine):
         response = _ask(provider, prompt_for(command))
@@ -221,7 +224,7 @@ def _run_per_command(
 
     # Results stay in input order regardless of jobs; only the wall-clock
     # interleaving of provider calls changes with jobs > 1.
-    if jobs <= 1:
+    if jobs == 1:
         return [worker(c) for c in commands]
     with ThreadPoolExecutor(max_workers=jobs) as executor:
         return list(executor.map(worker, commands))

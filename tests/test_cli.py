@@ -7,6 +7,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmdsim import cli
@@ -193,6 +194,23 @@ class TestSynthPairsAndExplain:
         assert len(records) == 12
         assert all(r.keys() == {"text", "explanation", "source"} for r in records)
         assert all(r["explanation"].startswith("This command") for r in records)
+
+    @pytest.mark.parametrize("stage", ["pairs", "explain"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one(self, tmp_path, seeds_file, providers_file, capsys, stage, jobs):
+        out_dir = tmp_path / "out"
+        code = cli.run(
+            [
+                "synth", stage,
+                "--in", str(seeds_file),
+                "--providers", str(providers_file),
+                "--jobs", jobs,
+                "--output-dir", str(out_dir),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out_dir.exists()
 
 
 class TestEmbed:
@@ -450,7 +468,7 @@ class TestEvalRetrievalCli:
     def test_adapter_flag_and_determinism(self, tmp_path):
         corpus, testset = self.build_inputs(tmp_path)
         adapter_path = tmp_path / "identity.json"
-        AdapterModel.identity(64, backend_identity="hash3-64").save(adapter_path)
+        AdapterModel(np.eye(64), backend_identity="hash3-64").save(adapter_path)
         outputs = []
         for name in ("p", "q"):
             out_dir = tmp_path / name
@@ -470,6 +488,29 @@ class TestEvalRetrievalCli:
                 + (out_dir / "retrieval_ranks.csv").read_bytes()
             )
         assert outputs[0] == outputs[1]
+
+    def test_adapter_of_another_backend_exits_one(self, tmp_path, capsys):
+        corpus, testset = self.build_inputs(tmp_path)
+        adapter_path = tmp_path / "remote.json"
+        AdapterModel(np.eye(64), backend_identity="some-remote-model-64").save(adapter_path)
+        out_dir = tmp_path / "out"
+        code = cli.run(
+            [
+                "eval", "retrieval",
+                "--testset", str(testset),
+                "--corpus", str(corpus),
+                "--adapter", str(adapter_path),
+                "--dim", "64",
+                "--cache", "cache.jsonl",
+                "--output-dir", str(out_dir),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'some-remote-model-64'" in err and "'hash3-64'" in err
+        assert not (out_dir / "cache.jsonl").exists()  # refused before embedding
+        assert not (out_dir / "retrieval_report.txt").exists()
 
 
 class TestEvalDetectCli:

@@ -37,11 +37,6 @@ class TestClusterLabeling:
         with pytest.raises(ValueError):
             ClusterLabeling(labels=(0, 3), num_clusters=2)
 
-    def test_members(self):
-        labeling = ClusterLabeling(labels=(0, NOISE, 0, 1), num_clusters=2)
-        assert labeling.members(0) == [0, 2]
-        assert labeling.members(1) == [3]
-
 
 class TestDbscan:
     def test_empty(self):
@@ -132,7 +127,7 @@ class TestDedupByClusters:
         kept = dedup_by_clusters(list(range(150)), labeling, keep_per_cluster=2)
         noise = sum(1 for label in labeling.labels if label == NOISE)
         expected = noise + sum(
-            min(len(labeling.members(c)), 2) for c in range(labeling.num_clusters)
+            min(labeling.labels.count(c), 2) for c in range(labeling.num_clusters)
         )
         assert len(kept) == expected
         assert kept == sorted(kept)

@@ -77,13 +77,6 @@ class TestTrainConfig:
 
 
 class TestAdapterModel:
-    def test_identity(self):
-        model = AdapterModel.identity(3, backend_identity="hash3-3")
-        assert np.array_equal(model.weights, np.eye(3))
-        assert model.step == 0
-        assert model.d_in == 3 and model.d_out == 3
-        assert model.backend_identity == "hash3-3"
-
     def test_weights_must_be_2d_and_finite(self):
         with pytest.raises(ValueError, match="2-D"):
             AdapterModel(np.ones(4))
@@ -105,7 +98,7 @@ class TestAdapterModel:
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_transform_dim_mismatch(self):
-        model = AdapterModel.identity(4)
+        model = AdapterModel(np.eye(4))
         with pytest.raises(ValueError, match="dim 4"):
             model.transform(np.ones(3))
 

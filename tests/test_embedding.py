@@ -332,6 +332,16 @@ def no_sleep(_):
     pass
 
 
+def _numbered_rows_of(numbers):
+    return np.array([[float(i), 1.0] for i in numbers])
+
+
+def _numbered_rows(body):
+    """A 200 reply whose row for the text "i" is [i, 1]."""
+    rows = _numbered_rows_of(map(int, body["input"]))
+    return FakeEmbedResponse(200, {"data": [{"embedding": row} for row in rows.tolist()]})
+
+
 class TestRemoteBackend:
     def test_success(self):
         session = FakeEmbedSession(
@@ -361,13 +371,12 @@ class TestRemoteBackend:
 
     @pytest.mark.parametrize("n", [1, REMOTE_CHUNK, REMOTE_CHUNK + 1, 2 * REMOTE_CHUNK + 3])
     def test_requests_chunked_in_order(self, n):
-        session = FakeEmbedSession(lambda body: FakeEmbedResponse(
-            200, {"data": [{"embedding": [float(text), 1.0]} for text in body["input"]]}))
+        session = FakeEmbedSession(_numbered_rows)
         backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
-        matrix = backend.embed([str(i) for i in range(n)])
+        matrix = embed_batch(backend, [str(i) for i in range(n)])
         assert len(session.calls) == -(-n // REMOTE_CHUNK)
         assert all(len(call["json"]["input"]) <= REMOTE_CHUNK for call in session.calls)
-        np.testing.assert_array_equal(matrix[:, 0], np.arange(n))
+        np.testing.assert_array_equal(matrix, unit_normalize(_numbered_rows_of(range(n))))
 
     def test_chunk_row_count_checked(self):
         # One row short in the first chunk, one extra in the second: the
@@ -377,8 +386,25 @@ class TestRemoteBackend:
             return FakeEmbedResponse(200, {"data": [{"embedding": [1.0, 0.0]}] * count})
 
         backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=FakeEmbedSession(reply))
-        with pytest.raises(EmbeddingIntegrityError, match="rows for"):
-            backend.embed([str(i) for i in range(REMOTE_CHUNK + 1)])
+        with pytest.raises(EmbeddingIntegrityError, match="shape"):
+            embed_batch(backend, [str(i) for i in range(REMOTE_CHUNK + 1)])
+
+    def test_failed_chunk_keeps_the_cached_ones(self, tmp_path):
+        n = REMOTE_CHUNK + 5
+        texts = [str(i) for i in range(n)]
+        path = tmp_path / "cache.jsonl"
+        session = FakeEmbedSession(lambda body: (
+            FakeEmbedResponse(400, text="bad") if body["input"][0] != "0" else _numbered_rows(body)))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
+        with pytest.raises(ProviderError, match="HTTP 400"):
+            embed_batch(backend, texts, EmbeddingCache(path))
+        assert len(session.calls) == 2
+        assert len(EmbeddingCache(path)) == REMOTE_CHUNK
+
+        session.response = _numbered_rows
+        matrix = embed_batch(backend, texts, EmbeddingCache(path))
+        assert [call["json"]["input"] for call in session.calls[2:]] == [texts[REMOTE_CHUNK:]]
+        np.testing.assert_array_equal(matrix, unit_normalize(_numbered_rows_of(range(n))))
 
     def test_missing_key_env(self, monkeypatch):
         monkeypatch.delenv("CMDSIM_EMB_KEY", raising=False)

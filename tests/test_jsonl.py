@@ -77,7 +77,7 @@ _WRITERS = {
     "write_histogram_csv": lambda path, fail: analytics.write_histogram_csv(
         path, SimpleNamespace(bin_edges=(0.0, 0.5, 1.0), counts=_rows([1, 1], fail))
     ),
-    "cli._write_csv": lambda path, fail: cli._write_csv(
+    "jsonl.write_csv": lambda path, fail: jsonl.write_csv(
         path, ["case", "rank"], _rows([[0, 1], [1, 3]], fail)
     ),
     # A lone surrogate cannot be encoded as UTF-8.

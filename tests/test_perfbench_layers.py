@@ -1,0 +1,37 @@
+"""The benchmark's per-layer hooks still find every name they patch.
+
+``perfbench/layers.py`` wraps package functions by name, and only a
+traced benchmark run calls it; this test installs the hooks with the
+benchmark's own tracer, so a rename or removal in the package fails here.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from cmdsim import embedding
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_patches_every_layer_and_uninstall_restores():
+    layers, tracer_module = _load("layers"), _load("tracer")
+    original = embedding.embed_batch
+    tracer = tracer_module.Tracer()
+    try:
+        layers.install(tracer)
+        assert embedding.embed_batch is not original
+        embedding.embed_batch(embedding.HashingEmbeddingBackend(8), ["net user"])
+        assert tracer.counts["embedding.texts"] == 1
+        assert {span[3] for span in tracer.spans} == {"embedding.embed_batch", "embedding.backend"}
+    finally:
+        tracer.uninstall()
+    assert embedding.embed_batch is original
