@@ -11,11 +11,18 @@ them.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
+
+# Edge of the square tiles of matrix @ matrix.T that dbscan computes: a
+# 256 x 256 float64 tile is 512 KiB, and BLAS runs near full speed on it.
+TILE = 256
 
 
 @dataclass(frozen=True)
@@ -53,19 +60,31 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
     """Standard DBSCAN over unit vectors with cosine distance.
 
     Empty input yields an empty labeling.  Cluster ids are assigned in
-    discovery order.
+    discovery order.  A row with a NaN or infinite value is an error.
+
+    Row i's neighbours are ``np.flatnonzero(matrix @ matrix[i] >= 1 - eps)``,
+    but all lists are built up front by ``_neighbour_lists``: one pass
+    over the tiles of ``matrix @ matrix.T`` on or above the diagonal
+    (about n^2 d / 2 multiply-adds), plus one mat-vec per row that has a
+    tile entry inside the rounding band around ``1 - eps``.  Outside the
+    band a tile entry and the row's mat-vec entry are on the same side
+    of the threshold, and band rows are recomputed by that very mat-vec,
+    so the lists do not depend on how BLAS blocks or rounds.  Extra
+    memory is O(tile^2 + neighbour pairs).
     """
     matrix = np.asarray(vectors, dtype=np.float64)
     if matrix.size == 0:
         return ClusterLabeling(labels=(), num_clusters=0)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix of row vectors, got shape {matrix.shape}")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} has a non-finite value")
     n = matrix.shape[0]
-    threshold = 1.0 - params.eps
+    indptr, indices, recomputed = _neighbour_lists(matrix, 1.0 - params.eps)
 
-    def neighbors(i: int) -> np.ndarray:
-        # Inclusive radius: distance <= eps, i.e. similarity >= 1 - eps.
-        return np.flatnonzero(matrix @ matrix[i] >= threshold)
+    def neighbors(i: int) -> list[int]:
+        return indices[indptr[i]:indptr[i + 1]].tolist()
 
     labels = [NOISE] * n
     visited = [False] * n
@@ -80,7 +99,7 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
         cluster = next_cluster
         next_cluster += 1
         labels[start] = cluster
-        queue = deque(int(j) for j in seed_neighbors if j != start)
+        queue = deque(j for j in seed_neighbors if j != start)
         while queue:
             point = queue.popleft()
             if labels[point] == NOISE:
@@ -94,9 +113,84 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
                 # labeled points changes nothing about the outcome, only
                 # the queue volume.
                 queue.extend(
-                    int(j) for j in point_neighbors if not visited[j] or labels[j] == NOISE
+                    j for j in point_neighbors if not visited[j] or labels[j] == NOISE
                 )
+    logger.info(
+        "dbscan: %d points, %d clusters, %d noise, %d neighbour pairs, "
+        "%d rows recomputed in the band",
+        n, next_cluster, labels.count(NOISE), len(indices), recomputed,
+    )
     return ClusterLabeling(labels=tuple(labels), num_clusters=next_cluster)
+
+
+def _neighbour_lists(matrix: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every row's inclusive neighbour list, as CSR, and the band row count.
+
+    Row i's list is ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
+    equals ``np.flatnonzero(matrix @ matrix[i] >= threshold)``.
+
+    Any computed dot product of rows i and j, whatever its summation
+    order, is within gamma * |x_i| |x_j| <= gamma * max|x|^2 of the exact
+    one (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so
+    a tile entry and either row's mat-vec entry differ by at most
+    ``band``.  A tile entry further than that from the threshold is
+    classified as the mat-vec would; one within it marks its row and its
+    column, and each marked row is recomputed by the mat-vec.
+    """
+    n, d = matrix.shape
+    # gamma_{d+2} rather than gamma_d also covers the rounding of the
+    # squared norms and of the band itself; the last term covers
+    # products that underflow.
+    rounding = (d + 2) * 2.0**-53
+    gamma = rounding / (1.0 - rounding)
+    max_norm_sq = float(np.einsum("ij,ij->i", matrix, matrix).max())
+    band = 2.0 * gamma * max_norm_sq + 2.0 * d * np.finfo(np.float64).smallest_subnormal
+    # A double compares with the rounded low or high as with the exact value.
+    low, high = threshold - band, threshold + band
+    buffer = np.empty(TILE * TILE)
+    marked = np.zeros(n, dtype=bool)
+    # Pair (i, j) is the key i * n + j, kept in the bucket of i's row
+    # block, so sorting a bucket puts its lists in row order, each
+    # ascending.
+    buckets: list[list[np.ndarray]] = [[] for _ in range(0, n, TILE)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices: list[np.ndarray] = []
+    recomputed = 0
+    for top in range(0, n, TILE):
+        block = matrix[top:top + TILE]
+        for left in range(top, n, TILE):
+            other = matrix[left:left + TILE]
+            tile = buffer[: len(block) * len(other)].reshape(len(block), len(other))
+            np.matmul(block, other.T, out=tile)
+            # Entries below low are out for the mat-vec too, so only the
+            # rest are looked at.  NaN, from products that overflow, is
+            # looked at and lands in the band.
+            candidates = np.flatnonzero(~(tile < low))
+            values = tile.ravel()[candidates]
+            r, c = np.divmod(candidates, len(other))
+            near = ~(values > high)
+            marked[top + r[near]] = True
+            marked[left + c[near]] = True
+            hit = values >= threshold
+            r, c = top + r[hit], left + c[hit]
+            buckets[top // TILE].append(r * n + c)
+            if left != top:
+                buckets[left // TILE].append(c * n + r)
+        # Every tile that holds a row of this block is done, so the
+        # block's lists and marks are final.
+        pairs = np.concatenate(buckets[top // TILE])
+        buckets[top // TILE] = []
+        band_rows = top + np.flatnonzero(marked[top:top + len(block)])
+        if len(band_rows):
+            recomputed += len(band_rows)
+            pairs = np.concatenate([
+                pairs[~marked[pairs // n]],
+                *(i * n + np.flatnonzero(matrix @ matrix[i] >= threshold) for i in band_rows),
+            ])
+        pairs.sort()
+        indptr[top + 1:top + len(block) + 1] = np.bincount(pairs // n - top, minlength=len(block))
+        indices.append(np.remainder(pairs, n, out=pairs).astype(np.int32))
+    return np.cumsum(indptr), np.concatenate(indices), recomputed
 
 
 def dedup_by_clusters(

@@ -112,6 +112,7 @@ def synthesize_step(
 
 
 def _checkpoint(cfg: SynthesisConfig, seeds: SeedPool, synthesized: list[CommandLine]) -> None:
+    logger.info("synthesized %d/%d", len(synthesized), cfg.target_count)
     if cfg.checkpoint_dir is None:
         return
     from . import jsonl

@@ -7,16 +7,23 @@ import pytest
 
 from cmdsim.clustering import (
     NOISE,
+    TILE,
     ClusterLabeling,
     DbscanParams,
     cluster_coverage,
     dbscan,
     dedup_by_clusters,
     mine_negatives,
+    _neighbour_lists,
 )
 from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
 
-from oracles import clustered_unit_vectors, naive_dbscan, naive_mine_negatives
+from oracles import (
+    clustered_unit_vectors,
+    naive_dbscan,
+    naive_dbscan_from_neighbors,
+    naive_mine_negatives,
+)
 
 
 def unit_rows(rows) -> np.ndarray:
@@ -96,6 +103,88 @@ class TestDbscan:
             reference_labels, reference_count = naive_dbscan(matrix, eps, min_pts)
             assert list(ours.labels) == reference_labels
             assert ours.num_clusters == reference_count
+
+
+def matvec_neighbour_lists(matrix: np.ndarray, eps: float) -> list[list[int]]:
+    """The reference lists: one mat-vec per row, inclusive radius."""
+    return [np.flatnonzero(matrix @ matrix[i] >= 1.0 - eps).tolist() for i in range(len(matrix))]
+
+
+def assert_matches_matvec_reference(matrix: np.ndarray, eps: float, min_pts: int) -> int:
+    """Check the tiled lists and the labeling against the per-row
+    mat-vec reference; returns the number of rows recomputed."""
+    reference = matvec_neighbour_lists(matrix, eps)
+    indptr, indices, recomputed = _neighbour_lists(matrix, 1.0 - eps)
+    assert indices.dtype == np.int32
+    assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(matrix))] == reference
+    labels, count = naive_dbscan_from_neighbors(reference, min_pts)
+    ours = dbscan(matrix, DbscanParams(eps=eps, min_pts=min_pts))
+    assert list(ours.labels) == labels
+    assert ours.num_clusters == count
+    return recomputed
+
+
+class TestDbscanTiles:
+    @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_tile_edges_and_mirror(self, n, eps):
+        rng = np.random.default_rng(n)
+        assert_matches_matvec_reference(clustered_unit_vectors(rng, n, 6), eps, min_pts=3)
+
+    def test_exact_duplicates_across_tiles(self):
+        rng = np.random.default_rng(11)
+        matrix = clustered_unit_vectors(rng, 2 * TILE + 3, 8)
+        # Rows 10..19 repeat rows 0..9 inside tile 0, and row i + TILE
+        # repeats row i across an off-diagonal tile.
+        matrix[10:20] = matrix[:10]
+        matrix[TILE:2 * TILE] = matrix[:TILE]
+        assert_matches_matvec_reference(matrix, 0.05, min_pts=2)
+        assert_matches_matvec_reference(matrix, 1e-12, min_pts=2)
+
+    @pytest.mark.parametrize("j", [6, TILE + 40])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_pair_at_the_threshold_is_recomputed(self, j, ulps):
+        rng = np.random.default_rng(j)
+        matrix = clustered_unit_vectors(rng, TILE + 60, 16)
+        matrix[j] = matrix[5] + 0.3 * rng.normal(size=16)
+        matrix[j] /= np.linalg.norm(matrix[j])
+        similarity = (matrix @ matrix[5])[j]
+        assert 0.5 <= similarity < 1.0
+        # 1 - s is exact for s in [0.5, 1], so the threshold 1 - eps is
+        # the computed similarity itself, or one ulp away from it.
+        threshold = similarity
+        for _ in range(abs(ulps)):
+            threshold = np.nextafter(threshold, 2.0 if ulps > 0 else 0.0)
+        eps = 1.0 - threshold
+        assert 1.0 - eps == threshold
+        assert (j in matvec_neighbour_lists(matrix, eps)[5]) == (ulps <= 0)
+        # Exactly rows 5 and j: for j in another tile, j is marked as a column.
+        assert assert_matches_matvec_reference(matrix, eps, min_pts=2) == 2
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_underflowing_and_overflowing_rows(self, scale):
+        # Finite rows whose products underflow to subnormals or zero, or
+        # overflow to inf and, summed with -inf, to NaN.
+        rng = np.random.default_rng(3)
+        matrix = scale * np.vstack([clustered_unit_vectors(rng, 40, 4), [[1.0, -1.0, 0.0, 0.0]] * 3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for eps in (0.5, 1.0, 1.5):
+                assert_matches_matvec_reference(matrix, eps, min_pts=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        matrix = np.array([[1.0, 0.0]] * 5 + [[bad, 0.0], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="row 5 has a non-finite value"):
+            dbscan(matrix, DbscanParams(eps=0.05, min_pts=3))
+
+    def test_logs_counts(self, caplog):
+        matrix = unit_rows([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3 + [[-1.0, 0.0]])
+        with caplog.at_level("INFO", logger="cmdsim.clustering"):
+            dbscan(matrix, DbscanParams(eps=0.1, min_pts=3))
+        assert caplog.messages == [
+            "dbscan: 7 points, 2 clusters, 1 noise, 19 neighbour pairs, "
+            "0 rows recomputed in the band"
+        ]
 
 
 class TestDedupByClusters:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from cmdsim import embedding
+import numpy as np
+
+from cmdsim import clustering, embedding
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,14 +26,23 @@ def _load(name: str):
 
 def test_install_patches_every_layer_and_uninstall_restores():
     layers, tracer_module = _load("layers"), _load("tracer")
-    original = embedding.embed_batch
+    original, original_dbscan = embedding.embed_batch, clustering.dbscan
     tracer = tracer_module.Tracer()
     try:
         layers.install(tracer)
         assert embedding.embed_batch is not original
+        assert clustering.dbscan is not original_dbscan
         embedding.embed_batch(embedding.HashingEmbeddingBackend(8), ["net user"])
         assert tracer.counts["embedding.texts"] == 1
-        assert {span[3] for span in tracer.spans} == {"embedding.embed_batch", "embedding.backend"}
+        # The dbscan hook reads the labeling's labels and num_clusters.
+        vectors = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
+        clustering.dbscan(vectors, clustering.DbscanParams(eps=0.1, min_pts=3))
+        assert tracer.counts["clustering.clusters"] == 1
+        assert tracer.counts["clustering.points"] == 4
+        assert tracer.counts["clustering.noise"] == 1
+        assert {span[3] for span in tracer.spans} == {
+            "embedding.embed_batch", "embedding.backend", "clustering.dbscan"}
     finally:
         tracer.uninstall()
     assert embedding.embed_batch is original
+    assert clustering.dbscan is original_dbscan

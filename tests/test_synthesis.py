@@ -243,6 +243,22 @@ class TestRunSynthesis:
         assert all(c.source is Source.LLM_SYNTHESIZED for c in result)
         assert all(c.provenance in {"mock-0", "mock-1"} for c in result)
 
+    def test_progress_logged_at_each_checkpoint(self, caplog):
+        counter = [0]
+
+        class Fresh:
+            def complete(self, prompt):
+                counter[0] += 4
+                return "\n".join(f"<CMD>generated-{counter[0] - k:05d}" for k in range(4))
+
+        with caplog.at_level("INFO", logger="cmdsim.synthesis"):
+            run_synthesis(
+                make_pool(), make_seeds(12), SynthesisConfig(target_count=250),
+                client_for=lambda spec: Fresh(),
+            )
+        progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("synthesized")]
+        assert progress == ["synthesized 100/250", "synthesized 200/250", "synthesized 250/250"]
+
 
 class PairClient:
     """Deterministic similar-command responder with scriptable quirks."""
