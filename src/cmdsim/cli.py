@@ -450,10 +450,14 @@ def cmd_cluster_negatives(settings: Settings) -> int:
     n = settings.get("n", 1000, int)
     out = settings.out_path(settings.get("out", "negatives.jsonl"))
 
+    # Each row as json.dumps would write {"query_id": i, "negative_ids": [...]},
+    # joined from the ids' strings instead of encoding n ints a row.
+    ids = [str(i) for i in range(len(records))]
+
     def rows():
         for i, positive in enumerate(positives):
             negatives = clustering.mine_negatives(i, matrix, n, positive_index=positive)
-            yield {"query_id": i, "negative_ids": negatives}
+            yield f'{{"query_id": {i}, "negative_ids": [{", ".join([ids[j] for j in negatives])}]}}'
 
     jsonl.write_records(out, rows())
     jsonl.write_meta(out, settings.stage, n=n, queries=len(records),
@@ -650,19 +654,26 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     handler = getattr(args, "handler", None)
     if handler is None:
         parser.print_help()
         return 2
+    # The root logger gets this run's level and a stderr handler, and has
+    # both undone at the end, so each run in one process logs as its flags say.
+    root = logging.getLogger()
+    level = root.level
+    log_handler = logging.StreamHandler(sys.stderr)
+    log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.addHandler(log_handler)
+    root.setLevel(logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
     try:
         return handler(Settings(args))
     except (ValueError, KeyError, OSError, GatewayError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        root.removeHandler(log_handler)
+        root.setLevel(level)
 
 
 def main() -> None:

@@ -82,39 +82,29 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
         raise ValueError(f"row {int(np.argmin(finite))} has a non-finite value")
     n = matrix.shape[0]
     indptr, indices, recomputed = _neighbour_lists(matrix, 1.0 - params.eps)
-
-    def neighbors(i: int) -> list[int]:
-        return indices[indptr[i]:indptr[i + 1]].tolist()
-
+    # Only core points expand, and a point outside every cluster so far
+    # joins the first cluster that reaches it, so claiming it there, once,
+    # gives the labels of the textbook FIFO, whose later copies of a point
+    # change nothing.  A non-core point visited in index order stays noise
+    # until claimed either way, so it needs no mark of its own.
+    core = (np.diff(indptr) >= params.min_pts).tolist()
+    bounds = indptr.tolist()
     labels = [NOISE] * n
-    visited = [False] * n
     next_cluster = 0
     for start in range(n):
-        if visited[start]:
-            continue
-        visited[start] = True
-        seed_neighbors = neighbors(start)
-        if len(seed_neighbors) < params.min_pts:
+        if not core[start] or labels[start] != NOISE:
             continue
         cluster = next_cluster
         next_cluster += 1
         labels[start] = cluster
-        queue = deque(j for j in seed_neighbors if j != start)
+        queue = deque([start])
         while queue:
             point = queue.popleft()
-            if labels[point] == NOISE:
-                labels[point] = cluster
-            if visited[point]:
-                continue
-            visited[point] = True
-            point_neighbors = neighbors(point)
-            if len(point_neighbors) >= params.min_pts:
-                # Filtered enqueue: skipping already-visited, already-
-                # labeled points changes nothing about the outcome, only
-                # the queue volume.
-                queue.extend(
-                    j for j in point_neighbors if not visited[j] or labels[j] == NOISE
-                )
+            for j in indices[bounds[point]:bounds[point + 1]].tolist():
+                if labels[j] == NOISE:
+                    labels[j] = cluster
+                    if core[j]:
+                        queue.append(j)
     logger.info(
         "dbscan: %d points, %d clusters, %d noise, %d neighbour pairs, "
         "%d rows recomputed in the band",

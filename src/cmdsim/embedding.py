@@ -31,6 +31,14 @@ DEFAULT_DIM = 256
 # or under it.
 REMOTE_CHUNK = 2048
 
+# Texts per array pass of HashingEmbeddingBackend.embed.  A slice's
+# count matrix is HASH_SLICE x 2 x dim int64, 512 KiB at dim 256; larger
+# slices were no faster and raised peak memory.
+HASH_SLICE = 128
+# A gram key packs three 21-bit code points; this one, above every code
+# point, pads the single gram of a 1-2 character text.
+_PAD = 0x1FFFFF
+
 
 class EmbeddingIntegrityError(ValueError):
     """Backend returned vectors of the wrong shape or with non-finite
@@ -65,35 +73,61 @@ class HashingEmbeddingBackend:
         self.dim = dim
         self.identity = f"hash3-{dim}"
         self.calls = 0
-        self._gram_slots: dict[str, tuple[int, float]] = {}
+        # Packed gram key -> 2 * coordinate + (1 if the gram adds, 0 if it subtracts).
+        self._gram_codes: dict[int, int] = {}
 
-    def _slot(self, gram: str) -> tuple[int, float]:
-        cached = self._gram_slots.get(gram)
-        if cached is None:
+    def _code(self, key: int) -> int:
+        code = self._gram_codes.get(key)
+        if code is None:
+            gram = "".join(chr(key >> shift & _PAD) for shift in (42, 21, 0) if key >> shift & _PAD != _PAD)
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            index = int.from_bytes(digest[:4], "little") % self.dim
-            sign = 1.0 if digest[4] & 1 else -1.0
-            cached = (index, sign)
-            self._gram_slots[gram] = cached
-        return cached
-
-    def _embed_one(self, text: str) -> np.ndarray:
-        canonical = canonical_dedup_key(text)
-        if not canonical:
-            raise ValueError("cannot embed blank text")
-        if len(canonical) < 3:
-            grams = [canonical]
-        else:
-            grams = [canonical[i:i + 3] for i in range(len(canonical) - 2)]
-        vector = np.zeros(self.dim, dtype=np.float64)
-        for gram in grams:
-            index, sign = self._slot(gram)
-            vector[index] += sign
-        return vector
+            code = 2 * (int.from_bytes(digest[:4], "little") % self.dim) + (digest[4] & 1)
+            self._gram_codes[key] = code
+        return code
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text: over the grams of its canonical form (its
+        trigrams, or the whole of a 1-2 character form), the count of those
+        that add to each coordinate minus the count of those that subtract.
+
+        A coordinate is a sum of +-1.0 terms whose partial sums are small
+        integers, so the float64 count difference is exactly what adding
+        the terms one by one gives, in any order.  Texts go through in
+        slices of HASH_SLICE; Python touches each distinct gram of a slice
+        once, and hashes a gram only the first time this backend sees it.
+        """
         self.calls += 1
-        return np.stack([self._embed_one(t) for t in texts])
+        vectors = np.empty((len(texts), self.dim), dtype=np.float64)
+        for start in range(0, len(texts), HASH_SLICE):
+            canonicals = [canonical_dedup_key(text) for text in texts[start:start + HASH_SLICE]]
+            blank = next((i for i, canonical in enumerate(canonicals) if not canonical), None)
+            # Texts before a blank one are encoded first, so the first bad text
+            # decides the error: UnicodeEncodeError for a lone surrogate.
+            codes = np.frombuffer("".join(canonicals[:blank]).encode("utf-32-le"), dtype="<u4")
+            if blank is not None:
+                raise ValueError("cannot embed blank text")
+            lengths = np.array([len(canonical) for canonical in canonicals])
+            # Each text followed by two pads, so the gram at a text's first
+            # position is (a, b, pad) or (a, pad, pad) when it has 2 or 1 chars.
+            padded = np.full(len(codes) + 2 * len(lengths), _PAD, dtype=np.uint64)
+            padded[np.arange(len(codes)) + np.repeat(2 * np.arange(len(lengths)), lengths)] = codes
+            keys = padded[:-2] << np.uint64(42)
+            keys |= padded[1:-1] << np.uint64(21)
+            keys |= padded[2:]
+            del padded
+            grams = np.maximum(lengths - 2, 1)
+            firsts = np.cumsum(lengths + 2) - (lengths + 2)
+            positions = np.arange(grams.sum()) + np.repeat(firsts - (np.cumsum(grams) - grams), grams)
+            distinct, inverse = np.unique(keys[positions], return_inverse=True)
+            del keys, positions
+            # Bin row * 2 * dim + code of every gram: a text's row of
+            # 2 * dim bins holds, per coordinate, its subtracting count and
+            # then its adding count.
+            bins = np.array([self._code(key) for key in distinct.tolist()])[inverse]
+            bins += np.repeat(np.arange(0, len(lengths) * 2 * self.dim, 2 * self.dim), grams)
+            counts = np.bincount(bins, minlength=len(lengths) * 2 * self.dim).reshape(-1, self.dim, 2)
+            vectors[start:start + len(lengths)] = counts[:, :, 1] - counts[:, :, 0]
+        return vectors
 
 
 class RemoteEmbeddingBackend:

@@ -59,13 +59,14 @@ def write_csv(path: str | Path, header: Sequence[Any], rows: Iterable[Sequence[A
         writer.writerows(rows)
 
 
-def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
+def write_records(path: str | Path, records: Iterable[dict[str, Any] | str]) -> int:
     """Write records one per line, replacing ``path`` whole; returns the
-    number written."""
+    number written.  A ``str`` item is a record already encoded as
+    ``json.dumps(record, ensure_ascii=False)`` would, and is written as is."""
     count = 0
     with _replacing(path) as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
+            handle.write(record if isinstance(record, str) else json.dumps(record, ensure_ascii=False))
             handle.write("\n")
             count += 1
     return count

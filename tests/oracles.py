@@ -7,6 +7,7 @@ differences.  None of it shares code with the package under test.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -162,6 +163,31 @@ def naive_mine_negatives(
         scored.append((float(np.dot(embeddings[i], embeddings[query_index])), i))
     scored.sort()
     return [i for _, i in scored[:n]]
+
+
+def hash3_embed(texts, dim: int) -> np.ndarray:
+    """Hashed character trigrams, one gram at a time: each gram of the
+    lowercased, whitespace-collapsed text (its trigrams, or the whole of
+    a 1-2 character text) adds or subtracts 1.0 at the coordinate its
+    blake2b digest picks."""
+
+    def embed_one(text: str) -> np.ndarray:
+        canonical = " ".join(text.lower().split())
+        if not canonical:
+            raise ValueError("cannot embed blank text")
+        if len(canonical) < 3:
+            grams = [canonical]
+        else:
+            grams = [canonical[i:i + 3] for i in range(len(canonical) - 2)]
+        vector = np.zeros(dim, dtype=np.float64)
+        for gram in grams:
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+            index = int.from_bytes(digest[:4], "little") % dim
+            sign = 1.0 if digest[4] & 1 else -1.0
+            vector[index] += sign
+        return vector
+
+    return np.stack([embed_one(t) for t in texts])
 
 
 def clustered_unit_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

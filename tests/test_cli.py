@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from cmdsim import cli
+from cmdsim.clustering import mine_negatives
 from cmdsim.contrastive import AdapterModel
+from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
 from conftest import mock_vocab_commands, write_jsonl
@@ -316,6 +318,24 @@ class TestClusterStages:
         assert 0 not in first["negative_ids"]
         assert 1 not in first["negative_ids"]
 
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_negatives_bytes_are_json_dumps(self, tmp_path, n):
+        # Every record but the last has a positive, so 7 is every candidate.
+        records = explanation_records()
+        for i, record in enumerate(records[:-1]):
+            record["positive_id"] = (i + 3) % len(records)
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        code = cli.run(["cluster", "negatives", "--in", str(input_path), "--n", str(n),
+                        "--dim", "64", "--output-dir", str(tmp_path)])
+        assert code == 0
+        matrix = embed_batch(HashingEmbeddingBackend(64), [r["explanation"] for r in records])
+        expected = "".join(
+            json.dumps({"query_id": i, "negative_ids": mine_negatives(
+                i, matrix, n, positive_index=record.get("positive_id"))}, ensure_ascii=False) + "\n"
+            for i, record in enumerate(records)
+        )
+        assert (tmp_path / "negatives.jsonl").read_bytes() == expected.encode("utf-8")
+
     @pytest.mark.parametrize("positive", ["3", True, 1.0])
     def test_negatives_reject_non_integer_positive_id(self, tmp_path, capsys, positive):
         records = explanation_records()
@@ -337,6 +357,21 @@ class TestClusterStages:
         )
         assert code == 1
         assert "n must be >= 1" in capsys.readouterr().err
+
+    def test_each_run_logs_at_its_own_level(self, tmp_path, capsys):
+        input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
+        argv = ["cluster", "dedup", "--in", str(input_path), "--eps", "0.05", "--min-pts", "2",
+                "--dim", "64", "--output-dir", str(tmp_path)]
+        info_lines = []
+        for extra in ([], ["--verbose"], []):
+            assert cli.run(argv + extra) == 0
+            err = capsys.readouterr().err
+            info_lines.append([line for line in err.splitlines() if line.startswith("INFO")])
+        assert info_lines[0] == info_lines[2] == []
+        assert info_lines[1] == [
+            "INFO cmdsim.clustering: dbscan: 9 points, 2 clusters, 2 noise, "
+            "27 neighbour pairs, 0 rows recomputed in the band"
+        ]
 
     def test_coverage_report(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())

@@ -161,6 +161,18 @@ class TestDbscanTiles:
         # Exactly rows 5 and j: for j in another tile, j is marked as a column.
         assert assert_matches_matvec_reference(matrix, eps, min_pts=2) == 2
 
+    @pytest.mark.parametrize("min_pts", [1, 2, 3, 5])
+    def test_chains_border_points_and_noise_starts(self, min_pts):
+        # Points on an arc: chains of core points, border points that two
+        # clusters reach, and points visited as noise before a later
+        # cluster claims them.  Each point joins the first cluster that
+        # reaches it, whatever order its claims are made in.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            angles = rng.uniform(0.0, 3.0, size=60)
+            matrix = np.column_stack([np.cos(angles), np.sin(angles)])
+            assert_matches_matvec_reference(matrix, 1.0 - np.cos(0.06), min_pts)
+
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_underflowing_and_overflowing_rows(self, scale):
         # Finite rows whose products underflow to subnormals or zero, or

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cmdsim.embedding import (
     DEFAULT_DIM,
+    HASH_SLICE,
     EmbeddingCache,
     EmbeddingIntegrityError,
     REMOTE_CHUNK,
@@ -18,6 +19,8 @@ from cmdsim.embedding import (
     unit_normalize,
 )
 from cmdsim.gateway import ConfigurationError, ProviderError, TransportError
+
+from oracles import hash3_embed
 
 texts_strategy = st.text(min_size=1, max_size=40).filter(lambda s: s.strip())
 
@@ -84,6 +87,63 @@ class TestHashingBackend:
         grams = max(1, len(canonical) - 2) if len(canonical) >= 3 else 1
         vector = backend.embed([text])[0]
         assert np.abs(vector).sum() <= grams + 1e-9
+
+
+# Astral-plane characters, whitespace runs and case pairs; texts are
+# short, so 1-2 character canonical forms are common.
+hash_texts = st.text(
+    alphabet=list("aAbB /\\:.-é \t\n\u3000\U0001F600\U00010348"),
+    min_size=1, max_size=12,
+).filter(lambda s: s.strip())
+
+
+class TestHashingMatchesOracle:
+    """The array kernel against the one-gram-at-a-time loop, bit for bit."""
+
+    @given(st.lists(hash_texts, min_size=1, max_size=8), st.sampled_from([1, 7, 64, 256]))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal(self, texts, dim):
+        ours = HashingEmbeddingBackend(dim).embed(texts)
+        assert ours.tobytes() == hash3_embed(texts, dim).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_batches_straddling_the_slice(self, data):
+        count = data.draw(st.sampled_from([HASH_SLICE - 1, HASH_SLICE, HASH_SLICE + 1, 2 * HASH_SLICE + 5]))
+        texts = data.draw(st.lists(hash_texts, min_size=count, max_size=count))
+        backend = HashingEmbeddingBackend(64)
+        # Twice, so the second pass is served from the gram cache.
+        for _ in range(2):
+            assert backend.embed(texts).tobytes() == hash3_embed(texts, 64).tobytes()
+
+    def test_one_and_two_character_texts(self):
+        texts = ["a", " B ", "ab", "a b", "\U0001F600", "\U0001F600x", "abc"]
+        ours = HashingEmbeddingBackend(64).embed(texts)
+        assert ours.tobytes() == hash3_embed(texts, 64).tobytes()
+        assert [np.abs(row).sum() for row in ours[:6]] == [1.0] * 6
+
+    @pytest.mark.parametrize("at", [0, 3, HASH_SLICE + 2])
+    def test_blank_text_mid_batch(self, at):
+        texts = ["net user"] * (HASH_SLICE + 4)
+        texts[at] = " \t "
+        with pytest.raises(ValueError, match="blank"):
+            HashingEmbeddingBackend(64).embed(texts)
+        with pytest.raises(ValueError, match="blank"):
+            hash3_embed(texts, 64)
+
+    @pytest.mark.parametrize("texts, error", [
+        (["ok", "a\ud800b"], UnicodeEncodeError),
+        (["\udfff"], UnicodeEncodeError),
+        (["x\ud83d\ude00", "  "], UnicodeEncodeError),
+        (["ok", " ", "a\ud800b"], ValueError),
+    ])
+    def test_first_bad_text_decides_the_error(self, texts, error):
+        # Lone surrogates cannot be encoded; UnicodeEncodeError is a ValueError.
+        with pytest.raises(error) as ours:
+            HashingEmbeddingBackend(64).embed(texts)
+        with pytest.raises(error) as oracle:
+            hash3_embed(texts, 64)
+        assert type(ours.value) is type(oracle.value) is error
 
 
 class FakeBackend:

@@ -51,6 +51,12 @@ def test_write_records_uses_lf_and_utf8(tmp_path):
     assert "café".encode("utf-8") in raw
 
 
+def test_write_records_writes_str_items_as_encoded_lines(tmp_path):
+    path = tmp_path / "r.jsonl"
+    assert jsonl.write_records(path, ['{"a": [1, 2]}', {"b": "é"}]) == 2
+    assert path.read_bytes() == '{"a": [1, 2]}\n{"b": "é"}\n'.encode("utf-8")
+
+
 def _rows(items, fail):
     """``items``, or with ``fail`` a generator that raises after the first."""
     if not fail:
