@@ -274,14 +274,14 @@ def mann_whitney_auc(
     combined = np.concatenate([positives, negatives])
     order = np.argsort(combined, kind="mergesort")
     sorted_values = combined[order]
+    # Tie groups of the sorted scores: NaN never equals itself, so each
+    # NaN is a group of its own, while -0.0 and 0.0 tie.
+    starts = np.flatnonzero(
+        np.concatenate([[True], sorted_values[1:] != sorted_values[:-1]])
+    )
+    ends = np.append(starts[1:], combined.size)
     midranks = np.empty(combined.size, dtype=np.float64)
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        midranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    midranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum = float(np.sum(midranks[: positives.size]))
     wins = rank_sum - positives.size * (positives.size + 1) / 2.0
     return wins / (positives.size * negatives.size)
@@ -317,8 +317,8 @@ def detection_auc(
         target_rows = matrix[[row[t] for t in texts]]
         return (target_rows @ pool_rows.T).max(axis=1)
 
-    all_positives: list[float] = []
-    all_negatives: list[float] = []
+    all_positives: list[np.ndarray] = []
+    all_negatives: list[np.ndarray] = []
     per_technique: list[float] = []
     for split in splits:
         if not split.queries:
@@ -328,12 +328,12 @@ def detection_auc(
         positives = pool_scores(split.queries, split.pool)
         negatives = pool_scores(split.negatives, split.pool)
         if mode == "concatenated":
-            all_positives.extend(float(s) for s in positives)
-            all_negatives.extend(float(s) for s in negatives)
+            all_positives.append(positives)
+            all_negatives.append(negatives)
         else:
             per_technique.append(mann_whitney_auc(positives, negatives))
     if mode == "concatenated":
-        return mann_whitney_auc(all_positives, all_negatives)
+        return mann_whitney_auc(np.concatenate(all_positives), np.concatenate(all_negatives))
     return float(np.mean(per_technique))
 
 
@@ -407,40 +407,76 @@ DEFAULT_HYPER_GRID: tuple[dict[str, float], ...] = (
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shift = logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    shift = logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits - shift)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _with_bias(features: np.ndarray) -> np.ndarray:
+    """``features`` with a column of ones appended, in one allocation."""
+    design = np.empty((features.shape[0], features.shape[1] + 1))
+    design[:, :-1] = features
+    design[:, -1] = 1.0
+    return design
 
 
 def _fit_multinomial(
-    features: np.ndarray,
+    design: np.ndarray,
     class_indices: np.ndarray,
     num_classes: int,
-    l2: float,
-    learning_rate: float,
-    iterations: int,
+    hyper_grid: Sequence[dict[str, float]],
 ) -> np.ndarray:
-    """Full-batch gradient descent on the multinomial cross-entropy.
+    """Full-batch gradient descent on the multinomial cross-entropy, for
+    every grid entry at once.
 
-    Returns (d+1, C) weights with the bias in the last row (never
-    penalized).
+    ``design`` is the (n, d+1) feature matrix with a trailing column of
+    ones.  Returns (G, d+1, C) weights, one C-contiguous (d+1, C) block
+    per grid entry, with the bias in the last row (never penalized).
+
+    The entries' weights sit side by side in one (d+1, G*C) matrix, so
+    an iteration is one logits GEMM, a softmax over each entry's C
+    columns and one gradient GEMM through ``design.T``, whatever G is.
+    ``l2`` and ``learning_rate`` are per-column vectors.  An entry with
+    fewer iterations than the largest keeps its columns as they stood
+    after its own count.
+
+    Bits: the elementwise steps and the C-wide reductions are the same
+    per element as fitting each entry alone, and with one entry every
+    call is a lone fit's.  The wider GEMMs are not equal by construction
+    (a BLAS may pick its kernel by shape), so ``tests/test_evaluation.py``
+    asserts bit equality with the per-entry reference fit on the shapes
+    the probe and its tests use.  The gradient reads the strided view
+    ``design.T``, as a lone fit does: a contiguous copy is faster at
+    large n but rounds differently on small 2-class shapes.
     """
-    n = features.shape[0]
-    design = np.hstack([features, np.ones((n, 1))])
-    weights = np.zeros((design.shape[1], num_classes))
+    n = design.shape[0]
+    entries = len(hyper_grid)
+    width = entries * num_classes
+    l2 = np.repeat([float(h["l2"]) for h in hyper_grid], num_classes)
+    learning_rate = np.repeat(
+        [float(h["learning_rate"]) for h in hyper_grid], num_classes
+    )
+    iterations = [int(h["iterations"]) for h in hyper_grid]
     one_hot = np.zeros((n, num_classes))
     one_hot[np.arange(n), class_indices] = 1.0
-    for _ in range(int(iterations)):
-        probabilities = _softmax_rows(design @ weights)
+    one_hot = np.tile(one_hot, entries)
+    weights = np.zeros((design.shape[1], width))
+    fitted = np.zeros((entries, design.shape[1], num_classes))
+    for step in range(1, max(iterations) + 1):
+        logits = (design @ weights).reshape(n, entries, num_classes)
+        probabilities = _softmax_rows(logits).reshape(n, width)
         gradient = design.T @ (probabilities - one_hot) / n
         gradient[:-1] += l2 * weights[:-1]
         weights = weights - learning_rate * gradient
-    return weights
+        for entry, count in enumerate(iterations):
+            if count == step:
+                fitted[entry] = weights[:, entry * num_classes:(entry + 1) * num_classes]
+    return fitted
 
 
 def _predict(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    design = np.hstack([features, np.ones((features.shape[0], 1))])
-    return np.argmax(design @ weights, axis=1)
+    return np.argmax(_with_bias(features) @ weights, axis=1)
 
 
 def train_logreg(
@@ -455,8 +491,10 @@ def train_logreg(
 
     Hyperparameters are chosen by accuracy on a random 20% slice of the
     training set (ties resolved toward the earlier grid entry), then the
-    winner is refit on the full training set.  Returns the fitted
-    weights and the test accuracy as a percentage.
+    winner is refit on the full training set.  The whole grid is fit in
+    one joint pass over the other 80% (see :func:`_fit_multinomial`),
+    with weights bit-equal to fitting each entry alone.  Returns the
+    fitted weights and the test accuracy as a percentage.
     """
     if hyper_grid is None:
         hyper_grid = DEFAULT_HYPER_GRID
@@ -488,30 +526,19 @@ def train_logreg(
     val_idx = order[:val_count]
     fit_idx = order[val_count:]
 
+    grid_weights = _fit_multinomial(
+        _with_bias(train_x[fit_idx]), train_y[fit_idx], len(classes), hyper_grid
+    )
     best_accuracy = -1.0
     best_hyper = None
-    for hyper in hyper_grid:
-        weights = _fit_multinomial(
-            train_x[fit_idx],
-            train_y[fit_idx],
-            len(classes),
-            l2=hyper["l2"],
-            learning_rate=hyper["learning_rate"],
-            iterations=hyper["iterations"],
-        )
-        accuracy = float(np.mean(_predict(weights, train_x[val_idx]) == train_y[val_idx]))
+    val_x, val_y = train_x[val_idx], train_y[val_idx]
+    for hyper, weights in zip(hyper_grid, grid_weights):
+        accuracy = float(np.mean(_predict(weights, val_x) == val_y))
         logger.debug("hyper %s: validation accuracy %.4f", hyper, accuracy)
         if accuracy > best_accuracy:
             best_accuracy = accuracy
             best_hyper = hyper
     assert best_hyper is not None
-    weights = _fit_multinomial(
-        train_x,
-        train_y,
-        len(classes),
-        l2=best_hyper["l2"],
-        learning_rate=best_hyper["learning_rate"],
-        iterations=best_hyper["iterations"],
-    )
+    (weights,) = _fit_multinomial(_with_bias(train_x), train_y, len(classes), [best_hyper])
     test_accuracy = 100.0 * float(np.mean(_predict(weights, test_x) == test_y))
     return weights, test_accuracy

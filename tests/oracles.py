@@ -212,3 +212,95 @@ def clustered_unit_vectors(rng: np.random.Generator, n: int, dim: int) -> np.nda
             norm = np.linalg.norm(row)
         rows.append(row / norm)
     return np.asarray(rows)
+
+
+def fit_multinomial_reference(
+    features: np.ndarray,
+    class_indices: np.ndarray,
+    num_classes: int,
+    l2: float,
+    learning_rate: float,
+    iterations: int,
+) -> np.ndarray:
+    """One grid entry's full-batch gradient descent on the multinomial
+    cross-entropy, alone: (d+1, C) weights, bias in the last row and
+    never penalized."""
+
+    def softmax_rows(logits: np.ndarray) -> np.ndarray:
+        shift = logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits - shift)
+        return exp / exp.sum(axis=1, keepdims=True)
+
+    n = features.shape[0]
+    design = np.hstack([features, np.ones((n, 1))])
+    weights = np.zeros((design.shape[1], num_classes))
+    one_hot = np.zeros((n, num_classes))
+    one_hot[np.arange(n), class_indices] = 1.0
+    for _ in range(int(iterations)):
+        probabilities = softmax_rows(design @ weights)
+        gradient = design.T @ (probabilities - one_hot) / n
+        gradient[:-1] += l2 * weights[:-1]
+        weights = weights - learning_rate * gradient
+    return weights
+
+
+def logreg_probe_reference(
+    train_x: np.ndarray,
+    train_labels,
+    test_x: np.ndarray,
+    test_labels,
+    hyper_grid,
+    rng,
+) -> tuple[np.ndarray, float]:
+    """The classification probe one grid entry at a time: shuffle, hold
+    out 20% for validation, fit every entry on the rest, keep the first
+    entry of best validation accuracy, refit it on all training rows and
+    return (weights, test accuracy in percent)."""
+
+    def predict(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+        design = np.hstack([features, np.ones((features.shape[0], 1))])
+        return np.argmax(design @ weights, axis=1)
+
+    classes = sorted(set(train_labels))
+    index = {label: i for i, label in enumerate(classes)}
+    train_y = np.asarray([index[label] for label in train_labels])
+    test_y = np.asarray([index[label] for label in test_labels])
+    order = list(range(train_x.shape[0]))
+    rng.shuffle(order)
+    val_count = max(1, round(0.2 * len(order)))
+    val_idx, fit_idx = order[:val_count], order[val_count:]
+    best_accuracy, best_hyper = -1.0, None
+    for hyper in hyper_grid:
+        weights = fit_multinomial_reference(
+            train_x[fit_idx], train_y[fit_idx], len(classes),
+            hyper["l2"], hyper["learning_rate"], hyper["iterations"],
+        )
+        accuracy = float(np.mean(predict(weights, train_x[val_idx]) == train_y[val_idx]))
+        if accuracy > best_accuracy:
+            best_accuracy, best_hyper = accuracy, hyper
+    weights = fit_multinomial_reference(
+        train_x, train_y, len(classes),
+        best_hyper["l2"], best_hyper["learning_rate"], best_hyper["iterations"],
+    )
+    return weights, 100.0 * float(np.mean(predict(weights, test_x) == test_y))
+
+
+def midrank_auc(positive_scores, negative_scores) -> float:
+    """Mann-Whitney AUC from midranks, each tie group found by walking
+    the stably sorted scores one element at a time."""
+    positives = np.asarray(positive_scores, dtype=np.float64)
+    negatives = np.asarray(negative_scores, dtype=np.float64)
+    combined = np.concatenate([positives, negatives])
+    order = np.argsort(combined, kind="mergesort")
+    sorted_values = combined[order]
+    midranks = np.empty(combined.size, dtype=np.float64)
+    i = 0
+    while i < combined.size:
+        j = i
+        while j + 1 < combined.size and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        midranks[order[i:j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    rank_sum = float(np.sum(midranks[: positives.size]))
+    wins = rank_sum - positives.size * (positives.size + 1) / 2.0
+    return wins / (positives.size * negatives.size)

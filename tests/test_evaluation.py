@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from cmdsim.core import CommandLine
 from cmdsim.embedding import HashingEmbeddingBackend
 from cmdsim.evaluation import (
     CLASS_COMMANDS,
+    DEFAULT_HYPER_GRID,
     MIN_TECHNIQUE_SIZE,
     RetrievalCase,
     Technique,
@@ -29,10 +31,18 @@ from cmdsim.evaluation import (
     synth_classification_dataset,
     top_at_k,
     train_logreg,
+    _fit_multinomial,
 )
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
-from oracles import mrr_from_ranks, pair_count_auc, top_from_ranks
+from oracles import (
+    fit_multinomial_reference,
+    logreg_probe_reference,
+    midrank_auc,
+    mrr_from_ranks,
+    pair_count_auc,
+    top_from_ranks,
+)
 
 
 class VectorBackend:
@@ -515,6 +525,98 @@ class TestTrainLogreg:
         # both entries hit 100% validation on separable blobs; the tie
         # must go to the first entry
         assert np.array_equal(w_pair, w_single)
+
+
+def probe_blobs8(rng: np.random.Generator, per_class: int):
+    """Criterion 09's seven well-spread 8-d classes."""
+    centers = 2.0 * np.eye(8)[:7]
+    features, labels = [], []
+    for i, center in enumerate(centers):
+        features.append(center + 0.05 * rng.standard_normal((per_class, 8)))
+        labels.extend([f"class_{i}"] * per_class)
+    return np.vstack(features), labels
+
+
+@pytest.fixture(scope="module", params=["hash3", "blobs8", "blobs2"])
+def probe_data(request):
+    """(train_x, train_labels, test_x, test_labels) of one probe shape:
+    ``hash3`` is the train-eval benchmark's `eval classify` input (1,400
+    training rows x 256 dims, 7 classes)."""
+    if request.param == "hash3":
+        dataset = synth_classification_dataset(random.Random(1), per_command=400)
+        backend = HashingEmbeddingBackend(dim=256)
+        return (
+            backend.embed([text for _, text in dataset.train]),
+            [label for label, _ in dataset.train],
+            backend.embed([text for _, text in dataset.test]),
+            [label for label, _ in dataset.test],
+        )
+    rng = np.random.default_rng(9)
+    if request.param == "blobs8":
+        return (*probe_blobs8(rng, 300), *probe_blobs8(rng, 400))
+    return (*gaussian_blobs(rng, 40), *gaussian_blobs(rng, 20))
+
+
+PROBE_GRIDS = {
+    "default": DEFAULT_HYPER_GRID,
+    "single": DEFAULT_HYPER_GRID[1:2],
+    "mixed": (
+        {"l2": 1e-3, "learning_rate": 1.0, "iterations": 50},
+        {"l2": 0.0, "learning_rate": 0.5, "iterations": 120},
+        {"l2": 1e-2, "learning_rate": 1.0, "iterations": 0},
+    ),
+}
+
+
+class TestJointGridFitMatchesPerEntryFit:
+    """The joint fit of a whole grid gives, bit for bit, the weights of
+    fitting each entry alone, and so the same probe."""
+
+    @pytest.mark.parametrize("grid", PROBE_GRIDS)
+    def test_every_entry(self, probe_data, grid):
+        train_x, train_labels, _, _ = probe_data
+        classes = sorted(set(train_labels))
+        train_y = np.asarray([classes.index(label) for label in train_labels])
+        # the fit rows of the probe's 80/20 split
+        rows = list(range(train_x.shape[0]))
+        random.Random(0).shuffle(rows)
+        rows = rows[round(0.2 * len(rows)):]
+        features, class_indices = train_x[rows], train_y[rows]
+        design = np.hstack([features, np.ones((len(rows), 1))])
+        fitted = _fit_multinomial(design, class_indices, len(classes), PROBE_GRIDS[grid])
+        assert fitted.shape == (len(PROBE_GRIDS[grid]), design.shape[1], len(classes))
+        for weights, hyper in zip(fitted, PROBE_GRIDS[grid]):
+            reference = fit_multinomial_reference(
+                features, class_indices, len(classes),
+                hyper["l2"], hyper["learning_rate"], hyper["iterations"],
+            )
+            assert weights.tobytes() == reference.tobytes(), hyper
+
+    @pytest.mark.parametrize("grid", PROBE_GRIDS)
+    def test_probe(self, probe_data, grid):
+        weights, accuracy = train_logreg(
+            *probe_data, hyper_grid=PROBE_GRIDS[grid], rng=random.Random(3)
+        )
+        reference_weights, reference_accuracy = logreg_probe_reference(
+            *probe_data, hyper_grid=PROBE_GRIDS[grid], rng=random.Random(3)
+        )
+        assert weights.shape == reference_weights.shape
+        assert weights.tobytes() == reference_weights.tobytes()
+        assert accuracy == reference_accuracy
+
+
+TIED_SCORES = st.lists(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.nan, math.inf]) | st.floats(),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TIED_SCORES, TIED_SCORES)
+def test_auc_matches_sequential_midranks(positives, negatives):
+    """Heavy ties, NaN (each its own tie group) and +-0.0 (one group)."""
+    ours = mann_whitney_auc(positives, negatives)
+    assert np.float64(ours).tobytes() == np.float64(midrank_auc(positives, negatives)).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
