@@ -33,6 +33,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, analytics, clustering, contrastive, evaluation, jsonl, synthesis
 from .core import Source, dataset_stats
 from .embedding import (
@@ -400,13 +402,7 @@ def cmd_embed(settings: Settings) -> int:
     backend = settings.backend()
     matrix = embed_batch(backend, texts, settings.cache())
     out = settings.out_path(settings.get("out", "embeddings.jsonl"))
-    jsonl.write_records(
-        out,
-        (
-            {"text": text, "vector": row.tolist()}
-            for text, row in zip(texts, matrix)
-        ),
-    )
+    jsonl.write_records(out, jsonl.vector_records(texts, matrix))
     jsonl.write_meta(out, settings.stage, backend=backend.identity, vectors=len(texts))
     print(f"{len(texts)} vectors ({backend.identity}) -> {out}")
     return 0
@@ -445,19 +441,24 @@ def cmd_cluster_negatives(settings: Settings) -> int:
     for i, positive in enumerate(positives):
         if positive is not None and (not isinstance(positive, int) or isinstance(positive, bool)):
             raise ValueError(f"record {i}: positive_id must be an integer index")
+    n = settings.get("n", 1000, int)
+    queries = range(len(records))
+    clustering.check_negatives(len(records), queries, n, positives)
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
-    n = settings.get("n", 1000, int)
     out = settings.out_path(settings.get("out", "negatives.jsonl"))
 
     # Each row as json.dumps would write {"query_id": i, "negative_ids": [...]},
     # joined from the ids' strings instead of encoding n ints a row.
-    ids = [str(i) for i in range(len(records))]
+    ids = np.array([str(i) for i in queries], dtype=object)
+    step = max(1, clustering.NEGATIVES_BLOCK // len(records))
 
     def rows():
-        for i, positive in enumerate(positives):
-            negatives = clustering.mine_negatives(i, matrix, n, positive_index=positive)
-            yield f'{{"query_id": {i}, "negative_ids": [{", ".join([ids[j] for j in negatives])}]}}'
+        for top in range(0, len(records), step):
+            block = queries[top:top + step]
+            negatives = clustering.mine_negatives(block, matrix, n, positives[top:top + step])
+            for i, row in zip(block, negatives):
+                yield f'{{"query_id": {i}, "negative_ids": [{", ".join(ids[row].tolist())}]}}'
 
     jsonl.write_records(out, rows())
     jsonl.write_meta(out, settings.stage, n=n, queries=len(records),

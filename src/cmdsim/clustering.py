@@ -24,6 +24,10 @@ logger = logging.getLogger(__name__)
 # 256 x 256 float64 tile is 512 KiB, and BLAS runs near full speed on it.
 TILE = 256
 
+# Similarities per mine_negatives call that callers aim for: 2**15
+# float64 is 256 KiB, and a call takes at least one query.
+NEGATIVES_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class DbscanParams:
@@ -211,45 +215,68 @@ def dedup_by_clusters(
     return kept
 
 
-def mine_negatives(
-    query_index: int,
-    embeddings: np.ndarray,
-    n: int = 1000,
-    positive_index: int | None = None,
-) -> list[int]:
-    """The n corpus indices least cosine-similar to the query.
-
-    Excludes the query itself and, when given, its paired positive.
-    Result is in ascending-similarity order; equal similarities break
-    toward the smaller index.  Similarities, and so ties, are those of
-    the computed vector ``embeddings @ embeddings[query_index]``; a
-    per-pair ``np.dot`` can differ from it in the last bit.
-
-    Cost per query: O(N*d) for the mat-vec, then O(N + n log n) to
-    select and order the n smallest.
-    """
-    matrix = np.asarray(embeddings, dtype=np.float64)
-    count = matrix.shape[0]
+def check_negatives(
+    count: int,
+    queries: Sequence[int],
+    n: int,
+    positives: Sequence[int | None] | None = None,
+) -> None:
+    """Raise ``ValueError`` unless every query of a corpus of ``count``
+    rows can get ``n`` negatives.  ``positives[r]``, when given, is the
+    positive of ``queries[r]``; a query is named as the record it is."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= query_index < count:
-        raise ValueError(f"query_index {query_index} outside corpus of {count}")
-    if positive_index is not None and not 0 <= positive_index < count:
-        raise ValueError(f"positive_index {positive_index} outside corpus of {count}")
-    excluded = {query_index}
-    if positive_index is not None:
-        excluded.add(positive_index)
-    available = count - len(excluded)
-    if n > available:
-        raise ValueError(f"requested {n} negatives but only {available} candidates exist")
-    similarities = matrix @ matrix[query_index]
-    similarities[list(excluded)] = np.inf
-    # n <= available keeps the cut finite, so no excluded point is in
-    # the head; the head holds every point tied with the cut, in index
+    for r, query in enumerate(queries):
+        if not 0 <= query < count:
+            raise ValueError(f"query {query} outside corpus of {count}")
+        positive = None if positives is None else positives[r]
+        if positive is not None and not 0 <= positive < count:
+            raise ValueError(f"record {query}: positive_id {positive} outside corpus of {count}")
+        available = count - (1 if positive is None or positive == query else 2)
+        if n > available:
+            raise ValueError(
+                f"record {query}: requested {n} negatives but only {available} candidates exist"
+            )
+
+
+def mine_negatives(
+    queries: Sequence[int],
+    embeddings: np.ndarray,
+    n: int = 1000,
+    positives: Sequence[int | None] | None = None,
+) -> np.ndarray:
+    """Row r: the n corpus indices least cosine-similar to ``queries[r]``.
+
+    Excludes the query itself and, when given, its positive
+    ``positives[r]``.  Each row is in ascending-similarity order; equal
+    similarities break toward the smaller index.  Similarities, and so
+    ties, are those of the computed vector ``embeddings @ embeddings[q]``;
+    a per-pair ``np.dot`` or a row of a matrix product can differ from it
+    in the last bit, so each row is its own mat-vec.
+
+    Returns a ``(len(queries), n)`` integer array.  Holds one
+    ``len(queries) x N`` block of similarities, so callers pass about
+    ``NEGATIVES_BLOCK // N`` queries at a time.  Cost per query: O(N*d)
+    for the mat-vec, then O(N + n log n) to select and order the n
+    smallest.
+    """
+    matrix = np.asarray(embeddings, dtype=np.float64)
+    check_negatives(matrix.shape[0], queries, n, positives)
+    block = np.empty((len(queries), matrix.shape[0]))
+    for r, query in enumerate(queries):
+        np.matmul(matrix, matrix[query], out=block[r])
+        block[r, query] = np.inf
+        if positives is not None and positives[r] is not None:
+            block[r, positives[r]] = np.inf
+    # n <= available keeps each cut finite, so no excluded point is in
+    # a head; a head holds every point tied with its cut, in index
     # order, and a stable sort of it is the (similarity, index) order.
-    cut = np.partition(similarities, n - 1)[n - 1]
-    head = np.flatnonzero(similarities <= cut)
-    return head[np.argsort(similarities[head], kind="stable")][:n].tolist()
+    cuts = np.partition(block, n - 1, axis=1)[:, n - 1]
+    negatives = np.empty((len(queries), n), dtype=np.intp)
+    for r, (row, cut) in enumerate(zip(block, cuts)):
+        head = np.flatnonzero(row <= cut)
+        negatives[r] = head[np.argsort(row[head], kind="stable")[:n]]
+    return negatives
 
 
 def cluster_coverage(

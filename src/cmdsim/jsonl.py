@@ -15,6 +15,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .core import CommandLine, CommandLinePair, Source
 
 
@@ -70,6 +72,36 @@ def write_records(path: str | Path, records: Iterable[dict[str, Any] | str]) -> 
             handle.write("\n")
             count += 1
     return count
+
+
+# Rows of vector_records per np.unique call: 128 rows of 256 floats are
+# 256 KiB of bit patterns.
+VECTOR_ROWS = 128
+
+
+def vector_records(texts: Sequence[Any], vectors: np.ndarray) -> Iterator[str]:
+    """``json.dumps({"text": t, "vector": row.tolist()}, ensure_ascii=False)``
+    for each text and row of ``vectors``, with one ``repr`` per distinct
+    value of a 128-row slice instead of one per float.
+
+    A slice's values are keyed by their bit patterns, so ``-0.0`` and
+    ``0.0`` stay apart; the distinct ones are encoded by one
+    ``json.dumps`` (``repr``, or ``NaN``, ``Infinity``, ``-Infinity``),
+    and each row joins its values' strings.  hash3 rows hold a few
+    distinct values each; rows with no value repeated cost a sort of the
+    slice more than ``json.dumps`` would.
+    """
+    matrix = np.ascontiguousarray(vectors, dtype=np.float64)
+    for top in range(0, len(matrix), VECTOR_ROWS):
+        rows = matrix[top:top + VECTOR_ROWS]
+        bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
+        # json.dumps of the distinct values spells each one as it would
+        # inside a row; no float's spelling holds ", ".
+        strings = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        cells = np.array(strings, dtype=object)[inverse.reshape(rows.shape)]
+        for text, row in zip(texts[top:top + VECTOR_ROWS], cells):
+            yield (f'{{"text": {json.dumps(text, ensure_ascii=False)}, '
+                   f'"vector": [{", ".join(row.tolist())}]}}')
 
 
 def _require(record: dict[str, Any], key: str, path: str | Path, lineno: int) -> Any:

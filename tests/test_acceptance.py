@@ -467,7 +467,7 @@ def test_criterion_10_negative_mining(capfd):
                 positive = None
             available = count - (2 if positive is not None else 1)
             n = int(rng.integers(1, available + 1))
-            ours = mine_negatives(query, matrix, n, positive_index=positive)
+            ours = mine_negatives([query], matrix, n, [positive])[0].tolist()
             assert ours == naive_mine_negatives(query, matrix, n, positive)
             assert len(ours) == n
             assert query not in ours

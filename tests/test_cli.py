@@ -6,14 +6,14 @@ import csv
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cmdsim import cli
-from cmdsim.clustering import mine_negatives
+from cmdsim import cli, clustering
 from cmdsim.contrastive import AdapterModel
-from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
+from cmdsim.embedding import HashingEmbeddingBackend, embed_batch, unit_normalize
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
 from conftest import mock_vocab_commands, write_jsonl
@@ -233,6 +233,29 @@ class TestEmbed:
         meta = json.loads((out_dir / "embeddings.jsonl.meta.json").read_text())
         assert meta["backend"] == "hash3-32"
 
+    @pytest.mark.parametrize("backend", ["hash3", "no-repeats"])
+    def test_lines_are_json_dumps(self, tmp_path, monkeypatch, backend):
+        # 300 rows span three 128-row slices of the encoder.
+        texts = [f"copies archive {i} onto share {i % 7} é" for i in range(300)]
+        input_path = write_jsonl(tmp_path / "texts.jsonl", [{"text": t} for t in texts])
+        if backend == "hash3":
+            fake = HashingEmbeddingBackend(64)
+        else:
+            # Unit rows in which no value repeats.
+            fake = SimpleNamespace(identity="fake-48", dim=48, embed=lambda chunk: unit_normalize(
+                np.random.default_rng(len(chunk)).standard_normal((len(chunk), 48))))
+            monkeypatch.setattr(cli.Settings, "backend", lambda self: fake)
+        code = cli.run(["embed", "--in", str(input_path), "--dim", "64",
+                        "--output-dir", str(tmp_path)])
+        assert code == 0
+        matrix = embed_batch(fake, texts)
+        if backend == "no-repeats":
+            assert len(np.unique(matrix)) == matrix.size
+        lines = (tmp_path / "embeddings.jsonl").read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert lines == [json.dumps({"text": t, "vector": row.tolist()}, ensure_ascii=False)
+                         for t, row in zip(texts, matrix)]
+
     def test_missing_text_field(self, tmp_path, capsys):
         bad = write_jsonl(tmp_path / "bad.jsonl", [{"name": "no text here"}])
         assert cli.run(["embed", "--in", str(bad), "--output-dir", str(tmp_path)]) == 1
@@ -329,12 +352,57 @@ class TestClusterStages:
                         "--dim", "64", "--output-dir", str(tmp_path)])
         assert code == 0
         matrix = embed_batch(HashingEmbeddingBackend(64), [r["explanation"] for r in records])
+
+        def per_query(i, positive):
+            # One mat-vec per query, then a stable sort by (similarity, index).
+            similarities = matrix @ matrix[i]
+            candidates = [j for j in range(len(records)) if j not in (i, positive)]
+            return sorted(candidates, key=lambda j: (similarities[j], j))[:n]
+
         expected = "".join(
-            json.dumps({"query_id": i, "negative_ids": mine_negatives(
-                i, matrix, n, positive_index=record.get("positive_id"))}, ensure_ascii=False) + "\n"
+            json.dumps({"query_id": i, "negative_ids": per_query(i, record.get("positive_id"))},
+                       ensure_ascii=False) + "\n"
             for i, record in enumerate(records)
         )
         assert (tmp_path / "negatives.jsonl").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("block", [1, 20])
+    def test_negatives_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
+        # 9 records: blocks of 1 query, and of 2 queries with a short last one.
+        records = explanation_records()
+        for i, record in enumerate(records[:-1]):
+            record["positive_id"] = (i + 3) % len(records)
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        argv = ["cluster", "negatives", "--in", str(input_path), "--n", "4", "--dim", "64"]
+        assert cli.run([*argv, "--output-dir", str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(clustering, "NEGATIVES_BLOCK", block)
+        calls = []
+        mine = clustering.mine_negatives
+        monkeypatch.setattr(clustering, "mine_negatives",
+                            lambda queries, *a: calls.append(len(queries)) or mine(queries, *a))
+        assert cli.run([*argv, "--output-dir", str(tmp_path / "blocks")]) == 0
+        assert calls == ([1] * 9 if block == 1 else [2, 2, 2, 2, 1])
+        assert ((tmp_path / "blocks" / "negatives.jsonl").read_bytes()
+                == (tmp_path / "whole" / "negatives.jsonl").read_bytes())
+
+    @pytest.mark.parametrize(("n", "positive", "message"), [
+        ("3", 9, "record 5: positive_id 9 outside corpus of 9"),
+        ("3", -1, "record 5: positive_id -1 outside corpus of 9"),
+        ("8", 2, "record 5: requested 8 negatives but only 7 candidates exist"),
+    ])
+    def test_negatives_checked_before_any_embedding(self, tmp_path, capsys, monkeypatch,
+                                                     n, positive, message):
+        records = explanation_records()
+        records[5]["positive_id"] = positive
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        monkeypatch.setattr(clustering, "mine_negatives", lambda *a: pytest.fail("mined"))
+        monkeypatch.setattr(cli, "embed_batch", lambda *a: pytest.fail("embedded"))
+        out_dir = tmp_path / "out"
+        code = cli.run(["cluster", "negatives", "--in", str(input_path), "--n", n,
+                        "--dim", "64", "--cache", "cache.jsonl", "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("positive", ["3", True, 1.0])
     def test_negatives_reject_non_integer_positive_id(self, tmp_path, capsys, positive):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmdsim.clustering import (
+    NEGATIVES_BLOCK,
     NOISE,
     TILE,
     ClusterLabeling,
@@ -245,7 +246,7 @@ class TestMineNegatives:
             if positive == query:
                 positive = None
             n = int(rng.integers(1, count - (2 if positive is not None else 1)))
-            ours = mine_negatives(query, matrix, n, positive_index=positive)
+            ours = mine_negatives([query], matrix, n, [positive])[0].tolist()
             reference = naive_mine_negatives(query, matrix, n, positive)
             assert ours == reference
             assert len(ours) == n
@@ -255,30 +256,30 @@ class TestMineNegatives:
 
     def test_least_similar_first(self):
         matrix = unit_rows([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [0.0, 1.0]])
-        assert mine_negatives(0, matrix, 3) == [2, 3, 1]
+        assert mine_negatives([0], matrix, 3).tolist() == [[2, 3, 1]]
 
     def test_all_remaining_when_n_equals_available(self):
         matrix = unit_rows([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5]])
-        result = mine_negatives(0, matrix, 2, positive_index=1)
+        result = mine_negatives([0], matrix, 2, [1])[0].tolist()
         assert sorted(result) == [2, 3]
 
     def test_too_many_requested(self):
         matrix = unit_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="only 1 candidates exist"):
-            mine_negatives(0, matrix, 2)
+            mine_negatives([0], matrix, 2)
 
     def test_bad_indices(self):
         matrix = unit_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            mine_negatives(5, matrix, 1)
+            mine_negatives([5], matrix, 1)
         with pytest.raises(ValueError):
-            mine_negatives(0, matrix, 1, positive_index=9)
+            mine_negatives([0], matrix, 1, [9])
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_rejected(self, n):
         matrix = unit_rows([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
         with pytest.raises(ValueError, match="n must be >= 1"):
-            mine_negatives(0, matrix, n)
+            mine_negatives([0], matrix, n)
 
     def test_tie_heavy_corpus_matches_sort_of_computed_vector(self):
         # Few distinct texts, so every query has long runs of exactly
@@ -300,7 +301,27 @@ class TestMineNegatives:
             sizes = {len(reference), int(rng.integers(1, len(reference) + 1)),
                      tied[int(rng.integers(len(tied)))]}
             for n in sizes:
-                assert mine_negatives(query, matrix, n, positive_index=positive) == reference[:n]
+                assert mine_negatives([query], matrix, n, [positive])[0].tolist() == reference[:n]
+
+    @pytest.mark.parametrize("n", [7, 298])
+    def test_blocks_of_a_tie_heavy_corpus_match_the_oracle(self, n):
+        # Small-integer rows: every dot product is exact in any summation
+        # order, so the per-pair oracle sees the very ties the mat-vec
+        # does, and most similarities are tied.  n = 298 is every
+        # candidate of a query with a positive of its own.
+        rng = np.random.default_rng(31)
+        count = 300
+        matrix = rng.integers(-2, 3, size=(count, 4)).astype(np.float64)
+        positives = [int(p) if rng.random() < 0.8 else None for p in rng.integers(count, size=count)]
+        step = NEGATIVES_BLOCK // count
+        assert 1 < step < count and count % step, "several blocks, the last one short"
+        ours = np.concatenate([
+            mine_negatives(range(top, min(top + step, count)), matrix, n, positives[top:top + step])
+            for top in range(0, count, step)
+        ])
+        assert ours.shape == (count, n)
+        for query, row in enumerate(ours.tolist()):
+            assert row == naive_mine_negatives(query, matrix, n, positives[query])
 
 
 class TestClusterCoverage:

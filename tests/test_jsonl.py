@@ -57,6 +57,19 @@ def test_write_records_writes_str_items_as_encoded_lines(tmp_path):
     assert path.read_bytes() == '{"a": [1, 2]}\n{"b": "é"}\n'.encode("utf-8")
 
 
+def test_vector_records_are_json_dumps_on_edge_values():
+    # Signed zeros, the smallest subnormal, repr's switch to exponents
+    # at 1e-05 and 1e+16, and the non-finite spellings of json.dumps.
+    edge = [-0.0, 0.0, 5e-324, 1e-05, 1e+16, float("nan"), float("inf"), -float("inf"),
+            -float("nan"), 0.1, -1 / 3]
+    vectors = np.array([edge, edge[::-1], [0.0] * len(edge), [-0.0] * len(edge)])
+    texts = ["a", 'é "quoted"\n', "b", "c"]
+    assert list(jsonl.vector_records(texts, vectors)) == [
+        json.dumps({"text": t, "vector": row.tolist()}, ensure_ascii=False)
+        for t, row in zip(texts, vectors)
+    ]
+
+
 def _rows(items, fail):
     """``items``, or with ``fail`` a generator that raises after the first."""
     if not fail:
