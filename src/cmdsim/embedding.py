@@ -17,10 +17,9 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .core import canonical_dedup_key
-from .gateway import post_json
+from .gateway import check_endpoint, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +135,7 @@ class RemoteEmbeddingBackend:
 
     One :meth:`embed` is one request through :func:`cmdsim.gateway.post_json`,
     with the chat calls' retries; :func:`embed_batch` keeps it to
-    REMOTE_CHUNK texts."""
+    REMOTE_CHUNK texts.  ``session`` and ``sleep`` are ``post_json``'s."""
 
     def __init__(
         self,
@@ -146,11 +145,12 @@ class RemoteEmbeddingBackend:
         api_key_env: str = "",
         *,
         timeout: float = 60.0,
-        session: requests.Session | None = None,
+        session=None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
+        check_endpoint(endpoint, f"embedding backend {model_id}")
         self.endpoint = endpoint
         self.model_id = model_id
         self.dim = dim

@@ -13,16 +13,20 @@ byte-stable across releases of this package.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
+import http.client
+import json as jsonlib
 import logging
+import math
 import os
 import time
+import urllib.error
+import urllib.request
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import requests
 
 from .core import CommandLine, canonical_dedup_key
 
@@ -36,6 +40,7 @@ SEEDS_PER_PROMPT = 12
 MAX_RETRIES = 2
 BACKOFF_BASE_S = 0.5
 _HTTP_RETRYABLE = frozenset({429, 500, 502, 503, 504})
+_HTTP_SCHEMES = ("http://", "https://")
 
 
 class GatewayError(Exception):
@@ -74,16 +79,22 @@ class ProviderSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("provider name must not be empty")
-        if not self.endpoint:
-            raise ValueError(f"provider {self.name}: endpoint must not be empty")
+        check_endpoint(self.endpoint, f"provider {self.name}", _HTTP_SCHEMES + ("mock:",))
         if not self.model_id:
             raise ValueError(f"provider {self.name}: model_id must not be empty")
-        if self.temperature < 0:
-            raise ValueError(f"provider {self.name}: temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"provider {self.name}: temperature must be finite and >= 0")
         if self.max_retries < 0:
             raise ValueError(f"provider {self.name}: max_retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError(f"provider {self.name}: timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"provider {self.name}: timeout must be finite and positive")
+
+
+def check_endpoint(endpoint: str, owner: str, schemes: tuple[str, ...] = _HTTP_SCHEMES) -> None:
+    """Reject an endpoint that starts with none of ``schemes``, at load
+    rather than after a call's retries."""
+    if not endpoint.startswith(schemes):
+        raise ValueError(f"{owner}: endpoint {endpoint!r} must start with one of {', '.join(schemes)}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,57 @@ def pick_provider(pool: ProviderPool, rng) -> ProviderSpec:
     return rng.choice(pool.providers)
 
 
+class _Reply:
+    """A finished exchange in the shape :func:`post_json` reads:
+    ``status_code``, ``text`` and ``json()``."""
+
+    def __init__(self, status_code: int, content: bytes) -> None:
+        self.status_code = status_code
+        self.content = content
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", "replace")
+
+    def json(self):
+        return jsonlib.loads(self.content)
+
+
+class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect.  The stock handler re-sends a 301, 302 or 303
+    as a GET carrying every header, Authorization too, to whatever
+    location the reply names; here each 3xx is an HTTP error instead."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        raise urllib.error.HTTPError(req.full_url, code, msg, headers, fp)
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    # Built on first use, as urlopen's own opener is: building one reads
+    # the proxy variables and costs about as much as a request.
+    return urllib.request.build_opener(_RefuseRedirect)
+
+
+def _urlopen_post(url: str, json: dict, headers: dict[str, str], timeout: float) -> _Reply:
+    """The default ``session.post``: one :mod:`urllib.request` POST on a
+    new connection.  Proxies come from the ``*_proxy`` environment
+    variables, TLS is verified against the default CA store, and no
+    redirect is followed.  An HTTP error status is returned as a reply,
+    not raised.  A URL or header that cannot be sent (say, a malformed
+    IPv6 host) is a :class:`ConfigurationError`, which retrying cannot
+    fix."""
+    try:
+        request = urllib.request.Request(url, jsonlib.dumps(json).encode(), headers, method="POST")
+        with _opener().open(request, timeout=timeout) as response:
+            return _Reply(response.status, response.read())
+    except urllib.error.HTTPError as error:
+        with error:
+            return _Reply(error.code, error.read())
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot send a request to {url!r}: {exc}") from exc
+
+
 def post_json(
     url: str,
     body: dict,
@@ -176,18 +238,26 @@ def post_json(
     api_key_env: str,
     timeout: float,
     max_retries: int = MAX_RETRIES,
-    session: requests.Session | None = None,
+    session=None,
     sleep: Callable[[float], None] = time.sleep,
 ):
     """POST ``body`` as JSON to ``url`` and return ``read`` of the reply's JSON.
 
     The one place external-service failures are handled.  Transport
-    failures and retryable HTTP statuses (429, 5xx) are retried with
-    exponential backoff up to ``max_retries`` extra attempts, then the
-    last error is raised.  Other HTTP errors fail at once.  A 200 reply
-    that ``read`` cannot take apart is a :class:`ProviderError` naming
-    the ``payload`` kind.  ``owner`` names the caller in errors and logs;
-    a bearer token is read from ``api_key_env`` when one is named.
+    failures (``OSError`` or ``http.client.HTTPException``) and retryable
+    HTTP statuses (429, 5xx) are retried with exponential backoff up to
+    ``max_retries`` extra attempts, then the last error is raised.  Other
+    HTTP statuses fail at once.  A 200 reply that ``read`` cannot take
+    apart is a :class:`ProviderError` naming the ``payload`` kind.
+    ``owner`` names the caller in errors and logs; a bearer token is read
+    from ``api_key_env`` when one is named, and a missing key or one that
+    cannot go in a header is a :class:`ConfigurationError` before any
+    attempt.
+
+    ``session`` is anything with ``post(url, json=, headers=, timeout=)``
+    returning an object with ``status_code``, ``text`` and ``json()``.
+    Without one, each attempt is a standard-library POST on a new
+    connection.
     """
     headers = {"Content-Type": "application/json"}
     if api_key_env:
@@ -196,8 +266,13 @@ def post_json(
             raise ConfigurationError(
                 f"environment variable {api_key_env} is not set (required by {owner})"
             )
+        if not key.isascii() or "\r" in key or "\n" in key:
+            # Checked here so that no error message ever quotes the key.
+            raise ConfigurationError(
+                f"environment variable {api_key_env} must hold ASCII with no line break (required by {owner})"
+            )
         headers["Authorization"] = f"Bearer {key}"
-    post = session.post if session is not None else requests.post
+    post = session.post if session is not None else _urlopen_post
 
     last_error: GatewayError | None = None
     for attempt in range(max_retries + 1):
@@ -205,7 +280,7 @@ def post_json(
             sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
         try:
             response = post(url, json=body, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             last_error = TransportError(f"{owner}: {exc}")
             logger.warning("transport failure on %s (attempt %d): %s", owner, attempt + 1, exc)
             continue
@@ -235,11 +310,12 @@ def complete(
     spec: ProviderSpec,
     prompt: str,
     *,
-    session: requests.Session | None = None,
+    session=None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
     """Send one chat-completion request and return the assistant text,
-    with :func:`post_json`'s retries up to ``spec.max_retries``."""
+    with :func:`post_json`'s retries up to ``spec.max_retries``.
+    ``session`` and ``sleep`` are :func:`post_json`'s."""
     body = {
         "model": spec.model_id,
         "messages": [{"role": "user", "content": prompt}],

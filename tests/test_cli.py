@@ -159,6 +159,39 @@ class TestSynthRun:
         assert code == 1
         assert "no checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("entry", "message"), [
+        ({"endpoint": "api.example/v1"}, "endpoint 'api.example/v1' must start with one of http://, https://, mock:"),
+        ({"endpoint": "ftp://x"}, "endpoint 'ftp://x' must start with one of http://, https://, mock:"),
+        ({"temperature": "nan"}, "temperature must be finite and >= 0"),
+        ({"timeout": "nan"}, "timeout must be finite and positive"),
+    ])
+    def test_unusable_provider_exits_before_any_call(self, tmp_path, seeds_file, capsys, monkeypatch,
+                                                     entry, message):
+        settings = {"endpoint": "http://127.0.0.1:9/v1", "model": "m", **entry}
+        providers = tmp_path / "pool.conf"
+        providers.write_text("[live]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()),
+                             encoding="utf-8")
+        monkeypatch.setattr("cmdsim.gateway._urlopen_post", lambda *a, **k: pytest.fail("called"))
+        out_dir = tmp_path / "out"
+        code = cli.run(["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers),
+                        "--target", "4", "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: provider live: {message}\n"
+        assert not out_dir.exists()
+
+    def test_unsendable_api_key_exits_at_the_first_call(self, tmp_path, seeds_file, capsys, monkeypatch):
+        providers = tmp_path / "pool.conf"
+        providers.write_text("[live]\nendpoint = http://127.0.0.1:9/v1\nmodel = m\napi_key_env = CMDSIM_TEST_KEY\n",
+                             encoding="utf-8")
+        monkeypatch.setenv("CMDSIM_TEST_KEY", "sek\nrit")
+        monkeypatch.setattr("cmdsim.gateway._urlopen_post", lambda *a, **k: pytest.fail("called"))
+        code = cli.run(["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers),
+                        "--target", "4", "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: environment variable CMDSIM_TEST_KEY must hold ASCII with no line break"
+            " (required by provider live)\n")
+
 
 class TestSynthPairsAndExplain:
     def test_pairs_stage(self, tmp_path, seeds_file, providers_file, capsys):
@@ -255,6 +288,14 @@ class TestEmbed:
         assert lines.pop() == ""
         assert lines == [json.dumps({"text": t, "vector": row.tolist()}, ensure_ascii=False)
                          for t, row in zip(texts, matrix)]
+
+    def test_unusable_remote_endpoint_exits_before_any_call(self, tmp_path, seeds_file, capsys, monkeypatch):
+        monkeypatch.setattr("cmdsim.gateway._urlopen_post", lambda *a, **k: pytest.fail("called"))
+        code = cli.run(["embed", "--in", str(seeds_file), "--backend", "remote", "--embed-endpoint",
+                        "ftp://x", "--embed-model", "emb", "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: embedding backend emb: endpoint 'ftp://x' must start with one of http://, https://\n")
 
     def test_missing_text_field(self, tmp_path, capsys):
         bad = write_jsonl(tmp_path / "bad.jsonl", [{"name": "no text here"}])

@@ -419,12 +419,15 @@ class TestRemoteBackend:
             backend.embed(["aa"])
 
     def test_transport_error(self):
-        import requests
-
-        session = FakeEmbedSession(requests.ConnectionError("down"))
+        session = FakeEmbedSession(ConnectionError("down"))
         backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
         with pytest.raises(TransportError):
             backend.embed(["aa"])
+
+    @pytest.mark.parametrize("endpoint", ["", "api.example/v1", "ftp://x", "mock:"])
+    def test_unusable_endpoint_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="embedding backend emb-1: endpoint .* must start with one of http://"):
+            RemoteEmbeddingBackend(endpoint, "emb-1", 2)
 
     def test_chunk_under_documented_cap(self):
         assert 1 <= REMOTE_CHUNK <= 2048

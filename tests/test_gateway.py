@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 import pytest
-import requests
 
 from cmdsim.core import CommandLine, parse_llm_response
 from cmdsim.embedding import RemoteEmbeddingBackend
@@ -53,6 +52,12 @@ class TestProviderSpec:
             {"temperature": -0.1},
             {"max_retries": -1},
             {"timeout": 0.0},
+            {"endpoint": "api.example/v1"},
+            {"endpoint": "ftp://x"},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
         ],
     )
     def test_validation(self, overrides):
@@ -250,14 +255,14 @@ class TestComplete:
 
     def test_transport_failures_retried(self):
         for name, (ask, ok, expected) in CALLERS.items():
-            session = FakeSession([requests.ConnectionError("boom"), ok])
+            session = FakeSession([ConnectionError("boom"), ok])
             sleeps = []
             assert ask(session, sleeps.append) == expected, name
             assert sleeps == [0.5], name
 
     def test_transport_failures_exhausted(self):
         for name, (ask, _, _) in CALLERS.items():
-            session = FakeSession([requests.ConnectionError("boom")] * (MAX_RETRIES + 1))
+            session = FakeSession([ConnectionError("boom")] * (MAX_RETRIES + 1))
             sleeps = []
             with pytest.raises(TransportError):
                 ask(session, sleeps.append)
