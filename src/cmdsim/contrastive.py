@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import CommandLinePair
 from .embedding import EmbeddingCache, embed_batch, unit_normalize
-from .evaluation import _softmax_rows, mrr_at_k, rank_from_scores
+from .evaluation import _softmax_rows, mrr_at_k
 from .jsonl import _replacing
 
 logger = logging.getLogger(__name__)
@@ -194,11 +194,10 @@ def _validation_mrr3(
     positive_base: np.ndarray,
 ) -> float:
     sims = adapter.transform(anchor_base) @ adapter.transform(positive_base).T
-    ranks = []
-    for i in range(sims.shape[0]):
-        negatives = np.delete(sims[i], i)
-        ranks.append(rank_from_scores(float(sims[i, i]), negatives))
-    return mrr_at_k(ranks, 3)
+    positives = sims.diagonal()
+    # A row's count includes its own positive unless that is NaN.
+    count = np.count_nonzero(sims >= positives[:, None], axis=1)
+    return mrr_at_k((1 + count - (positives >= positives)).tolist(), 3)
 
 
 def train(

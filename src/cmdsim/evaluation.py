@@ -47,7 +47,8 @@ class RetrievalCase:
 
 def rank_from_scores(positive_score: float, negative_scores: Iterable[float]) -> int:
     """1-based rank by descending score; ties count against the positive."""
-    return 1 + sum(1 for s in negative_scores if s >= positive_score)
+    values = np.fromiter(negative_scores, dtype=np.float64)
+    return 1 + int(np.count_nonzero(values >= positive_score))
 
 
 def _check_ranks(ranks: Sequence[int], k: int) -> None:
@@ -407,9 +408,16 @@ DEFAULT_HYPER_GRID: tuple[dict[str, float], ...] = (
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shift = logits.max(axis=-1, keepdims=True)
-    exp = np.exp(logits - shift)
+    """Softmax over the last axis.
+
+    The shift is a column chain of ``np.maximum``, bit-equal to
+    ``max(axis=-1)`` (which reduces short rows one by one); the sum
+    stays a reduction, as numpy adds pairwise from 8 columns on.
+    """
+    shift = logits[..., 0].copy()
+    for column in range(1, logits.shape[-1]):
+        np.maximum(shift, logits[..., column], out=shift)
+    exp = np.exp(logits - shift[..., None])
     return exp / exp.sum(axis=-1, keepdims=True)
 
 

@@ -13,6 +13,7 @@ from cmdsim.contrastive import (
     AdapterModel,
     TrainConfig,
     TrainEvent,
+    _validation_mrr3,
     info_nce_gradients,
     info_nce_loss,
     train,
@@ -21,7 +22,7 @@ from cmdsim.core import CommandLine, CommandLinePair, Source
 from cmdsim.embedding import HashingEmbeddingBackend
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, full_sort_rank, mrr_from_ranks
 
 
 def synonym_pairs(count: int) -> list[CommandLinePair]:
@@ -215,6 +216,55 @@ class TestInfoNceGradients:
 
         gradient = info_nce_gradients(anchors, positives, weights, 0.2)
         assert loss_of(weights - 1e-3 * gradient) < loss_of(weights)
+
+
+class PassThrough:
+    """An adapter whose transform leaves the base vectors as they are."""
+
+    def transform(self, base: np.ndarray) -> np.ndarray:
+        return base
+
+
+def oracle_validation_mrr3(sims: np.ndarray) -> float:
+    """Row i ranks its diagonal among the other entries of the row."""
+    ranks = [
+        full_sort_rank(sims[i, i], [sims[i, j] for j in range(len(sims)) if j != i])
+        for i in range(len(sims))
+    ]
+    return mrr_from_ranks(ranks, 3)
+
+
+class TestValidationMrr3:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_full_sort_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        adapter = AdapterModel(rng.normal(size=(16, 8)))
+        anchors, positives = rng.normal(size=(2, 40, 16))
+        sims = adapter.transform(anchors) @ adapter.transform(positives).T
+        assert _validation_mrr3(adapter, anchors, positives) == oracle_validation_mrr3(sims)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_rows_tie_against_the_positive(self, seed):
+        rng = np.random.default_rng(seed)
+        adapter = AdapterModel(np.eye(6))
+        rows = rng.integers(0, 20, size=30)
+        anchors = rng.normal(size=(20, 6))[rows]
+        positives = rng.normal(size=(20, 6))[rows]
+        sims = adapter.transform(anchors) @ adapter.transform(positives).T
+        off_diagonal = ~np.eye(len(rows), dtype=bool)
+        assert np.any((sims == sims.diagonal()[:, None]) & off_diagonal)
+        assert _validation_mrr3(adapter, anchors, positives) == oracle_validation_mrr3(sims)
+
+    def test_nan_positive_ranks_first(self):
+        # inf * 0 puts NaN on row 0's diagonal and inf beside it
+        anchors = np.array([[np.inf, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        positives = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            sims = anchors @ positives.T
+            mrr3 = _validation_mrr3(PassThrough(), anchors, positives)
+        assert math.isnan(sims[0, 0]) and sims[0, 1] == np.inf
+        # ranks 1, 1 and 2 (row 2 ties its positive)
+        assert mrr3 == 100.0 * 2.5 / 3
 
 
 class TestTrain:

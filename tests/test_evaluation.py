@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -32,6 +33,7 @@ from cmdsim.evaluation import (
     top_at_k,
     train_logreg,
     _fit_multinomial,
+    _softmax_rows,
 )
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
@@ -70,6 +72,13 @@ class TestRankFromScores:
 
     def test_dead_last(self):
         assert rank_from_scores(0.1, [0.2, 0.3, 0.4]) == 4
+
+    def test_nan_never_counts_for_any_iterable(self):
+        scores = [0.5, math.nan, 0.7, 0.1]
+        for negatives in (scores, np.array(scores), iter(scores)):
+            assert rank_from_scores(0.5, negatives) == 3
+        assert rank_from_scores(math.nan, np.array(scores)) == 1
+        assert rank_from_scores(0.0, iter([])) == 1
 
 
 class TestMetricAggregation:
@@ -444,6 +453,24 @@ class TestSynthClassificationDataset:
         with pytest.raises(ValueError, match="decoy_probability"):
             synth_classification_dataset(random.Random(0), per_command=2, decoy_probability=1.5)
 
+    @pytest.mark.parametrize(
+        "seed, per_command, digest, next_draw",
+        [
+            (0, 4, "677cb581e86f02763a26f2e76d39a2bca1fa7c982bd300fe84e6084de12e28b2",
+             0.6100819970747507),
+            (1, 400, "42d53dfb17b70a65ede0e1762fc3b7f0ebb8b50a67a01857bf7adec7d9f293d9",
+             0.23104093854150598),
+        ],
+    )
+    def test_random_stream_is_pinned(self, seed, per_command, digest, next_draw):
+        # classify.txt comes from these texts, and train_logreg shuffles
+        # with the same rng afterwards: a faster generator must keep both.
+        rng = random.Random(seed)
+        dataset = synth_classification_dataset(rng, per_command=per_command)
+        joined = "\n".join(text for _, text in dataset.train + dataset.test)
+        assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
+        assert rng.random() == next_draw
+
     def test_seeded_determinism(self):
         a = synth_classification_dataset(random.Random(42), per_command=4)
         b = synth_classification_dataset(random.Random(42), per_command=4)
@@ -603,6 +630,34 @@ class TestJointGridFitMatchesPerEntryFit:
         assert weights.shape == reference_weights.shape
         assert weights.tobytes() == reference_weights.tobytes()
         assert accuracy == reference_accuracy
+
+
+def softmax_max_reduce(logits: np.ndarray) -> np.ndarray:
+    shift = logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits - shift)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(1120, 3, 7), (1400, 1, 7), (64, 64), (5, 2)])
+def test_softmax_shift_chain_matches_max_reduce(shape):
+    """The column chain of ``np.maximum`` gives the bits of
+    ``max(axis=-1)``, with +-0 maxima, infinities and NaN."""
+    rng = np.random.default_rng(sum(shape))
+    logits = 10.0 * rng.standard_normal(shape)
+    rows = logits.reshape(-1, shape[-1])
+    # rows whose maximum is 0.0 and -0.0 at once
+    rows[::3] = -np.abs(rows[::3])
+    rows[::3, 0] = 0.0
+    rows[::3, -1] = -0.0
+    specials = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=rows.size // 20)
+    flat = rows.reshape(-1)
+    flat[rng.choice(rows.size, size=specials.size, replace=False)] = specials
+    rows[1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        ours = _softmax_rows(logits)
+        reference = softmax_max_reduce(logits)
+    assert np.isnan(ours).any() and np.isfinite(ours).any()
+    assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
 
 
 TIED_SCORES = st.lists(
