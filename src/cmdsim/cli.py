@@ -198,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="rng seed (default 0)")
     run_p.add_argument("--max-failures", dest="max_failures", type=int, help="consecutive empty steps before aborting (default 20)")
     run_p.add_argument("--out", help="output JSONL (default synthesized.jsonl)")
-    run_p.add_argument("--checkpoint-dir", dest="checkpoint_dir", help="checkpoint directory (default: alongside --out)")
-    run_p.add_argument("--resume", action="store_true", help="resume from an existing checkpoint")
 
     pairs_p = _add_stage(synth_sub, "synth.pairs", "generate similar-command positives", cmd_synth_generate)
     pairs_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
@@ -323,25 +321,24 @@ def _pick_client(settings: Settings):
     return build_client(spec)
 
 
+def _journal(out: Path) -> synthesis.ReplyJournal:
+    """The replies journal of the provider stage writing ``out``."""
+    return synthesis.ReplyJournal(Path(f"{out}.replies.jsonl"))
+
+
 def cmd_synth_run(settings: Settings) -> int:
     seeds = jsonl.read_commands(settings.get("seeds"), default_source=Source.INITIAL_SEED)
     pool = _load_pool(settings)
     out = settings.out_path(settings.get("out", "synthesized.jsonl"))
-    checkpoint_path = settings.path_or("checkpoint_dir", out.parent / "checkpoint")
     seed = settings.get("seed", 0, int)
     cfg = synthesis.SynthesisConfig(
         target_count=settings.get("target", synthesis.DEFAULT_TARGET_COUNT, int),
         rng_seed=seed,
         max_consecutive_failures=settings.get("max_failures", 20, int),
-        checkpoint_dir=checkpoint_path,
     )
-    resume_state = None
-    if settings.args.resume:
-        resume_state = synthesis.load_checkpoint(checkpoint_path)
-        if resume_state is None:
-            raise ValueError(f"--resume given but no checkpoint under {checkpoint_path}")
     try:
-        synthesized = synthesis.run_synthesis(pool, seeds, cfg, resume=resume_state)
+        with _journal(out) as journal:
+            synthesized = synthesis.run_synthesis(pool, seeds, cfg, journal=journal)
     except synthesis.SynthesisAborted as exc:
         jsonl.write_commands(out, exc.partial)
         jsonl.write_meta(out, settings.stage, seed=seed, target=cfg.target_count,
@@ -363,8 +360,12 @@ def cmd_synth_generate(settings: Settings) -> int:
     pairs = settings.stage == "synth.pairs"
     noun = "pairs" if pairs else "explanations"
     generate = synthesis.generate_pairs if pairs else synthesis.generate_explanations
-    results, rejects = generate(commands, client, jobs=settings.get("jobs", 1, int))
+    jobs = settings.get("jobs", 1, int)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = settings.out_path(settings.get("out", f"{noun}.jsonl"))
+    with _journal(out) as journal:
+        results, rejects = generate(commands, client, jobs=jobs, journal=journal)
     if pairs:
         jsonl.write_pairs(out, results)
     else:
@@ -417,9 +418,9 @@ def _read_explanations(settings: Settings) -> tuple[list[dict], list[str]]:
 
 def cmd_cluster_dedup(settings: Settings) -> int:
     records, explanations = _read_explanations(settings)
+    params = _dbscan_params(settings)
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
-    params = _dbscan_params(settings)
     labeling = clustering.dbscan(matrix, params)
     keep = settings.get("keep", 2, int)
     kept = clustering.dedup_by_clusters(records, labeling, keep)
@@ -470,9 +471,9 @@ def cmd_cluster_negatives(settings: Settings) -> int:
 def cmd_cluster_coverage(settings: Settings) -> int:
     records, explanations = _read_explanations(settings)
     tags = [str(tag) for tag in _column(records, settings.get("tag_field", "source"))]
+    params = _dbscan_params(settings)
     backend = settings.backend()
     matrix = embed_batch(backend, explanations, settings.cache())
-    params = _dbscan_params(settings)
     labeling = clustering.dbscan(matrix, params)
     rates = clustering.cluster_coverage(labeling, tags)
     pooled = clustering.cluster_coverage(labeling, ["pool"] * len(tags))["pool"]
@@ -597,6 +598,8 @@ def cmd_analyze_rouge(settings: Settings) -> int:
     generated_value = settings.get("generated")
     if bool(pairs_value) == bool(generated_value):
         raise ValueError("give exactly one of --pairs or --generated/--seeds")
+    if pairs_value and (settings.get("seeds") or settings.get("scores")):
+        raise ValueError("--seeds and --scores go with --generated, not --pairs")
     out = settings.out_path(settings.get("out", "rouge_hist.csv"))
     if pairs_value:
         pairs = jsonl.read_pairs(pairs_value)

@@ -12,6 +12,7 @@ them.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and positive")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 

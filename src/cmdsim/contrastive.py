@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -54,16 +55,16 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_pairs < 2:
             raise ValueError("batch_pairs must be >= 2 (in-batch negatives need company)")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.val_pairs < 1:
             raise ValueError("val_pairs must be >= 1")
         if self.eval_every_steps < 1:
             raise ValueError("eval_every_steps must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
 
 
 class AdapterModel:

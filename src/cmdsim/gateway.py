@@ -333,6 +333,7 @@ class HttpChatProvider:
     def __init__(self, spec: ProviderSpec) -> None:
         self.spec = spec
         self.name = spec.name
+        self.model = spec.model_id
 
     def complete(self, prompt: str) -> str:
         return complete(self.spec, prompt)
@@ -401,7 +402,8 @@ class MockProvider:
 
     def __init__(self, name: str = "mock", table: dict[str, str] | None = None, salt: str = "") -> None:
         self.name = name
-        self.salt = salt
+        # build_client passes the spec's model id, which salts the replies.
+        self.salt = self.model = salt
         self._table = dict(table) if table else {}
         self._verb_map = {a: b for a, b in MOCK_VERB_SYNONYMS}
         self._flag_map = {a: b for a, b in MOCK_FLAG_SYNONYMS}

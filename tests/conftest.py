@@ -1,13 +1,20 @@
-"""Shared fixtures: mock-vocabulary seed data and provider configs."""
+"""Shared fixtures: mock-vocabulary seed data, provider configs, and CLI
+child processes."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from cmdsim import cli
 from cmdsim.gateway import (
     MOCK_FLAG_SYNONYMS,
     MOCK_TARGETS,
@@ -57,3 +64,67 @@ def write_jsonl(path: Path, records) -> Path:
         for record in records:
             handle.write(json.dumps(record) + "\n")
     return path
+
+
+@functools.cache
+def cli_env() -> dict[str, str]:
+    """Environment for CLI child processes that run in a temp directory.
+
+    A relative PYTHONPATH entry (``PYTHONPATH=src``) does not resolve from
+    the child's ``cwd``, so the ``src`` directory of the cmdsim this suite
+    imported goes first, as an absolute path.  One child start, also in a
+    temp directory, then checks that the child imports that same cmdsim,
+    not an installed or stale copy.
+    """
+    cli_file = Path(cli.__file__).resolve()
+    entries = [str(cli_file.parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        entries.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
+    with tempfile.TemporaryDirectory() as probe_dir:
+        probe = subprocess.run(
+            [sys.executable, "-c", "import cmdsim.cli; print(cmdsim.cli.__file__)"],
+            cwd=probe_dir,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+    assert probe.returncode == 0, f"child cannot import cmdsim:\n{probe.stderr}"
+    child_file = Path(probe.stdout.strip()).resolve()
+    assert child_file == cli_file, (
+        f"child imports {child_file}, the suite imported {cli_file}"
+    )
+    return env
+
+
+# ``python -c _KILL_BOOTSTRAP KILL_AT ARGV...`` runs ``python -m cmdsim.cli
+# ARGV...`` with a MockProvider that sends SIGKILL to its own process at
+# call KILL_AT, counted over every thread.
+_KILL_BOOTSTRAP = """
+import os, runpy, signal, sys, threading
+from cmdsim import gateway
+kill_at = int(sys.argv.pop(1))
+original, calls, lock = gateway.MockProvider.complete, [0], threading.Lock()
+def complete(self, prompt):
+    with lock:
+        calls[0] += 1
+        if calls[0] == kill_at:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return original(self, prompt)
+gateway.MockProvider.complete = complete
+runpy.run_module("cmdsim.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_cli_killed_at(workdir: Path, argv: list[str], kill_at: int) -> subprocess.CompletedProcess:
+    """Run the CLI on ``argv`` in a child process in ``workdir`` that dies
+    by SIGKILL at its ``kill_at``-th provider call (1-based)."""
+    return subprocess.run(
+        [sys.executable, "-c", _KILL_BOOTSTRAP, str(kill_at), *argv],
+        cwd=workdir,
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )

@@ -14,14 +14,12 @@ saw.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import random
 import subprocess
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -30,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmdsim import cli
 from cmdsim.clustering import DbscanParams, dbscan, dedup_by_clusters, mine_negatives
 from cmdsim.contrastive import info_nce_gradients, info_nce_loss
 from cmdsim.core import dataset_stats
@@ -48,7 +45,7 @@ from cmdsim.evaluation import (
 from cmdsim.analytics import rouge_l
 from cmdsim.jsonl import read_pairs
 
-from conftest import mock_vocab_commands
+from conftest import cli_env, mock_vocab_commands
 from oracles import (
     central_difference_gradient,
     clustered_unit_vectors,
@@ -271,43 +268,11 @@ def test_criterion_07_rouge_oracle(capfd):
         assert time.perf_counter() - start < 5.0
 
 
-@functools.cache
-def _cli_env() -> dict[str, str]:
-    """Environment for CLI child processes that run in a temp directory.
-
-    A relative PYTHONPATH entry (``PYTHONPATH=src``) does not resolve from
-    the child's ``cwd``, so the ``src`` directory of the cmdsim this suite
-    imported goes first, as an absolute path.  One child start, also in a
-    temp directory, then checks that the child imports that same cmdsim,
-    not an installed or stale copy.
-    """
-    cli_file = Path(cli.__file__).resolve()
-    entries = [str(cli_file.parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        entries.append(os.environ["PYTHONPATH"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
-    with tempfile.TemporaryDirectory() as probe_dir:
-        probe = subprocess.run(
-            [sys.executable, "-c", "import cmdsim.cli; print(cmdsim.cli.__file__)"],
-            cwd=probe_dir,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-    assert probe.returncode == 0, f"child cannot import cmdsim:\n{probe.stderr}"
-    child_file = Path(probe.stdout.strip()).resolve()
-    assert child_file == cli_file, (
-        f"child imports {child_file}, the suite imported {cli_file}"
-    )
-    return env
-
-
 def _cli(workdir: Path, *args: str) -> None:
     result = subprocess.run(
         [sys.executable, "-m", "cmdsim.cli", *args],
         cwd=workdir,
-        env=_cli_env(),
+        env=cli_env(),
         capture_output=True,
         text=True,
         timeout=120,

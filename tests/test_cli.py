@@ -77,8 +77,7 @@ _COMMON_FLAGS = ["--config", "--output-dir", "--verbose", "-h", "--help"]
 # Every option string each stage accepts; a refactor of the parser must
 # keep this surface exactly.
 STAGE_OPTIONS = {
-    "synth.run": ["--seeds", "--providers", "--target", "--seed", "--max-failures", "--out",
-                  "--checkpoint-dir", "--resume"],
+    "synth.run": ["--seeds", "--providers", "--target", "--seed", "--max-failures", "--out"],
     "synth.pairs": ["--in", "--providers", "--provider", "--out", "--rejects", "--jobs"],
     "synth.explain": ["--in", "--providers", "--provider", "--out", "--rejects", "--jobs"],
     "embed": ["--in", "--text-field", "--out", *_BACKEND_FLAGS],
@@ -125,7 +124,8 @@ class TestSynthRun:
         assert meta["seed"] == 3
         assert meta["synthesized"] == 20
         assert meta["providers"] == ["mock-a", "mock-b"]
-        assert (out_dir / "checkpoint").is_dir()
+        assert len(read_jsonl(out_dir / "synthesized.jsonl.replies.jsonl")) == 5  # 4 kept per step
+        assert not (out_dir / "checkpoint").exists()
         assert "synthesized 20 commands" in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path, seeds_file, providers_file):
@@ -144,20 +144,6 @@ class TestSynthRun:
             ) == 0
             outputs.append((out_dir / "synthesized.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
-
-    def test_resume_without_checkpoint(self, tmp_path, seeds_file, providers_file, capsys):
-        code = cli.run(
-            [
-                "synth", "run",
-                "--seeds", str(seeds_file),
-                "--providers", str(providers_file),
-                "--target", "8",
-                "--resume",
-                "--output-dir", str(tmp_path / "fresh"),
-            ]
-        )
-        assert code == 1
-        assert "no checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize(("entry", "message"), [
         ({"endpoint": "api.example/v1"}, "endpoint 'api.example/v1' must start with one of http://, https://, mock:"),
@@ -482,6 +468,15 @@ class TestClusterStages:
             "27 neighbour pairs, 0 rows recomputed in the band"
         ]
 
+    @pytest.mark.parametrize("stage", ["dedup", "coverage"])
+    def test_non_finite_eps_exits_before_any_embedding(self, tmp_path, capsys, stage):
+        input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
+        code = cli.run(["cluster", stage, "--in", str(input_path), "--eps", "nan", "--min-pts", "1",
+                        "--dim", "64", "--cache", "cache.jsonl", "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: eps must be finite and positive\n"
+        assert not (tmp_path / "out" / "cache.jsonl").exists()
+
     def test_coverage_report(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
         code = cli.run(
@@ -547,6 +542,20 @@ class TestTrainCli:
         )
         assert code == 1
         assert "insufficient pairs" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(("flag", "value", "message"), [
+        ("--tau", "inf", "temperature must be finite and positive"),
+        ("--lr", "nan", "learning_rate must be finite and >= 0"),
+    ])
+    def test_non_finite_setting_exits_before_training(self, tmp_path, capsys, flag, value, message):
+        pairs = write_synonym_pairs(tmp_path / "pairs.jsonl", 36)
+        out_dir = tmp_path / "out"
+        code = cli.run(["train", "--pairs", str(pairs), "--batch", "4", "--val-pairs", "4",
+                        "--dim", "64", flag, value, "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out_dir / "adapter.json").exists()
 
 
 class TestEvalRetrievalCli:
@@ -775,6 +784,16 @@ class TestAnalyzeRougeCli:
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
         assert cli.run(["analyze", "rouge", "--output-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--scores"])
+    def test_pairs_mode_refuses_generated_mode_flags(self, tmp_path, seeds_file, capsys, flag):
+        pairs = write_synonym_pairs(tmp_path / "pairs.jsonl", 4)
+        out_dir = tmp_path / "out"
+        code = cli.run(["analyze", "rouge", "--pairs", str(pairs), flag, str(seeds_file),
+                        "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seeds and --scores go with --generated, not --pairs\n"
+        assert not out_dir.exists()
 
     def test_bad_mode_from_config_exits_one(self, tmp_path, seeds_file, capsys):
         # argparse's choices never see a config value, and an empty input

@@ -1,7 +1,8 @@
-"""The generation loop: sampling protocol, dedup, abort, checkpoints."""
+"""The generation loop: sampling protocol, dedup, abort, replies journal."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -15,14 +16,15 @@ from cmdsim.gateway import (
     ProviderPool,
     ProviderSpec,
     TransportError,
+    build_client,
 )
 from cmdsim.synthesis import (
     Reject,
+    ReplyJournal,
     SynthesisAborted,
     SynthesisConfig,
     generate_explanations,
     generate_pairs,
-    load_checkpoint,
     run_synthesis,
     synthesize_step,
 )
@@ -169,20 +171,13 @@ class TestRunSynthesis:
                 client_for=lambda spec: ScriptedClient(["<CMD>whatever"]),
             )
 
-    def test_abort_after_consecutive_failures(self, tmp_path):
-        checkpoint_dir = tmp_path / "ckpt"
+    def test_abort_after_consecutive_failures(self):
         responses = ["<CMD>only-one-accept"] + ["no markers here"] * 10
         client = ScriptedClient(responses + ["no markers here"])
-        cfg = SynthesisConfig(
-            target_count=50, max_consecutive_failures=3, checkpoint_dir=checkpoint_dir
-        )
+        cfg = SynthesisConfig(target_count=50, max_consecutive_failures=3)
         with pytest.raises(SynthesisAborted) as excinfo:
             run_synthesis(make_pool(), make_seeds(12), cfg, client_for=lambda spec: client)
         assert [c.text for c in excinfo.value.partial] == ["only-one-accept"]
-        # the final checkpoint persisted the partial result
-        pool_entries, synthesized = load_checkpoint(checkpoint_dir)
-        assert [c.text for c in synthesized] == ["only-one-accept"]
-        assert len(pool_entries) == 13
 
     def test_success_resets_failure_counter(self):
         # fail, fail, succeed, fail, fail, succeed ... max_failures=3 never hit
@@ -194,36 +189,27 @@ class TestRunSynthesis:
         result = run_synthesis(make_pool(), make_seeds(12), cfg, client_for=lambda spec: client)
         assert len(result) == 12
 
-    def test_checkpoint_and_resume(self, tmp_path):
-        checkpoint_dir = tmp_path / "ckpt"
-        cfg = SynthesisConfig(target_count=6, checkpoint_dir=checkpoint_dir)
-        counter = [0]
+    def test_rerun_with_higher_target_replays_the_journal(self, tmp_path):
+        path = tmp_path / "synthesized.jsonl.replies.jsonl"
+        with ReplyJournal(path) as journal:
+            first = run_synthesis(make_pool(2), make_seeds(12), SynthesisConfig(target_count=6, rng_seed=3),
+                                  journal=journal)
+        journaled = len(path.read_text(encoding="utf-8").splitlines())
+        assert journaled == journal.calls
 
-        class Fresh:
-            def complete(self, prompt):
-                lines = []
-                for _ in range(4):
-                    counter[0] += 1
-                    lines.append(f"<CMD>generated-{counter[0]:05d}")
-                return "\n".join(lines)
+        live = []
 
-        first = run_synthesis(make_pool(), make_seeds(12), cfg, client_for=lambda spec: Fresh())
-        state = load_checkpoint(checkpoint_dir)
-        assert state is not None
-        pool_entries, synthesized = state
-        assert [c.text for c in synthesized] == [c.text for c in first]
+        def client_for(spec):
+            live.append(spec.name)
+            return build_client(spec)
 
-        # Resuming with a higher target continues from the persisted pool.
-        cfg_more = SynthesisConfig(target_count=10, checkpoint_dir=checkpoint_dir)
-        more = run_synthesis(
-            make_pool(), make_seeds(12), cfg_more,
-            client_for=lambda spec: Fresh(), resume=state,
-        )
-        assert len(more) == 10
+        cfg_more = SynthesisConfig(target_count=10, rng_seed=3)
+        with ReplyJournal(path) as journal:
+            more = run_synthesis(make_pool(2), make_seeds(12), cfg_more, client_for=client_for, journal=journal)
         assert [c.text for c in more[:6]] == [c.text for c in first]
-
-    def test_load_checkpoint_absent(self, tmp_path):
-        assert load_checkpoint(tmp_path / "nowhere") is None
+        assert more == run_synthesis(make_pool(2), make_seeds(12), cfg_more)
+        assert journal.replayed == journaled
+        assert len(live) == journal.calls - journaled > 0
 
     def test_deterministic_with_mock_pool(self):
         def run_once():
@@ -380,3 +366,59 @@ class TestReject:
         reject = Reject(CommandLine("whoami"), "why not")
         assert reject.command.text == "whoami"
         assert reject.reason == "why not"
+
+
+class FlakyClient:
+    """Mock replies, except that the first call for each prompt in ``flaky``
+    raises a transport error; counts its calls."""
+
+    name, model = "flaky", "m"
+
+    def __init__(self, flaky):
+        self.flaky = set(flaky)
+        self.calls = 0
+
+    def complete(self, prompt: str) -> str:
+        self.calls += 1
+        for text in list(self.flaky):
+            if text in prompt:
+                self.flaky.discard(text)
+                raise TransportError(f"provider flaky: {text} timed out")
+        return MockProvider().complete(prompt)
+
+
+class TestReplyJournal:
+    def test_failed_calls_are_not_journaled_and_a_rerun_retries_them(self, tmp_path):
+        path = tmp_path / "pairs.jsonl.replies.jsonl"
+        commands = [CommandLine(f"copy /aa c:\\srv\\alpha{i}") for i in range(4)]
+        client = FlakyClient(["alpha1"])
+        with ReplyJournal(path) as journal:
+            pairs, rejects = generate_pairs(commands, client, journal=journal)
+        assert [r.command.text for r in rejects] == [commands[1].text]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
+        rerun = FlakyClient([])
+        with ReplyJournal(path) as journal:
+            pairs, rejects = generate_pairs(commands, rerun, journal=journal)
+        assert (rerun.calls, journal.replayed, len(pairs), rejects) == (1, 3, 4, [])
+        assert [p.positive.text for p in pairs] == [
+            p.positive.text for p in generate_pairs(commands, MockProvider())[0]]
+
+    def test_repeated_prompts_get_their_own_occurrence(self, tmp_path):
+        path = tmp_path / "explanations.jsonl.replies.jsonl"
+        commands = [CommandLine("whoami"), CommandLine("net user"), CommandLine("whoami")]
+        with ReplyJournal(path) as journal:
+            generate_explanations(commands, FlakyClient([]), journal=journal)
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [(r["provider"], r["model"], r["k"]) for r in records] == [
+            ("flaky", "m", 0), ("flaky", "m", 0), ("flaky", "m", 1)]
+        assert records[0]["prompt_sha256"] == records[2]["prompt_sha256"] != records[1]["prompt_sha256"]
+
+    @pytest.mark.parametrize("line", [b"not json", b"[]", b'{"provider": "p"}',
+                                      b'{"provider": "p", "model": "m", "prompt_sha256": "0", "k": 0, "reply": 1}'])
+    def test_corrupt_complete_line_names_its_place(self, tmp_path, line):
+        path = tmp_path / "journal.jsonl"
+        good = json.dumps({"provider": "p", "model": "m", "prompt_sha256": "0", "k": 0, "reply": "r"})
+        path.write_bytes(good.encode() + b"\n" + line + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: corrupt journal line"):
+            ReplyJournal(path)
