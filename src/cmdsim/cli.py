@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__, analytics, clustering, contrastive, evaluation, jsonl, synthesis
 from .core import Source, dataset_stats
 from .embedding import (
+    DEFAULT_DIM,
     EmbeddingCache,
     HashingEmbeddingBackend,
     RemoteEmbeddingBackend,
@@ -50,98 +51,17 @@ from .gateway import (
     load_provider_pool,
 )
 
-logger = logging.getLogger(__name__)
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an int, refused below ``minimum``."""
 
-
-class Settings:
-    """Flag/config/default resolution for one subcommand invocation."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.stage = args.stage
-        self.config = configparser.ConfigParser()
-        config_path = getattr(args, "config", None)
-        if config_path:
-            try:
-                read = self.config.read(config_path, encoding="utf-8")
-            except configparser.Error as exc:
-                raise ValueError(f"config file {config_path}: {exc}") from exc
-            if not read:
-                raise ValueError(f"config file not found: {config_path}")
-
-    def get(self, key: str, default=None, cast=None):
-        value = getattr(self.args, key, None)
-        if value is None:
-            for section in (self.stage, "common"):
-                if self.config.has_option(section, key):
-                    try:
-                        value = self.config.get(section, key)
-                    except configparser.Error as exc:
-                        raise ValueError(f"config file {self.args.config}: [{section}] {key}: {exc}") from exc
-                    break
-        if value is None:
-            return default
-        if cast is not None and isinstance(value, str):
-            return cast(value)
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
 
-    def output_dir(self) -> Path:
-        directory = Path(self.get("output_dir", "."))
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory
-
-    def out_path(self, value: str | Path) -> Path:
-        path = Path(value)
-        return path if path.is_absolute() else self.output_dir() / path
-
-    def path_or(self, key: str, default: Path) -> Path:
-        """The path given for ``key``, else ``default`` (derived by the caller)."""
-        value = self.get(key)
-        return self.out_path(value) if value else default
-
-    def backend(self):
-        kind = self.get("backend", "local")
-        dim = self.get("dim", 256, int)
-        if kind == "local":
-            return HashingEmbeddingBackend(dim)
-        if kind == "remote":
-            endpoint = self.get("embed_endpoint")
-            model = self.get("embed_model")
-            if not endpoint or not model:
-                raise ValueError(
-                    "remote backend needs --embed-endpoint and --embed-model"
-                )
-            return RemoteEmbeddingBackend(
-                endpoint, model, dim, self.get("embed_key_env", "")
-            )
-        raise ValueError(f"unknown backend {kind!r}")
-
-    def cache(self) -> EmbeddingCache | None:
-        path = self.get("cache")
-        return EmbeddingCache(self.out_path(path)) if path else None
-
-    def report(self, fields, default_out: str | None = None, **meta) -> None:
-        """Print ``key=value`` lines for ``fields`` (pairs, in order).
-
-        With an output path (``--out``, config, or ``default_out``) the
-        same text also goes to that file, with a ``.meta.json`` sidecar
-        holding ``meta``.
-        """
-        text = "".join(f"{key}={value}\n" for key, value in fields)
-        print(text, end="")
-        out_value = self.get("out", default_out)
-        if out_value:
-            out = self.out_path(out_value)
-            with jsonl._replacing(out) as handle:
-                handle.write(text)
-            jsonl.write_meta(out, self.stage, **meta)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _k_list(text: str) -> list[int]:
@@ -163,16 +83,17 @@ def _add_stage(subparsers, stage: str, help: str, handler, backend: bool = False
     """
     parser = subparsers.add_parser(stage.rpartition(".")[2], help=help)
     if backend:
-        parser.add_argument("--backend", choices=("local", "remote"), help="embedding backend (default local)")
-        parser.add_argument("--dim", type=int, help="embedding dimension (default 256)")
+        parser.add_argument("--backend", choices=("local", "remote"), default="local",
+                            help="embedding backend (default %(default)s)")
+        parser.add_argument("--dim", type=int, default=DEFAULT_DIM, help="embedding dimension (default %(default)s)")
         parser.add_argument("--embed-endpoint", dest="embed_endpoint", help="remote embeddings URL")
         parser.add_argument("--embed-model", dest="embed_model", help="remote embeddings model id")
-        parser.add_argument("--embed-key-env", dest="embed_key_env", help="env var holding the embeddings API key")
+        parser.add_argument("--embed-key-env", dest="embed_key_env", default="", help="env var holding the embeddings API key")
         parser.add_argument("--cache", help="embedding cache index; rows go to the same path + .f64")
     parser.add_argument("--config", help="INI config file with per-stage sections")
-    parser.add_argument("--output-dir", dest="output_dir", help="directory for all outputs (default .)")
+    parser.add_argument("--output-dir", dest="output_dir", default=".", help="directory for all outputs (default %(default)s)")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    parser.set_defaults(handler=handler, stage=stage)
+    parser.set_defaults(handler=handler, stage=stage, stage_parser=parser)
     return parser
 
 
@@ -191,68 +112,73 @@ def build_parser() -> argparse.ArgumentParser:
     synth = subparsers.add_parser("synth", help="generation stages")
     synth_sub = synth.add_subparsers(dest="subcommand")
 
+    synth_defaults = synthesis.SynthesisConfig()
     run_p = _add_stage(synth_sub, "synth.run", "grow the pool of synthesized commands", cmd_synth_run)
     run_p.add_argument("--seeds", required=True, help="initial seeds JSONL ({text, source})")
     run_p.add_argument("--providers", help="provider pool INI file")
-    run_p.add_argument("--target", type=_positive_int, help="number of new commands (default 28520)")
-    run_p.add_argument("--seed", type=int, help="rng seed (default 0)")
-    run_p.add_argument("--max-failures", dest="max_failures", type=int, help="consecutive empty steps before aborting (default 20)")
-    run_p.add_argument("--out", help="output JSONL (default synthesized.jsonl)")
+    run_p.add_argument("--target", type=_int_at_least(0), default=synth_defaults.target_count,
+                       help="number of new commands (default %(default)s)")
+    run_p.add_argument("--seed", type=int, default=synth_defaults.rng_seed, help="rng seed (default %(default)s)")
+    run_p.add_argument("--max-failures", dest="max_failures", type=int,
+                       default=synth_defaults.max_consecutive_failures,
+                       help="consecutive empty steps before aborting (default %(default)s)")
+    run_p.add_argument("--out", default="synthesized.jsonl", help="output JSONL (default %(default)s)")
 
-    pairs_p = _add_stage(synth_sub, "synth.pairs", "generate similar-command positives", cmd_synth_generate)
-    pairs_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
-    pairs_p.add_argument("--providers", help="provider pool INI file")
-    pairs_p.add_argument("--provider", help="provider name (default: first in pool)")
-    pairs_p.add_argument("--out", help="pairs JSONL (default pairs.jsonl)")
-    pairs_p.add_argument("--rejects", help="rejects JSONL (default <out>.rejects.jsonl)")
-    pairs_p.add_argument("--jobs", type=int, help="concurrent provider calls (default 1)")
-
-    explain_p = _add_stage(synth_sub, "synth.explain", "generate explanations", cmd_synth_generate)
-    explain_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
-    explain_p.add_argument("--providers", help="provider pool INI file")
-    explain_p.add_argument("--provider", help="provider name (default: first in pool)")
-    explain_p.add_argument("--out", help="explanations JSONL (default explanations.jsonl)")
-    explain_p.add_argument("--rejects", help="rejects JSONL (default <out>.rejects.jsonl)")
-    explain_p.add_argument("--jobs", type=int, help="concurrent provider calls (default 1)")
+    for stage, help, noun in (("synth.pairs", "generate similar-command positives", "pairs"),
+                              ("synth.explain", "generate explanations", "explanations")):
+        generate_p = _add_stage(synth_sub, stage, help, cmd_synth_generate)
+        generate_p.add_argument("--in", dest="input", required=True, help="commands JSONL")
+        generate_p.add_argument("--providers", help="provider pool INI file")
+        generate_p.add_argument("--provider", help="provider name (default: first in pool)")
+        generate_p.add_argument("--out", default=f"{noun}.jsonl", help=f"{noun} JSONL (default %(default)s)")
+        generate_p.add_argument("--rejects", help="rejects JSONL (default <out>.rejects.jsonl)")
+        generate_p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                                help="concurrent provider calls (default %(default)s)")
 
     embed_p = _add_stage(subparsers, "embed", "embed texts to vectors", cmd_embed, backend=True)
     embed_p.add_argument("--in", dest="input", required=True, help="JSONL with a text field")
-    embed_p.add_argument("--text-field", dest="text_field", help="record field to embed (default text)")
-    embed_p.add_argument("--out", help="vectors JSONL (default embeddings.jsonl)")
+    embed_p.add_argument("--text-field", dest="text_field", default="text", help="record field to embed (default %(default)s)")
+    embed_p.add_argument("--out", default="embeddings.jsonl", help="vectors JSONL (default %(default)s)")
 
     cluster = subparsers.add_parser("cluster", help="clustering stages")
     cluster_sub = cluster.add_subparsers(dest="subcommand")
 
     dedup_p = _add_stage(cluster_sub, "cluster.dedup", "deduplicate by explanation clusters", cmd_cluster_dedup, backend=True)
     dedup_p.add_argument("--in", dest="input", required=True, help="explanations JSONL ({text, explanation})")
-    dedup_p.add_argument("--eps", type=float, help="cosine-distance radius (default 0.08)")
-    dedup_p.add_argument("--min-pts", dest="min_pts", type=int, help="core-point threshold (default 5)")
-    dedup_p.add_argument("--keep", type=int, help="entries kept per cluster (default 2)")
-    dedup_p.add_argument("--out", help="surviving records JSONL (default testset.jsonl)")
+    dedup_p.add_argument("--keep", type=int, default=2, help="entries kept per cluster (default %(default)s)")
+    dedup_p.add_argument("--out", default="testset.jsonl", help="surviving records JSONL (default %(default)s)")
 
     negatives_p = _add_stage(cluster_sub, "cluster.negatives", "mine least-similar negatives", cmd_cluster_negatives, backend=True)
     negatives_p.add_argument("--in", dest="input", required=True, help="explanations JSONL")
-    negatives_p.add_argument("--n", type=int, help="negatives per query (default 1000)")
-    negatives_p.add_argument("--out", help="output JSONL of {query_id, negative_ids} (default negatives.jsonl)")
+    negatives_p.add_argument("--n", type=int, default=1000, help="negatives per query (default %(default)s)")
+    negatives_p.add_argument("--out", default="negatives.jsonl",
+                             help="output JSONL of {query_id, negative_ids} (default %(default)s)")
 
     coverage_p = _add_stage(cluster_sub, "cluster.coverage", "per-source cluster coverage", cmd_cluster_coverage, backend=True)
     coverage_p.add_argument("--in", dest="input", required=True, help="explanations JSONL with a source field")
-    coverage_p.add_argument("--eps", type=float, help="cosine-distance radius (default 0.08)")
-    coverage_p.add_argument("--min-pts", dest="min_pts", type=int, help="core-point threshold (default 5)")
-    coverage_p.add_argument("--tag-field", dest="tag_field", help="record field naming the source (default source)")
+    coverage_p.add_argument("--tag-field", dest="tag_field", default="source",
+                            help="record field naming the source (default %(default)s)")
     coverage_p.add_argument("--out", help="optional report file")
 
+    for dbscan_p in (dedup_p, coverage_p):
+        dbscan_p.add_argument("--eps", type=float, default=0.08, help="cosine-distance radius (default %(default)s)")
+        dbscan_p.add_argument("--min-pts", dest="min_pts", type=int, default=5, help="core-point threshold (default %(default)s)")
+
+    train_defaults = contrastive.TrainConfig()
     train_p = _add_stage(subparsers, "train", "train the embedding adapter", cmd_train, backend=True)
     train_p.add_argument("--pairs", required=True, help="pairs JSONL ({anchor, positive})")
-    train_p.add_argument("--out", help="adapter checkpoint JSON (default adapter.json)")
+    train_p.add_argument("--out", default="adapter.json", help="adapter checkpoint JSON (default %(default)s)")
     train_p.add_argument("--history", help="history CSV (default <out>.history.csv)")
-    train_p.add_argument("--batch", type=int, help="pairs per batch (default 64)")
-    train_p.add_argument("--lr", type=float, help="learning rate (default 2e-5)")
-    train_p.add_argument("--epochs", type=int, help="epochs (default 2)")
-    train_p.add_argument("--tau", type=float, help="softmax temperature (default 0.05)")
-    train_p.add_argument("--val-pairs", dest="val_pairs", type=int, help="validation pairs (default 1000)")
-    train_p.add_argument("--eval-every", dest="eval_every", type=int, help="steps between evals (default 50)")
-    train_p.add_argument("--seed", type=int, help="rng seed (default 0)")
+    train_p.add_argument("--batch", type=int, default=train_defaults.batch_pairs, help="pairs per batch (default %(default)s)")
+    train_p.add_argument("--lr", type=float, default=train_defaults.learning_rate, help="learning rate (default %(default)s)")
+    train_p.add_argument("--epochs", type=int, default=train_defaults.epochs, help="epochs (default %(default)s)")
+    train_p.add_argument("--tau", type=float, default=train_defaults.temperature,
+                         help="softmax temperature (default %(default)s)")
+    train_p.add_argument("--val-pairs", dest="val_pairs", type=int, default=train_defaults.val_pairs,
+                         help="validation pairs (default %(default)s)")
+    train_p.add_argument("--eval-every", dest="eval_every", type=int, default=train_defaults.eval_every_steps,
+                         help="steps between evals (default %(default)s)")
+    train_p.add_argument("--seed", type=int, default=train_defaults.rng_seed, help="rng seed (default %(default)s)")
 
     evaluate = subparsers.add_parser("eval", help="evaluation suites")
     eval_sub = evaluate.add_subparsers(dest="subcommand")
@@ -260,21 +186,24 @@ def build_parser() -> argparse.ArgumentParser:
     retrieval_p = _add_stage(eval_sub, "eval.retrieval", "MRR@K / Top@K retrieval", cmd_eval_retrieval, backend=True)
     retrieval_p.add_argument("--testset", required=True, help="JSONL of {query, positive, negative_ids}")
     retrieval_p.add_argument("--corpus", required=True, help="commands JSONL the negative ids index into")
-    retrieval_p.add_argument("--k", type=_k_list, help="comma-separated K values (default 3,10)")
+    retrieval_p.add_argument("--k", type=_k_list, default="3,10", help="comma-separated K values (default %(default)s)")
     retrieval_p.add_argument("--adapter", help="adapter checkpoint JSON (default: identity)")
-    retrieval_p.add_argument("--out", help="report file (default retrieval_report.txt)")
-    retrieval_p.add_argument("--ranks", help="per-case ranks CSV (default retrieval_ranks.csv)")
+    retrieval_p.add_argument("--out", default="retrieval_report.txt", help="report file (default %(default)s)")
+    retrieval_p.add_argument("--ranks", default="retrieval_ranks.csv", help="per-case ranks CSV (default %(default)s)")
 
     detect_p = _add_stage(eval_sub, "eval.detect", "gene-pool detection AUC", cmd_eval_detect, backend=True)
     detect_p.add_argument("--corpus", required=True, help="technique corpus JSONL ({technique_id, command})")
-    detect_p.add_argument("--rate", type=float, help="pool sample rate percent (default 20)")
-    detect_p.add_argument("--mode", choices=("concatenated", "averaged"), help="AUC aggregation (default concatenated)")
+    detect_p.add_argument("--rate", type=float, default=20.0, help="pool sample rate percent (default %(default)s)")
+    detect_p.add_argument("--mode", choices=("concatenated", "averaged"), default="concatenated",
+                          help="AUC aggregation (default %(default)s)")
     detect_p.add_argument("--out", help="optional report file")
 
     classify_p = _add_stage(eval_sub, "eval.classify", "seven-command classification probe", cmd_eval_classify, backend=True)
-    classify_p.add_argument("--seed", type=int, help="rng seed (default 0)")
-    classify_p.add_argument("--per-command", dest="per_command", type=int, help="lines per command (default 7000)")
-    classify_p.add_argument("--decoy-probability", dest="decoy_probability", type=float, help="per-slot decoy probability (default 0.5)")
+    classify_p.add_argument("--seed", type=int, default=0, help="rng seed (default %(default)s)")
+    classify_p.add_argument("--per-command", dest="per_command", type=int, default=7000,
+                            help="lines per command (default %(default)s)")
+    classify_p.add_argument("--decoy-probability", dest="decoy_probability", type=float, default=0.5,
+                            help="per-slot decoy probability (default %(default)s)")
     classify_p.add_argument("--out", help="optional report file")
 
     stats_p = _add_stage(subparsers, "stats", "pair-dataset statistics", cmd_stats)
@@ -287,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     rouge_p.add_argument("--pairs", help="pairs JSONL: anchor-vs-positive overlap")
     rouge_p.add_argument("--generated", help="generated commands JSONL: max overlap vs seeds")
     rouge_p.add_argument("--seeds", help="seeds JSONL (required with --generated)")
-    rouge_p.add_argument("--rouge-mode", dest="rouge_mode", choices=analytics.ROUGE_MODES, help="score variant (default f1)")
-    rouge_p.add_argument("--out", help="histogram CSV (default rouge_hist.csv)")
+    rouge_p.add_argument("--rouge-mode", dest="rouge_mode", choices=analytics.ROUGE_MODES, default="f1",
+                         help="score variant (default %(default)s)")
+    rouge_p.add_argument("--out", default="rouge_hist.csv", help="histogram CSV (default %(default)s)")
     rouge_p.add_argument("--scores", help="optional per-command scores CSV (--generated mode)")
 
     an_cov_p = _add_stage(analyze_sub, "analyze.coverage", "command-group and extension coverage", cmd_analyze_coverage)
@@ -300,25 +230,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dbscan_params(settings: Settings) -> clustering.DbscanParams:
-    return clustering.DbscanParams(
-        eps=settings.get("eps", 0.08, float),
-        min_pts=settings.get("min_pts", 5, int),
-    )
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The values ``--config`` gives the stage's optional flags, keyed by
+    dest: from the ``[stage]`` section, else ``[common]``, each passed
+    through its flag's ``type`` and ``choices``.  Switches, required flags
+    and ``--config`` itself are not read; keys that name no flag are ignored.
+    """
+    config = configparser.ConfigParser()
+    try:
+        read = config.read(args.config, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ValueError(f"config file {args.config}: {exc}") from exc
+    if not read:
+        raise ValueError(f"config file not found: {args.config}")
+    defaults = {}
+    for action in args.stage_parser._actions:
+        sections = [s for s in (args.stage, "common") if config.has_option(s, action.dest)]
+        if not sections or action.nargs == 0 or action.required or action.dest == "config":
+            continue
+        try:
+            value = config.get(sections[0], action.dest)
+            if action.type is not None:
+                value = action.type(value)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, action.choices))})")
+        except (configparser.Error, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config file {args.config}: [{sections[0]}] {action.dest}: {exc}") from exc
+        defaults[action.dest] = value
+    return defaults
 
 
-def _load_pool(settings: Settings):
-    providers = settings.get("providers")
-    if not providers:
+def _out_path(args: argparse.Namespace, value: str) -> Path:
+    """``value`` under ``--output-dir``, or as given when absolute."""
+    return Path(args.output_dir, value)
+
+
+def _backend(args: argparse.Namespace):
+    if args.backend == "local":
+        return HashingEmbeddingBackend(args.dim)
+    if not args.embed_endpoint or not args.embed_model:
+        raise ValueError("remote backend needs --embed-endpoint and --embed-model")
+    return RemoteEmbeddingBackend(args.embed_endpoint, args.embed_model, args.dim, args.embed_key_env)
+
+
+def _cache(args: argparse.Namespace) -> EmbeddingCache | None:
+    return EmbeddingCache(_out_path(args, args.cache)) if args.cache else None
+
+
+def _report(args: argparse.Namespace, fields, **meta) -> None:
+    """Print ``key=value`` lines for ``fields`` (pairs, in order).
+
+    With an output path (``--out`` or its default) the same text also goes
+    to that file, with a ``.meta.json`` sidecar holding ``meta``.
+    """
+    text = "".join(f"{key}={value}\n" for key, value in fields)
+    print(text, end="")
+    if args.out:
+        out = _out_path(args, args.out)
+        with jsonl._replacing(out) as handle:
+            handle.write(text)
+        jsonl.write_meta(out, args.stage, **meta)
+
+
+def _load_pool(args: argparse.Namespace):
+    if not args.providers:
         raise ValueError("no provider pool given (use --providers or the config file)")
-    return load_provider_pool(providers)
-
-
-def _pick_client(settings: Settings):
-    pool = _load_pool(settings)
-    name = settings.get("provider")
-    spec = pool.by_name(name) if name else pool.providers[0]
-    return build_client(spec)
+    return load_provider_pool(args.providers)
 
 
 def _journal(out: Path) -> synthesis.ReplyJournal:
@@ -326,46 +303,43 @@ def _journal(out: Path) -> synthesis.ReplyJournal:
     return synthesis.ReplyJournal(Path(f"{out}.replies.jsonl"))
 
 
-def cmd_synth_run(settings: Settings) -> int:
-    seeds = jsonl.read_commands(settings.get("seeds"), default_source=Source.INITIAL_SEED)
-    pool = _load_pool(settings)
-    out = settings.out_path(settings.get("out", "synthesized.jsonl"))
-    seed = settings.get("seed", 0, int)
+def cmd_synth_run(args: argparse.Namespace) -> int:
+    seeds = jsonl.read_commands(args.seeds, default_source=Source.INITIAL_SEED)
+    pool = _load_pool(args)
+    out = _out_path(args, args.out)
     cfg = synthesis.SynthesisConfig(
-        target_count=settings.get("target", synthesis.DEFAULT_TARGET_COUNT, int),
-        rng_seed=seed,
-        max_consecutive_failures=settings.get("max_failures", 20, int),
+        target_count=args.target,
+        rng_seed=args.seed,
+        max_consecutive_failures=args.max_failures,
     )
     try:
         with _journal(out) as journal:
             synthesized = synthesis.run_synthesis(pool, seeds, cfg, journal=journal)
     except synthesis.SynthesisAborted as exc:
         jsonl.write_commands(out, exc.partial)
-        jsonl.write_meta(out, settings.stage, seed=seed, target=cfg.target_count,
+        jsonl.write_meta(out, args.stage, seed=args.seed, target=cfg.target_count,
                          aborted=True, synthesized=len(exc.partial))
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial results: {len(exc.partial)} commands written to {out}", file=sys.stderr)
         return 1
     jsonl.write_commands(out, synthesized)
-    jsonl.write_meta(out, settings.stage, seed=seed, target=cfg.target_count,
+    jsonl.write_meta(out, args.stage, seed=args.seed, target=cfg.target_count,
                      providers=[p.name for p in pool.providers], synthesized=len(synthesized))
     print(f"synthesized {len(synthesized)} commands -> {out}")
     return 0
 
 
-def cmd_synth_generate(settings: Settings) -> int:
+def cmd_synth_generate(args: argparse.Namespace) -> int:
     """``synth pairs`` and ``synth explain``: one provider call per command."""
-    commands = jsonl.read_commands(settings.get("input"))
-    client = _pick_client(settings)
-    pairs = settings.stage == "synth.pairs"
+    commands = jsonl.read_commands(args.input)
+    pool = _load_pool(args)
+    client = build_client(pool.by_name(args.provider) if args.provider else pool.providers[0])
+    pairs = args.stage == "synth.pairs"
     noun = "pairs" if pairs else "explanations"
     generate = synthesis.generate_pairs if pairs else synthesis.generate_explanations
-    jobs = settings.get("jobs", 1, int)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    out = settings.out_path(settings.get("out", f"{noun}.jsonl"))
+    out = _out_path(args, args.out)
     with _journal(out) as journal:
-        results, rejects = generate(commands, client, jobs=jobs, journal=journal)
+        results, rejects = generate(commands, client, jobs=args.jobs, journal=journal)
     if pairs:
         jsonl.write_pairs(out, results)
     else:
@@ -376,12 +350,12 @@ def cmd_synth_generate(settings: Settings) -> int:
                 for command, explanation in results
             ),
         )
-    rejects_path = settings.path_or("rejects", Path(str(out) + ".rejects.jsonl"))
+    rejects_path = _out_path(args, args.rejects) if args.rejects else Path(f"{out}.rejects.jsonl")
     jsonl.write_records(
         rejects_path,
         ({"text": r.command.text, "reason": r.reason} for r in rejects),
     )
-    jsonl.write_meta(out, settings.stage, provider=getattr(client, "name", "?"),
+    jsonl.write_meta(out, args.stage, provider=getattr(client, "name", "?"),
                      rejects=len(rejects), **{noun: len(results)})
     print(f"{len(results)} {noun} -> {out} ({len(rejects)} rejects -> {rejects_path})")
     return 0
@@ -397,37 +371,36 @@ def _column(records: list[dict], field: str) -> list:
     return values
 
 
-def cmd_embed(settings: Settings) -> int:
-    records = list(jsonl.read_records(settings.get("input")))
-    texts = _column(records, settings.get("text_field", "text"))
-    backend = settings.backend()
-    matrix = embed_batch(backend, texts, settings.cache())
-    out = settings.out_path(settings.get("out", "embeddings.jsonl"))
+def cmd_embed(args: argparse.Namespace) -> int:
+    records = list(jsonl.read_records(args.input))
+    texts = _column(records, args.text_field)
+    backend = _backend(args)
+    matrix = embed_batch(backend, texts, _cache(args))
+    out = _out_path(args, args.out)
     jsonl.write_records(out, jsonl.vector_records(texts, matrix))
-    jsonl.write_meta(out, settings.stage, backend=backend.identity, vectors=len(texts))
+    jsonl.write_meta(out, args.stage, backend=backend.identity, vectors=len(texts))
     print(f"{len(texts)} vectors ({backend.identity}) -> {out}")
     return 0
 
 
-def _read_explanations(settings: Settings) -> tuple[list[dict], list[str]]:
-    records = list(jsonl.read_records(settings.get("input")))
+def _read_explanations(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    records = list(jsonl.read_records(args.input))
     if not records:
         raise ValueError("input file has no records")
     return records, _column(records, "explanation")
 
 
-def cmd_cluster_dedup(settings: Settings) -> int:
-    records, explanations = _read_explanations(settings)
-    params = _dbscan_params(settings)
-    backend = settings.backend()
-    matrix = embed_batch(backend, explanations, settings.cache())
+def cmd_cluster_dedup(args: argparse.Namespace) -> int:
+    records, explanations = _read_explanations(args)
+    params = clustering.DbscanParams(eps=args.eps, min_pts=args.min_pts)
+    backend = _backend(args)
+    matrix = embed_batch(backend, explanations, _cache(args))
     labeling = clustering.dbscan(matrix, params)
-    keep = settings.get("keep", 2, int)
-    kept = clustering.dedup_by_clusters(records, labeling, keep)
-    out = settings.out_path(settings.get("out", "testset.jsonl"))
+    kept = clustering.dedup_by_clusters(records, labeling, args.keep)
+    out = _out_path(args, args.out)
     jsonl.write_records(out, (records[i] for i in kept))
-    jsonl.write_meta(out, settings.stage, eps=params.eps, min_pts=params.min_pts,
-                     keep=keep, clusters=labeling.num_clusters,
+    jsonl.write_meta(out, args.stage, eps=params.eps, min_pts=params.min_pts,
+                     keep=args.keep, clusters=labeling.num_clusters,
                      kept=len(kept), dropped=len(records) - len(kept),
                      backend=backend.identity)
     print(
@@ -436,18 +409,18 @@ def cmd_cluster_dedup(settings: Settings) -> int:
     return 0
 
 
-def cmd_cluster_negatives(settings: Settings) -> int:
-    records, explanations = _read_explanations(settings)
+def cmd_cluster_negatives(args: argparse.Namespace) -> int:
+    records, explanations = _read_explanations(args)
     positives = [record.get("positive_id") for record in records]
     for i, positive in enumerate(positives):
         if positive is not None and (not isinstance(positive, int) or isinstance(positive, bool)):
             raise ValueError(f"record {i}: positive_id must be an integer index")
-    n = settings.get("n", 1000, int)
+    n = args.n
     queries = range(len(records))
     clustering.check_negatives(len(records), queries, n, positives)
-    backend = settings.backend()
-    matrix = embed_batch(backend, explanations, settings.cache())
-    out = settings.out_path(settings.get("out", "negatives.jsonl"))
+    backend = _backend(args)
+    matrix = embed_batch(backend, explanations, _cache(args))
+    out = _out_path(args, args.out)
 
     # Each row as json.dumps would write {"query_id": i, "negative_ids": [...]},
     # joined from the ids' strings instead of encoding n ints a row.
@@ -462,53 +435,53 @@ def cmd_cluster_negatives(settings: Settings) -> int:
                 yield f'{{"query_id": {i}, "negative_ids": [{", ".join(ids[row].tolist())}]}}'
 
     jsonl.write_records(out, rows())
-    jsonl.write_meta(out, settings.stage, n=n, queries=len(records),
+    jsonl.write_meta(out, args.stage, n=n, queries=len(records),
                      backend=backend.identity)
     print(f"{len(records)} queries x {n} negatives -> {out}")
     return 0
 
 
-def cmd_cluster_coverage(settings: Settings) -> int:
-    records, explanations = _read_explanations(settings)
-    tags = [str(tag) for tag in _column(records, settings.get("tag_field", "source"))]
-    params = _dbscan_params(settings)
-    backend = settings.backend()
-    matrix = embed_batch(backend, explanations, settings.cache())
+def cmd_cluster_coverage(args: argparse.Namespace) -> int:
+    records, explanations = _read_explanations(args)
+    tags = [str(tag) for tag in _column(records, args.tag_field)]
+    params = clustering.DbscanParams(eps=args.eps, min_pts=args.min_pts)
+    backend = _backend(args)
+    matrix = embed_batch(backend, explanations, _cache(args))
     labeling = clustering.dbscan(matrix, params)
     rates = clustering.cluster_coverage(labeling, tags)
     pooled = clustering.cluster_coverage(labeling, ["pool"] * len(tags))["pool"]
-    settings.report(
+    _report(
+        args,
         [("clusters", labeling.num_clusters), ("pool", pooled), *rates.items()],
         eps=params.eps, min_pts=params.min_pts,
     )
     return 0
 
 
-def cmd_train(settings: Settings) -> int:
-    pairs = jsonl.read_pairs(settings.get("pairs"))
-    backend = settings.backend()
-    seed = settings.get("seed", 0, int)
+def cmd_train(args: argparse.Namespace) -> int:
+    pairs = jsonl.read_pairs(args.pairs)
+    backend = _backend(args)
     cfg = contrastive.TrainConfig(
-        batch_pairs=settings.get("batch", 64, int),
-        learning_rate=settings.get("lr", 2e-5, float),
-        epochs=settings.get("epochs", 2, int),
-        temperature=settings.get("tau", 0.05, float),
-        val_pairs=settings.get("val_pairs", 1000, int),
-        eval_every_steps=settings.get("eval_every", 50, int),
-        rng_seed=seed,
+        batch_pairs=args.batch,
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        temperature=args.tau,
+        val_pairs=args.val_pairs,
+        eval_every_steps=args.eval_every,
+        rng_seed=args.seed,
     )
-    model, history = contrastive.train(pairs, backend, cfg, settings.cache())
-    out = settings.out_path(settings.get("out", "adapter.json"))
+    model, history = contrastive.train(pairs, backend, cfg, _cache(args))
+    out = _out_path(args, args.out)
     model.save(out)
     jsonl.write_csv(
-        settings.path_or("history", Path(str(out) + ".history.csv")),
+        _out_path(args, args.history) if args.history else Path(f"{out}.history.csv"),
         ["step", "train_loss", "val_mrr3"],
         (
             [event.step, "" if event.train_loss is None else repr(event.train_loss), repr(event.val_mrr3)]
             for event in history
         ),
     )
-    jsonl.write_meta(out, settings.stage, seed=seed, pairs=len(pairs),
+    jsonl.write_meta(out, args.stage, seed=args.seed, pairs=len(pairs),
                      backend=backend.identity, best_step=model.step,
                      batch=cfg.batch_pairs, lr=cfg.learning_rate,
                      epochs=cfg.epochs, tau=cfg.temperature)
@@ -519,50 +492,41 @@ def cmd_train(settings: Settings) -> int:
     return 0
 
 
-def cmd_eval_retrieval(settings: Settings) -> int:
-    corpus = jsonl.read_commands(settings.get("corpus"))
-    cases = evaluation.load_retrieval_cases(settings.get("testset"), corpus)
-    backend = settings.backend()
-    adapter_value = settings.get("adapter")
-    adapter = contrastive.AdapterModel.load(adapter_value) if adapter_value else None
-    ks = settings.get("k", [3, 10], _k_list)
-    report = evaluation.evaluate_retrieval(cases, backend, ks, adapter, settings.cache())
-    settings.report(
-        [("cases", len(cases)), *report.metrics.items()], "retrieval_report.txt",
-        backend=backend.identity, adapter=str(adapter_value) if adapter_value else None,
-        cases=len(cases),
+def cmd_eval_retrieval(args: argparse.Namespace) -> int:
+    corpus = jsonl.read_commands(args.corpus)
+    cases = evaluation.load_retrieval_cases(args.testset, corpus)
+    backend = _backend(args)
+    adapter = contrastive.AdapterModel.load(args.adapter) if args.adapter else None
+    report = evaluation.evaluate_retrieval(cases, backend, args.k, adapter, _cache(args))
+    _report(
+        args, [("cases", len(cases)), *report.metrics.items()],
+        backend=backend.identity, adapter=args.adapter or None, cases=len(cases),
     )
-    jsonl.write_csv(
-        settings.path_or("ranks", settings.out_path("retrieval_ranks.csv")),
-        ["case", "rank"],
-        enumerate(report.ranks),
+    jsonl.write_csv(_out_path(args, args.ranks), ["case", "rank"], enumerate(report.ranks))
+    return 0
+
+
+def cmd_eval_detect(args: argparse.Namespace) -> int:
+    corpus = evaluation.load_technique_corpus(args.corpus)
+    backend = _backend(args)
+    auc = evaluation.detection_auc(corpus, args.rate, backend, args.mode, _cache(args))
+    _report(
+        args,
+        [("techniques", len(corpus)), ("rate", args.rate), ("mode", args.mode), ("auc", auc)],
+        rate=args.rate, mode=args.mode, backend=backend.identity,
     )
     return 0
 
 
-def cmd_eval_detect(settings: Settings) -> int:
-    corpus = evaluation.load_technique_corpus(settings.get("corpus"))
-    backend = settings.backend()
-    rate = settings.get("rate", 20.0, float)
-    mode = settings.get("mode", "concatenated")
-    auc = evaluation.detection_auc(corpus, rate, backend, mode, settings.cache())
-    settings.report(
-        [("techniques", len(corpus)), ("rate", rate), ("mode", mode), ("auc", auc)],
-        rate=rate, mode=mode, backend=backend.identity,
-    )
-    return 0
-
-
-def cmd_eval_classify(settings: Settings) -> int:
-    seed = settings.get("seed", 0, int)
-    rng = random.Random(seed)
+def cmd_eval_classify(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     dataset = evaluation.synth_classification_dataset(
         rng,
-        per_command=settings.get("per_command", 7000, int),
-        decoy_probability=settings.get("decoy_probability", 0.5, float),
+        per_command=args.per_command,
+        decoy_probability=args.decoy_probability,
     )
-    backend = settings.backend()
-    cache = settings.cache()
+    backend = _backend(args)
+    cache = _cache(args)
     train_x = embed_batch(backend, [text for _, text in dataset.train], cache)
     test_x = embed_batch(backend, [text for _, text in dataset.test], cache)
     _, accuracy = evaluation.train_logreg(
@@ -572,16 +536,17 @@ def cmd_eval_classify(settings: Settings) -> int:
         [label for label, _ in dataset.test],
         rng=rng,
     )
-    settings.report(
+    _report(
+        args,
         [("train_records", len(dataset.train)), ("test_records", len(dataset.test)),
-         ("seed", seed), ("accuracy", accuracy)],
-        seed=seed, backend=backend.identity,
+         ("seed", args.seed), ("accuracy", accuracy)],
+        seed=args.seed, backend=backend.identity,
     )
     return 0
 
 
-def cmd_stats(settings: Settings) -> int:
-    pairs = jsonl.read_pairs(settings.get("pairs"))
+def cmd_stats(args: argparse.Namespace) -> int:
+    pairs = jsonl.read_pairs(args.pairs)
     stats = dataset_stats(pairs)
     print(f"num_pairs={stats.num_pairs}")
     print(f"num_unique={stats.num_unique}")
@@ -592,34 +557,30 @@ def cmd_stats(settings: Settings) -> int:
     return 0
 
 
-def cmd_analyze_rouge(settings: Settings) -> int:
-    mode = settings.get("rouge_mode", "f1")
-    pairs_value = settings.get("pairs")
-    generated_value = settings.get("generated")
-    if bool(pairs_value) == bool(generated_value):
+def cmd_analyze_rouge(args: argparse.Namespace) -> int:
+    mode = args.rouge_mode
+    if bool(args.pairs) == bool(args.generated):
         raise ValueError("give exactly one of --pairs or --generated/--seeds")
-    if pairs_value and (settings.get("seeds") or settings.get("scores")):
+    if args.pairs and (args.seeds or args.scores):
         raise ValueError("--seeds and --scores go with --generated, not --pairs")
-    out = settings.out_path(settings.get("out", "rouge_hist.csv"))
-    if pairs_value:
-        pairs = jsonl.read_pairs(pairs_value)
+    out = _out_path(args, args.out)
+    if args.pairs:
+        pairs = jsonl.read_pairs(args.pairs)
         histogram = analytics.pair_overlap_distribution(pairs, mode)
-        jsonl.write_meta(out, settings.stage, mode=mode, source="pairs", n=histogram.n)
+        jsonl.write_meta(out, args.stage, mode=mode, source="pairs", n=histogram.n)
     else:
-        seeds_value = settings.get("seeds")
-        if not seeds_value:
+        if not args.seeds:
             raise ValueError("--generated requires --seeds")
-        generated = jsonl.read_commands(generated_value)
-        seeds = jsonl.read_commands(seeds_value)
+        generated = jsonl.read_commands(args.generated)
+        seeds = jsonl.read_commands(args.seeds)
         scores, histogram = analytics.max_overlap_vs_seeds(generated, seeds, mode)
-        scores_value = settings.get("scores")
-        if scores_value:
+        if args.scores:
             jsonl.write_csv(
-                settings.out_path(scores_value),
+                _out_path(args, args.scores),
                 ["index", "max_overlap"],
                 ([i, repr(score)] for i, score in enumerate(scores)),
             )
-        jsonl.write_meta(out, settings.stage, mode=mode, source="generated-vs-seeds",
+        jsonl.write_meta(out, args.stage, mode=mode, source="generated-vs-seeds",
                          n=histogram.n)
     analytics.write_histogram_csv(out, histogram)
     print(f"histogram of {histogram.n} scores -> {out}")
@@ -631,15 +592,15 @@ def _bundled_universe(filename: str) -> list[str]:
         return analytics.load_universe(path)
 
 
-def cmd_analyze_coverage(settings: Settings) -> int:
-    commands = jsonl.read_commands(settings.get("input"))
-    groups_value = settings.get("command_universe")
-    extensions_value = settings.get("extension_universe")
-    groups = analytics.load_universe(groups_value) if groups_value else _bundled_universe("windows_command_groups.txt")
-    extensions = analytics.load_universe(extensions_value) if extensions_value else _bundled_universe("windows_file_extensions.txt")
+def cmd_analyze_coverage(args: argparse.Namespace) -> int:
+    commands = jsonl.read_commands(args.input)
+    groups = (analytics.load_universe(args.command_universe) if args.command_universe
+              else _bundled_universe("windows_command_groups.txt"))
+    extensions = (analytics.load_universe(args.extension_universe) if args.extension_universe
+                  else _bundled_universe("windows_file_extensions.txt"))
     group_report = analytics.command_coverage(commands, groups)
     extension_report = analytics.extension_coverage(commands, extensions)
-    settings.report([
+    _report(args, [
         ("command_groups_covered", group_report.covered),
         ("command_groups_universe", group_report.universe_size),
         ("command_groups_rate", group_report.rate),
@@ -669,10 +630,14 @@ def run(argv: list[str] | None = None) -> int:
     log_handler = logging.StreamHandler(sys.stderr)
     log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root.addHandler(log_handler)
-    root.setLevel(logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
+    root.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        return handler(Settings(args))
-    except (ValueError, KeyError, OSError, GatewayError, argparse.ArgumentTypeError) as exc:
+        if args.config:
+            # Config values become the stage's defaults, so a flag still wins.
+            args.stage_parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        return handler(args)
+    except (ValueError, KeyError, OSError, GatewayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

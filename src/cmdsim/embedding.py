@@ -225,6 +225,7 @@ class EmbeddingCache:
             block.flags.writeable = False
             line = json.dumps({"identity": identity, "dim": block.shape[1], "offset": self._values,
                                "texts": list(fresh)}, ensure_ascii=False).encode() + b"\n"
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             # Rows before their index line; cutting back to the kept ends drops a failed put.
             for file, keep, data in ((self.rows_path, 8 * self._values, block.data),
                                      (self.path, self._index_bytes, line)):

@@ -40,8 +40,10 @@ def read_records(path: str | Path) -> Iterator[dict[str, Any]]:
 def _replacing(path: str | Path) -> Iterator[Any]:
     """A text handle on ``path + ".tmp"`` that replaces ``path`` when the
     block ends cleanly.  A crash or an exception mid-write leaves the old
-    ``path`` whole; an exception also removes the temp file."""
+    ``path`` whole; an exception also removes the temp file.  The parent
+    directory is created if it is missing."""
     tmp = f"{path}.tmp"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             yield handle

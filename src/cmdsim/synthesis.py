@@ -126,6 +126,7 @@ class ReplyJournal:
         if self.path is None:
             return
         if self._handle is None:
+            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
         provider, model, digest, k = key
         self._handle.write(json.dumps({"provider": provider, "model": model, "prompt_sha256": digest,

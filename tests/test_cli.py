@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from cmdsim import cli, clustering
-from cmdsim.contrastive import AdapterModel
-from cmdsim.embedding import HashingEmbeddingBackend, embed_batch, unit_normalize
+from cmdsim.contrastive import AdapterModel, TrainConfig
+from cmdsim.embedding import DEFAULT_DIM, HashingEmbeddingBackend, embed_batch, unit_normalize
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
+from cmdsim.synthesis import SynthesisConfig
 
 from conftest import mock_vocab_commands, write_jsonl
 
@@ -218,19 +219,19 @@ class TestSynthPairsAndExplain:
 
     @pytest.mark.parametrize("stage", ["pairs", "explain"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exit_one(self, tmp_path, seeds_file, providers_file, capsys, stage, jobs):
+    def test_jobs_below_one_exit_one(self, tmp_path, seeds_file, providers_file, capsys, monkeypatch,
+                                     stage, jobs):
+        # From --config the stage exits 1; as a flag, argparse refuses it with its usual 2.
+        monkeypatch.setattr(cli, "load_provider_pool", lambda *a: pytest.fail("pool read"))
         out_dir = tmp_path / "out"
-        code = cli.run(
-            [
-                "synth", stage,
-                "--in", str(seeds_file),
-                "--providers", str(providers_file),
-                "--jobs", jobs,
-                "--output-dir", str(out_dir),
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        config = tmp_path / "config.ini"
+        config.write_text(f"[synth.{stage}]\njobs = {jobs}\n", encoding="utf-8")
+        base = ["synth", stage, "--in", str(seeds_file), "--providers", str(providers_file),
+                "--output-dir", str(out_dir)]
+        assert cli.run([*base, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: config file {config}: [synth.{stage}] jobs: must be >= 1, got {jobs}\n"
+        assert cli.run([*base, "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --jobs: must be >= 1, got {jobs}\n")
         assert not out_dir.exists()
 
 
@@ -263,7 +264,7 @@ class TestEmbed:
             # Unit rows in which no value repeats.
             fake = SimpleNamespace(identity="fake-48", dim=48, embed=lambda chunk: unit_normalize(
                 np.random.default_rng(len(chunk)).standard_normal((len(chunk), 48))))
-            monkeypatch.setattr(cli.Settings, "backend", lambda self: fake)
+            monkeypatch.setattr(cli, "_backend", lambda args: fake)
         code = cli.run(["embed", "--in", str(input_path), "--dim", "64",
                         "--output-dir", str(tmp_path)])
         assert code == 0
@@ -616,7 +617,7 @@ class TestEvalRetrievalCli:
             ]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: K values must be >= 1")
+        assert capsys.readouterr().err == f"error: config file {config}: [eval.retrieval] k: K values must be >= 1: '0'\n"
 
     def test_adapter_flag_and_determinism(self, tmp_path):
         corpus, testset = self.build_inputs(tmp_path)
@@ -796,8 +797,6 @@ class TestAnalyzeRougeCli:
         assert not out_dir.exists()
 
     def test_bad_mode_from_config_exits_one(self, tmp_path, seeds_file, capsys):
-        # argparse's choices never see a config value, and an empty input
-        # gives no pair to score.
         config = tmp_path / "config.ini"
         config.write_text("[analyze.rouge]\nrouge_mode = fscore\n", encoding="utf-8")
         empty = write_jsonl(tmp_path / "empty.jsonl", [])
@@ -805,7 +804,9 @@ class TestAnalyzeRougeCli:
             code = cli.run(["analyze", "rouge", *inputs, "--config", str(config),
                             "--output-dir", str(tmp_path / "out")])
             assert code == 1
-            assert "error: mode must be one of" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"error: config file {config}: [analyze.rouge] rouge_mode: invalid choice: 'fscore'"
+                " (choose from 'f1', 'precision', 'recall')\n")
             assert not (tmp_path / "out" / "rouge_hist.csv.meta.json").exists()
 
 
@@ -925,6 +926,65 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert err.startswith(f"error: provider configuration file {providers}: ")
 
+    @pytest.mark.parametrize(("argv", "section", "key", "value", "detail"), [
+        (["train", "--pairs", "p.jsonl"], "train", "batch", "x",
+         "invalid literal for int() with base 10: 'x'"),
+        (["eval", "detect", "--corpus", "c.jsonl"], "eval.detect", "rate", "fast",
+         "could not convert string to float: 'fast'"),
+        (["eval", "retrieval", "--testset", "t.jsonl", "--corpus", "c.jsonl"], "eval.retrieval", "k", "3,x",
+         "bad K list '3,x'"),
+        (["eval", "detect", "--corpus", "c.jsonl"], "eval.detect", "mode", "sum",
+         "invalid choice: 'sum' (choose from 'concatenated', 'averaged')"),
+    ], ids=["int", "float", "k-list", "choice"])
+    def test_bad_value_names_file_section_and_key(self, tmp_path, capsys, argv, section, key, value, detail):
+        config = tmp_path / "config.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.run([*argv, "--config", str(config), "--output-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: config file {config}: [{section}] {key}: {detail}\n"
+        assert not out_dir.exists()
+
+    def test_keys_a_config_cannot_set_are_ignored(self, tmp_path, capsys):
+        pairs = write_jsonl(tmp_path / "p.jsonl", [{"anchor": "ab", "positive": "cde"}])
+        config = tmp_path / "config.ini"
+        config.write_text("[common]\ndim = x\nbogus = 1\n\n[stats]\nverbose = y\npairs = nope\n",
+                          encoding="utf-8")
+        assert cli.run(["stats", "--pairs", str(pairs), "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("num_pairs=1\n")
+
+
+class TestDefaults:
+    @staticmethod
+    def stop(configs):
+        """A stand-in for train or run_synthesis: keeps the config, then refuses."""
+        def record(*args, **kwargs):
+            configs.append(args[2])
+            raise ValueError("stopped")
+        return record
+
+    def test_train_defaults_are_train_config(self, tmp_path, monkeypatch):
+        pairs = write_synonym_pairs(tmp_path / "pairs.jsonl", 4)
+        configs = []
+        monkeypatch.setattr(cli.contrastive, "train", self.stop(configs))
+        assert cli.run(["train", "--pairs", str(pairs), "--output-dir", str(tmp_path / "out")]) == 1
+        assert configs == [TrainConfig()]
+
+    def test_synth_run_defaults_are_synthesis_config(self, tmp_path, seeds_file, providers_file, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli.synthesis, "run_synthesis", self.stop(configs))
+        assert cli.run(["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers_file),
+                        "--output-dir", str(tmp_path / "out")]) == 1
+        assert configs == [SynthesisConfig()]
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--in", "x"], ["cluster", "dedup", "--in", "x"], ["cluster", "negatives", "--in", "x"],
+        ["cluster", "coverage", "--in", "x"], ["train", "--pairs", "x"],
+        ["eval", "retrieval", "--testset", "x", "--corpus", "x"], ["eval", "detect", "--corpus", "x"],
+        ["eval", "classify"],
+    ])
+    def test_dim_default_is_default_dim(self, argv):
+        assert cli.build_parser().parse_args(argv).dim == DEFAULT_DIM
+
 
 class TestOutputConfinement:
     def test_relative_outputs_land_in_output_dir(self, tmp_path, monkeypatch, seeds_file):
@@ -945,3 +1005,21 @@ class TestOutputConfinement:
         assert (out_dir / "vectors.jsonl").exists()
         assert (out_dir / "vectors.jsonl.meta.json").exists()
         assert list(workdir.iterdir()) == []
+
+    def test_refused_runs_create_no_output_dir(self, tmp_path, seeds_file, providers_file, capsys):
+        corpus, testset = TestEvalRetrievalCli().build_inputs(tmp_path)
+        adapter_path = tmp_path / "adapter.json"
+        AdapterModel(np.eye(64), backend_identity="hash3-64").save(adapter_path)
+        out_dir = tmp_path / "out"
+        assert cli.run(["eval", "retrieval", "--testset", str(testset), "--corpus", str(corpus),
+                        "--adapter", str(adapter_path), "--dim", "32", "--cache", "c.jsonl",
+                        "--output-dir", str(out_dir)]) == 1
+        assert "'hash3-64'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+        config = tmp_path / "config.ini"
+        config.write_text("[synth.run]\ntarget = -1\n", encoding="utf-8")
+        assert cli.run(["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers_file),
+                        "--config", str(config), "--output-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: config file {config}: [synth.run] target: must be >= 0, got -1\n"
+        assert not out_dir.exists()

@@ -83,9 +83,9 @@ def _rows(items, fail):
 
 
 def _report(path, value):
-    args = argparse.Namespace(stage="eval.detect", config=None, out=str(path))
+    args = argparse.Namespace(stage="eval.detect", out=str(path), output_dir=".")
     with contextlib.redirect_stdout(io.StringIO()):
-        cli.Settings(args).report([("auc", 0.5), ("mode", value)])
+        cli._report(args, [("auc", 0.5), ("mode", value)])
 
 
 # Each writer, given fail=True, raises after it has opened its target.
@@ -100,7 +100,7 @@ _WRITERS = {
         path, ["case", "rank"], _rows([[0, 1], [1, 3]], fail)
     ),
     # A lone surrogate cannot be encoded as UTF-8.
-    "Settings.report": lambda path, fail: _report(path, "\ud800" if fail else "averaged"),
+    "cli._report": lambda path, fail: _report(path, "\ud800" if fail else "averaged"),
     "AdapterModel.save": lambda path, fail: AdapterModel(
         np.eye(2), step=object() if fail else 3
     ).save(path),
