@@ -17,7 +17,7 @@ import numpy as np
 from .core import CommandLine, CommandLinePair, tokenize
 from .jsonl import write_csv
 
-ROUGE_MODES = ("f1", "precision", "recall")
+ROUGE_MODES = ("f1", "precision", "recall")  # the first is the default
 HISTOGRAM_BINS = 20
 
 
@@ -100,7 +100,7 @@ def _score(lcs: int, len_a: int, len_b: int, mode: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_l(a: Sequence[str], b: Sequence[str], mode: str = "f1") -> float:
+def rouge_l(a: Sequence[str], b: Sequence[str], mode: str = ROUGE_MODES[0]) -> float:
     """Longest-common-subsequence overlap of two token sequences.
 
     With L the LCS length, precision = L/|b|, recall = L/|a|, and f1
@@ -128,7 +128,7 @@ def overlap_histogram(scores: Sequence[float]) -> OverlapHistogram:
 def max_overlap_vs_seeds(
     generated: Sequence[CommandLine | str],
     seeds: Sequence[CommandLine | str],
-    mode: str = "f1",
+    mode: str = ROUGE_MODES[0],
 ) -> tuple[list[float], OverlapHistogram]:
     """Per generated command, its highest overlap against any seed.
 
@@ -160,7 +160,7 @@ def max_overlap_vs_seeds(
 
 def pair_overlap_distribution(
     pairs: Sequence[CommandLinePair],
-    mode: str = "f1",
+    mode: str = ROUGE_MODES[0],
 ) -> OverlapHistogram:
     """Distribution of anchor-versus-positive overlap over a pair set."""
     _check_mode(mode)

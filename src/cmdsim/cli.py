@@ -194,15 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p = _add_stage(eval_sub, "eval.detect", "gene-pool detection AUC", cmd_eval_detect, backend=True)
     detect_p.add_argument("--corpus", required=True, help="technique corpus JSONL ({technique_id, command})")
     detect_p.add_argument("--rate", type=float, default=20.0, help="pool sample rate percent (default %(default)s)")
-    detect_p.add_argument("--mode", choices=("concatenated", "averaged"), default="concatenated",
+    detect_p.add_argument("--mode", choices=evaluation.DETECTION_MODES, default=evaluation.DETECTION_MODES[0],
                           help="AUC aggregation (default %(default)s)")
     detect_p.add_argument("--out", help="optional report file")
 
     classify_p = _add_stage(eval_sub, "eval.classify", "seven-command classification probe", cmd_eval_classify, backend=True)
     classify_p.add_argument("--seed", type=int, default=0, help="rng seed (default %(default)s)")
-    classify_p.add_argument("--per-command", dest="per_command", type=int, default=7000,
+    classify_p.add_argument("--per-command", dest="per_command", type=int, default=evaluation.DEFAULT_PER_COMMAND,
                             help="lines per command (default %(default)s)")
-    classify_p.add_argument("--decoy-probability", dest="decoy_probability", type=float, default=0.5,
+    classify_p.add_argument("--decoy-probability", dest="decoy_probability", type=float,
+                            default=evaluation.DEFAULT_DECOY_PROBABILITY,
                             help="per-slot decoy probability (default %(default)s)")
     classify_p.add_argument("--out", help="optional report file")
 
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     rouge_p.add_argument("--pairs", help="pairs JSONL: anchor-vs-positive overlap")
     rouge_p.add_argument("--generated", help="generated commands JSONL: max overlap vs seeds")
     rouge_p.add_argument("--seeds", help="seeds JSONL (required with --generated)")
-    rouge_p.add_argument("--rouge-mode", dest="rouge_mode", choices=analytics.ROUGE_MODES, default="f1",
+    rouge_p.add_argument("--rouge-mode", dest="rouge_mode", choices=analytics.ROUGE_MODES, default=analytics.ROUGE_MODES[0],
                          help="score variant (default %(default)s)")
     rouge_p.add_argument("--out", default="rouge_hist.csv", help="histogram CSV (default %(default)s)")
     rouge_p.add_argument("--scores", help="optional per-command scores CSV (--generated mode)")

@@ -28,6 +28,10 @@ logger = logging.getLogger(__name__)
 # detection benchmark; below that the pool/query split degenerates.
 MIN_TECHNIQUE_SIZE = 9
 
+# How detection_auc aggregates: one AUC over all techniques (the
+# default), or their mean.
+DETECTION_MODES = ("concatenated", "averaged")
+
 
 @dataclass(frozen=True)
 class RetrievalCase:
@@ -48,7 +52,13 @@ class RetrievalCase:
 def rank_from_scores(positive_score: float, negative_scores: Iterable[float]) -> int:
     """1-based rank by descending score; ties count against the positive."""
     values = np.fromiter(negative_scores, dtype=np.float64)
-    return 1 + int(np.count_nonzero(values >= positive_score))
+    return int(_rank_rows(np.array([positive_score], dtype=np.float64), values[None, :])[0])
+
+
+def _rank_rows(positive_scores: np.ndarray, negative_scores: np.ndarray) -> np.ndarray:
+    """:func:`rank_from_scores` of each row of (cases, negatives) scores.
+    NaN never satisfies ``>=``, so it pads the rows of shorter cases."""
+    return 1 + np.count_nonzero(negative_scores >= positive_scores[:, None], axis=1)
 
 
 def _check_ranks(ranks: Sequence[int], k: int) -> None:
@@ -138,13 +148,14 @@ def evaluate_retrieval(
         matrix = adapter.transform(matrix)
     row = {text: i for i, text in enumerate(unique_texts)}
 
-    ranks: list[int] = []
-    for case in cases:
+    positive_scores = np.empty(len(cases))
+    negative_scores = np.full((len(cases), max(len(case.negatives) for case in cases)), np.nan)
+    for i, case in enumerate(cases):
         query_vector = matrix[row[case.query.text]]
-        positive_score = float(query_vector @ matrix[row[case.positive.text]])
+        positive_scores[i] = query_vector @ matrix[row[case.positive.text]]
         negative_rows = matrix[[row[n.text] for n in case.negatives]]
-        negative_scores = negative_rows @ query_vector
-        ranks.append(rank_from_scores(positive_score, negative_scores))
+        negative_scores[i, :len(case.negatives)] = negative_rows @ query_vector
+    ranks = _rank_rows(positive_scores, negative_scores).tolist()
     metrics: dict[str, float] = {}
     for k in ks:
         metrics[f"mrr@{k}"] = mrr_at_k(ranks, k)
@@ -292,7 +303,7 @@ def detection_auc(
     corpus: TechniqueCorpus,
     rate: float,
     backend,
-    mode: str = "concatenated",
+    mode: str = DETECTION_MODES[0],
     cache: EmbeddingCache | None = None,
 ) -> float:
     """Gene-pool detection AUC over the whole corpus.
@@ -302,7 +313,7 @@ def detection_auc(
     similarity.  ``concatenated`` pools all scored items into a single
     AUC; ``averaged`` means the per-technique AUCs.
     """
-    if mode not in ("concatenated", "averaged"):
+    if mode not in DETECTION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     splits = build_gene_pools(corpus, rate)
     if not splits:
@@ -349,6 +360,9 @@ CLASS_COMMANDS: tuple[str, ...] = (
 )
 
 _ARGUMENT_ALPHABET = string.ascii_letters + string.digits
+# The paper's probe: 7,000 lines per command, each slot a decoy half the time.
+DEFAULT_PER_COMMAND = 7000
+DEFAULT_DECOY_PROBABILITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -359,21 +373,45 @@ class ClassificationDataset:
     test: tuple[tuple[str, str], ...]
 
 
-def _random_argument(rng, decoy_probability: float) -> str:
+def _random_argument(rng: random.Random, decoy_probability: float) -> str:
+    """Seven slots: a command name with ``decoy_probability``, else 1-20
+    alphabet characters.
+
+    The draws are those of ``rng.choice`` and ``rng.randint(1, 20)``.
+    CPython's ``Random._randbelow(n)`` takes ``getrandbits(n.bit_length())``
+    until the value is below n; that rule is written out inline, so no
+    Python call is made per character.  ``test_random_stream_is_pinned``
+    holds the texts and the generator state after them.
+    """
+    draw, getrandbits = rng.random, rng.getrandbits
+    commands, command_bits = len(CLASS_COMMANDS), len(CLASS_COMMANDS).bit_length()
+    letters, letter_bits = len(_ARGUMENT_ALPHABET), len(_ARGUMENT_ALPHABET).bit_length()
     slots = []
     for _ in range(7):
-        if rng.random() < decoy_probability:
-            slots.append(rng.choice(CLASS_COMMANDS))
+        if draw() < decoy_probability:
+            index = getrandbits(command_bits)
+            while index >= commands:
+                index = getrandbits(command_bits)
+            slots.append(CLASS_COMMANDS[index])
         else:
-            length = rng.randint(1, 20)
-            slots.append("".join(rng.choice(_ARGUMENT_ALPHABET) for _ in range(length)))
+            # randint(1, 20) is 1 + _randbelow(20), and 20 takes 5 bits.
+            length = getrandbits(5)
+            while length >= 20:
+                length = getrandbits(5)
+            word = ""
+            for _ in range(length + 1):
+                index = getrandbits(letter_bits)
+                while index >= letters:
+                    index = getrandbits(letter_bits)
+                word += _ARGUMENT_ALPHABET[index]
+            slots.append(word)
     return " ".join(slots)
 
 
 def synth_classification_dataset(
     rng,
-    per_command: int = 7000,
-    decoy_probability: float = 0.5,
+    per_command: int = DEFAULT_PER_COMMAND,
+    decoy_probability: float = DEFAULT_DECOY_PROBABILITY,
 ) -> ClassificationDataset:
     """Generate the seven-command benchmark: ``<command> '<argument>'``.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmdsim import cli, clustering
+from cmdsim import analytics, cli, clustering, evaluation
 from cmdsim.contrastive import AdapterModel, TrainConfig
 from cmdsim.embedding import DEFAULT_DIM, HashingEmbeddingBackend, embed_batch, unit_normalize
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
@@ -984,6 +985,17 @@ class TestDefaults:
     ])
     def test_dim_default_is_default_dim(self, argv):
         assert cli.build_parser().parse_args(argv).dim == DEFAULT_DIM
+
+    @pytest.mark.parametrize("argv, dest, function, keyword", [
+        (["eval", "classify"], "per_command", evaluation.synth_classification_dataset, "per_command"),
+        (["eval", "classify"], "decoy_probability", evaluation.synth_classification_dataset, "decoy_probability"),
+        (["eval", "detect", "--corpus", "x"], "mode", evaluation.detection_auc, "mode"),
+        (["analyze", "rouge"], "rouge_mode", analytics.pair_overlap_distribution, "mode"),
+        (["analyze", "rouge"], "rouge_mode", analytics.max_overlap_vs_seeds, "mode"),
+    ])
+    def test_defaults_are_the_library_keyword_defaults(self, argv, dest, function, keyword):
+        expected = inspect.signature(function).parameters[keyword].default
+        assert getattr(cli.build_parser().parse_args(argv), dest) == expected
 
 
 class TestOutputConfinement:

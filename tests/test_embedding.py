@@ -122,6 +122,23 @@ class TestHashingMatchesOracle:
         assert ours.tobytes() == hash3_embed(texts, 64).tobytes()
         assert [np.abs(row).sum() for row in ours[:6]] == [1.0] * 6
 
+    def test_gram_table_across_calls(self):
+        # One backend keeps the grams it has hashed in a sorted table; each
+        # call below brings grams that sort before, between and after the
+        # ones it already holds, in one slice with 1-2 character texts, a
+        # NUL and characters outside the BMP.
+        backend = HashingEmbeddingBackend(64)
+        calls = [
+            ["mmm nnn", "mnm"],
+            ["aaa", "zzz", "mmn", "mnm", "n", "\x00ab", "\U0001F600\U0001F601"],
+            ["ab", "a\x00", "\x00", "mmm nnn", "yzz\U00010348", "\U0001F600", "mno", "\U0010FFFF" * 3],
+            ["z\x00\x00z", "aaa mnm zzz", "\uffff\U00010000", "na"],
+        ]
+        for texts in calls:
+            assert backend.embed(texts).tobytes() == hash3_embed(texts, 64).tobytes()
+        everything = [text for texts in calls for text in texts]
+        assert backend.embed(everything).tobytes() == hash3_embed(everything, 64).tobytes()
+
     @pytest.mark.parametrize("at", [0, 3, HASH_SLICE + 2])
     def test_blank_text_mid_batch(self, at):
         texts = ["net user"] * (HASH_SLICE + 4)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdsim.core import CommandLine
-from cmdsim.embedding import HashingEmbeddingBackend
+from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
 from cmdsim.evaluation import (
     CLASS_COMMANDS,
     DEFAULT_HYPER_GRID,
@@ -39,6 +39,7 @@ from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
 from oracles import (
     fit_multinomial_reference,
+    full_sort_rank,
     logreg_probe_reference,
     midrank_auc,
     mrr_from_ranks,
@@ -216,6 +217,28 @@ class TestEvaluateRetrieval:
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError, match="no retrieval cases"):
             evaluate_retrieval([], VectorBackend(self.TABLE))
+
+    def test_ragged_cases_match_the_full_sort_oracle(self):
+        # Cases of 0 to 6 negatives are ranked in one NaN-padded matrix.
+        # Vectors on a {1, 2} grid repeat directions, so exact ties occur.
+        rng = np.random.default_rng(5)
+        table = {f"text {i}": [float(v) for v in rng.integers(1, 3, size=3)] for i in range(12)}
+        lines = [CommandLine(text) for text in table]
+        cases = []
+        for size in [0, 6, 1, 3, 0, 6, 2, 5, 4]:
+            query, positive, *negatives = rng.choice(len(lines), size=size + 2, replace=False)
+            cases.append(RetrievalCase(lines[query], lines[positive], tuple(lines[n] for n in negatives)))
+        report = evaluate_retrieval(cases, VectorBackend(table))
+        matrix = embed_batch(VectorBackend(table), list(table))
+        row = {text: i for i, text in enumerate(table)}
+        expected = []
+        for case in cases:
+            query_vector = matrix[row[case.query.text]]
+            negative_rows = matrix[[row[n.text] for n in case.negatives]]
+            expected.append(full_sort_rank(float(query_vector @ matrix[row[case.positive.text]]),
+                                           list(negative_rows @ query_vector)))
+        assert report.ranks == tuple(expected)
+        assert len(set(expected)) > 3
 
 
 class TestTechniqueCorpus:
@@ -454,19 +477,28 @@ class TestSynthClassificationDataset:
             synth_classification_dataset(random.Random(0), per_command=2, decoy_probability=1.5)
 
     @pytest.mark.parametrize(
-        "seed, per_command, digest, next_draw",
+        "seed, per_command, digest, next_draw, decoy_probability",
         [
             (0, 4, "677cb581e86f02763a26f2e76d39a2bca1fa7c982bd300fe84e6084de12e28b2",
-             0.6100819970747507),
+             0.6100819970747507, 0.5),
             (1, 400, "42d53dfb17b70a65ede0e1762fc3b7f0ebb8b50a67a01857bf7adec7d9f293d9",
-             0.23104093854150598),
+             0.23104093854150598, 0.5),
+            # No decoys, but each slot still draws its random() first.
+            (2, 6, "d48d64ab3e77ca4220a0e3fbd94a2c87d18105aa1d208076d4f0885005bc7d2d",
+             0.846826442994519, 0.0),
+            (3, 6, "716194d045d955f1f413b809bbe90d28bf354aa70238f90d3c1ec0420af7ee66",
+             0.4201375212887214, 1.0),
+            (4, 2, "0d38f3888cf5093807c3eb1afc6de978916943a2826e643a61e8e22dea87183d",
+             0.9713945412345196, 0.5),
         ],
     )
-    def test_random_stream_is_pinned(self, seed, per_command, digest, next_draw):
+    def test_random_stream_is_pinned(self, seed, per_command, digest, next_draw, decoy_probability):
         # classify.txt comes from these texts, and train_logreg shuffles
         # with the same rng afterwards: a faster generator must keep both.
+        # The literals come from the rng.choice / rng.randint generator.
         rng = random.Random(seed)
-        dataset = synth_classification_dataset(rng, per_command=per_command)
+        dataset = synth_classification_dataset(rng, per_command=per_command,
+                                               decoy_probability=decoy_probability)
         joined = "\n".join(text for _, text in dataset.train + dataset.test)
         assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
         assert rng.random() == next_draw
