@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CommandLine, CommandLinePair, tokenize
+from .core import CommandLine, CommandLinePair, text_of, tokenize
 from .jsonl import write_csv
 
 ROUGE_MODES = ("f1", "precision", "recall")  # the first is the default
@@ -245,7 +245,7 @@ def extension_coverage(
         ext: re.compile(re.escape("." + ext) + r"(?![a-z0-9])", re.IGNORECASE)
         for ext in normalized
     }
-    texts = [c.text if isinstance(c, CommandLine) else c for c in commands]
+    texts = [text_of(c) for c in commands]
     covered = {
         ext
         for ext, pattern in patterns.items()

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = subparsers.add_parser("cluster", help="clustering stages")
     cluster_sub = cluster.add_subparsers(dest="subcommand")
 
-    dedup_p = _add_stage(cluster_sub, "cluster.dedup", "deduplicate by explanation clusters", cmd_cluster_dedup, backend=True)
+    dedup_p = _add_stage(cluster_sub, "cluster.dedup", "deduplicate by explanation clusters", cmd_cluster_dbscan, backend=True)
     dedup_p.add_argument("--in", dest="input", required=True, help="explanations JSONL ({text, explanation})")
     dedup_p.add_argument("--keep", type=int, default=2, help="entries kept per cluster (default %(default)s)")
     dedup_p.add_argument("--out", default="testset.jsonl", help="surviving records JSONL (default %(default)s)")
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     negatives_p.add_argument("--out", default="negatives.jsonl",
                              help="output JSONL of {query_id, negative_ids} (default %(default)s)")
 
-    coverage_p = _add_stage(cluster_sub, "cluster.coverage", "per-source cluster coverage", cmd_cluster_coverage, backend=True)
+    coverage_p = _add_stage(cluster_sub, "cluster.coverage", "per-source cluster coverage", cmd_cluster_dbscan, backend=True)
     coverage_p.add_argument("--in", dest="input", required=True, help="explanations JSONL with a source field")
     coverage_p.add_argument("--tag-field", dest="tag_field", default="source",
                             help="record field naming the source (default %(default)s)")
@@ -391,25 +391,6 @@ def _read_explanations(args: argparse.Namespace) -> tuple[list[dict], list[str]]
     return records, _column(records, "explanation")
 
 
-def cmd_cluster_dedup(args: argparse.Namespace) -> int:
-    records, explanations = _read_explanations(args)
-    params = clustering.DbscanParams(eps=args.eps, min_pts=args.min_pts)
-    backend = _backend(args)
-    matrix = embed_batch(backend, explanations, _cache(args))
-    labeling = clustering.dbscan(matrix, params)
-    kept = clustering.dedup_by_clusters(records, labeling, args.keep)
-    out = _out_path(args, args.out)
-    jsonl.write_records(out, (records[i] for i in kept))
-    jsonl.write_meta(out, args.stage, eps=params.eps, min_pts=params.min_pts,
-                     keep=args.keep, clusters=labeling.num_clusters,
-                     kept=len(kept), dropped=len(records) - len(kept),
-                     backend=backend.identity)
-    print(
-        f"{labeling.num_clusters} clusters; kept {len(kept)} of {len(records)} -> {out}"
-    )
-    return 0
-
-
 def cmd_cluster_negatives(args: argparse.Namespace) -> int:
     records, explanations = _read_explanations(args)
     positives = [record.get("positive_id") for record in records]
@@ -442,20 +423,29 @@ def cmd_cluster_negatives(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster_coverage(args: argparse.Namespace) -> int:
+def cmd_cluster_dbscan(args: argparse.Namespace) -> int:
+    """``cluster dedup`` and ``cluster coverage``: DBSCAN over the
+    embedded explanations, then the survivors or the per-source rates."""
     records, explanations = _read_explanations(args)
-    tags = [str(tag) for tag in _column(records, args.tag_field)]
+    dedup = args.stage == "cluster.dedup"
+    tags = None if dedup else [str(tag) for tag in _column(records, args.tag_field)]
     params = clustering.DbscanParams(eps=args.eps, min_pts=args.min_pts)
     backend = _backend(args)
     matrix = embed_batch(backend, explanations, _cache(args))
     labeling = clustering.dbscan(matrix, params)
-    rates = clustering.cluster_coverage(labeling, tags)
-    pooled = clustering.cluster_coverage(labeling, ["pool"] * len(tags))["pool"]
-    _report(
-        args,
-        [("clusters", labeling.num_clusters), ("pool", pooled), *rates.items()],
-        eps=params.eps, min_pts=params.min_pts,
-    )
+    if not dedup:
+        rates = clustering.cluster_coverage(labeling, tags)
+        _report(args, [("clusters", labeling.num_clusters), *rates.items()],
+                eps=params.eps, min_pts=params.min_pts)
+        return 0
+    kept = clustering.dedup_by_clusters(records, labeling, args.keep)
+    out = _out_path(args, args.out)
+    jsonl.write_records(out, (records[i] for i in kept))
+    jsonl.write_meta(out, args.stage, eps=params.eps, min_pts=params.min_pts,
+                     keep=args.keep, clusters=labeling.num_clusters,
+                     kept=len(kept), dropped=len(records) - len(kept),
+                     backend=backend.identity)
+    print(f"{labeling.num_clusters} clusters; kept {len(kept)} of {len(records)} -> {out}")
     return 0
 
 

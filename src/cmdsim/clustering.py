@@ -284,11 +284,8 @@ def cluster_coverage(
     labeling: ClusterLabeling,
     source_tags: Sequence[str],
 ) -> dict[str, float]:
-    """Percentage of non-noise clusters containing each source.
-
-    Also useful for a pooled tag: callers wanting the union coverage tag
-    every point with one shared name.  With zero clusters every rate is
-    0.0.
+    """Percentage of non-noise clusters containing each source, keyed by
+    source in sorted order.  With zero clusters every rate is 0.0.
     """
     if len(source_tags) != len(labeling.labels):
         raise ValueError(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import CommandLinePair
 from .embedding import EmbeddingCache, embed_batch, unit_normalize
-from .evaluation import _softmax_rows, mrr_at_k
+from .evaluation import _softmax_rows, mrr_at_k, rank_rows
 from .jsonl import _replacing
 
 logger = logging.getLogger(__name__)
@@ -195,10 +195,9 @@ def _validation_mrr3(
     positive_base: np.ndarray,
 ) -> float:
     sims = adapter.transform(anchor_base) @ adapter.transform(positive_base).T
-    positives = sims.diagonal()
-    # A row's count includes its own positive unless that is NaN.
-    count = np.count_nonzero(sims >= positives[:, None], axis=1)
-    return mrr_at_k((1 + count - (positives >= positives)).tolist(), 3)
+    positives = sims.diagonal().copy()
+    np.fill_diagonal(sims, np.nan)  # a row's other positives are its negatives
+    return mrr_at_k(rank_rows(positives, sims).tolist(), 3)
 
 
 def train(

@@ -55,6 +55,11 @@ class CommandLine:
             )
 
 
+def text_of(command: CommandLine | str) -> str:
+    """The text of a command line given as a :class:`CommandLine` or as a string."""
+    return command.text if isinstance(command, CommandLine) else command
+
+
 def canonical_dedup_key(command: CommandLine | str) -> str:
     """Normalize a command line for duplicate detection.
 
@@ -62,8 +67,7 @@ def canonical_dedup_key(command: CommandLine | str) -> str:
     and leading/trailing whitespace removed.  Two command lines are
     considered duplicates exactly when their keys are equal.
     """
-    text = command.text if isinstance(command, CommandLine) else command
-    return " ".join(text.lower().split())
+    return " ".join(text_of(command).lower().split())
 
 
 # Punctuation characters that become standalone tokens.  "." is absent on
@@ -81,8 +85,7 @@ def tokenize(command: CommandLine | str) -> list[str]:
     Whitespace separates tokens and is dropped; each character in
     :data:`TOKEN_PUNCTUATION` becomes a token of its own.
     """
-    text = command.text if isinstance(command, CommandLine) else command
-    return _TOKEN_RE.findall(text.casefold())
+    return _TOKEN_RE.findall(text_of(command).casefold())
 
 
 def parse_llm_response(

@@ -157,7 +157,7 @@ class RemoteEmbeddingBackend:
 
     One :meth:`embed` is one request through :func:`cmdsim.gateway.post_json`,
     with the chat calls' retries; :func:`embed_batch` keeps it to
-    REMOTE_CHUNK texts.  ``session`` and ``sleep`` are ``post_json``'s."""
+    REMOTE_CHUNK texts.  ``post`` and ``sleep`` are ``post_json``'s."""
 
     def __init__(
         self,
@@ -167,7 +167,7 @@ class RemoteEmbeddingBackend:
         api_key_env: str = "",
         *,
         timeout: float = 60.0,
-        session=None,
+        post: Callable[..., tuple[int, bytes]] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if dim <= 0:
@@ -180,7 +180,7 @@ class RemoteEmbeddingBackend:
         self.timeout = timeout
         self.identity = f"{model_id}-{dim}"
         self.calls = 0
-        self._session = session
+        self._post = post
         self._sleep = sleep
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -189,7 +189,7 @@ class RemoteEmbeddingBackend:
                          lambda reply: [item["embedding"] for item in reply["data"]],
                          owner=f"embedding backend {self.model_id}", payload="embeddings",
                          api_key_env=self.api_key_env, timeout=self.timeout,
-                         session=self._session, sleep=self._sleep)
+                         post=self._post, sleep=self._sleep)
         return np.asarray(rows, dtype=np.float64)
 
 

@@ -12,7 +12,7 @@ import logging
 import math
 import random
 import string
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,15 +49,10 @@ class RetrievalCase:
             raise ValueError("query must not appear among the negatives")
 
 
-def rank_from_scores(positive_score: float, negative_scores: Iterable[float]) -> int:
-    """1-based rank by descending score; ties count against the positive."""
-    values = np.fromiter(negative_scores, dtype=np.float64)
-    return int(_rank_rows(np.array([positive_score], dtype=np.float64), values[None, :])[0])
-
-
-def _rank_rows(positive_scores: np.ndarray, negative_scores: np.ndarray) -> np.ndarray:
-    """:func:`rank_from_scores` of each row of (cases, negatives) scores.
-    NaN never satisfies ``>=``, so it pads the rows of shorter cases."""
+def rank_rows(positive_scores: np.ndarray, negative_scores: np.ndarray) -> np.ndarray:
+    """The 1-based rank of each row's positive among its (cases, negatives)
+    scores, by descending score, ties counting against the positive.  NaN never
+    satisfies ``>=``: a NaN negative never counts, so it pads shorter rows."""
     return 1 + np.count_nonzero(negative_scores >= positive_scores[:, None], axis=1)
 
 
@@ -155,7 +150,7 @@ def evaluate_retrieval(
         positive_scores[i] = query_vector @ matrix[row[case.positive.text]]
         negative_rows = matrix[[row[n.text] for n in case.negatives]]
         negative_scores[i, :len(case.negatives)] = negative_rows @ query_vector
-    ranks = _rank_rows(positive_scores, negative_scores).tolist()
+    ranks = rank_rows(positive_scores, negative_scores).tolist()
     metrics: dict[str, float] = {}
     for k in ks:
         metrics[f"mrr@{k}"] = mrr_at_k(ranks, k)

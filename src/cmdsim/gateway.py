@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import CommandLine, canonical_dedup_key
+from .core import CommandLine, canonical_dedup_key, text_of
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +114,7 @@ class ProviderPool:
         for spec in self.providers:
             if spec.name == name:
                 return spec
-        raise KeyError(f"no provider named {name!r} in pool")
+        raise ConfigurationError(f"no provider named {name!r} in pool")
 
 
 def _load_template(filename: str) -> str:
@@ -132,10 +132,6 @@ _QUERY_SLOT = "{query_command_line}"
 _COMMAND_SLOT = "{command_line}"
 
 
-def _as_text(command: CommandLine | str) -> str:
-    return command.text if isinstance(command, CommandLine) else command
-
-
 def build_synthesis_prompt(seeds: Sequence[CommandLine | str]) -> str:
     """Render the generation prompt with the 12 sampled seeds numbered 1..12.
 
@@ -147,14 +143,14 @@ def build_synthesis_prompt(seeds: Sequence[CommandLine | str]) -> str:
             f"requires exactly {SEEDS_PER_PROMPT} seeds, got {len(seeds)}"
         )
     block = "\n".join(
-        f"{i}. {_as_text(seed)}" for i, seed in enumerate(seeds, start=1)
+        f"{i}. {text_of(seed)}" for i, seed in enumerate(seeds, start=1)
     )
     return SYNTHESIS_TEMPLATE.replace(_SEEDS_SLOT, block, 1)
 
 
 def build_pair_prompt(query: CommandLine | str) -> str:
     """Render the similar-command prompt for one query command line."""
-    text = _as_text(query)
+    text = text_of(query)
     if not text.strip():
         raise ValueError("empty query")
     return SIMILAR_PAIR_TEMPLATE.replace(_QUERY_SLOT, text, 1)
@@ -166,7 +162,7 @@ def build_explanation_prompt(command: CommandLine | str) -> str:
     The wording is this package's own (versioned in the template file);
     it asks for one to two sentences about purpose and intention.
     """
-    text = _as_text(command)
+    text = text_of(command)
     if not text.strip():
         raise ValueError("empty command")
     return EXPLANATION_TEMPLATE.replace(_COMMAND_SLOT, text, 1)
@@ -175,22 +171,6 @@ def build_explanation_prompt(command: CommandLine | str) -> str:
 def pick_provider(pool: ProviderPool, rng) -> ProviderSpec:
     """Uniformly pick one provider; deterministic under a seeded rng."""
     return rng.choice(pool.providers)
-
-
-class _Reply:
-    """A finished exchange in the shape :func:`post_json` reads:
-    ``status_code``, ``text`` and ``json()``."""
-
-    def __init__(self, status_code: int, content: bytes) -> None:
-        self.status_code = status_code
-        self.content = content
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self):
-        return jsonlib.loads(self.content)
 
 
 class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
@@ -209,21 +189,21 @@ def _opener() -> urllib.request.OpenerDirector:
     return urllib.request.build_opener(_RefuseRedirect)
 
 
-def _urlopen_post(url: str, json: dict, headers: dict[str, str], timeout: float) -> _Reply:
-    """The default ``session.post``: one :mod:`urllib.request` POST on a
-    new connection.  Proxies come from the ``*_proxy`` environment
-    variables, TLS is verified against the default CA store, and no
-    redirect is followed.  An HTTP error status is returned as a reply,
-    not raised.  A URL or header that cannot be sent (say, a malformed
-    IPv6 host) is a :class:`ConfigurationError`, which retrying cannot
-    fix."""
+def _urlopen_post(url: str, json: dict, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    """The default ``post`` of :func:`post_json`: one :mod:`urllib.request`
+    POST on a new connection, returning the reply's status and body.
+    Proxies come from the ``*_proxy`` environment variables, TLS is
+    verified against the default CA store, and no redirect is followed.
+    An HTTP error status is returned, not raised.  A URL or header that
+    cannot be sent (say, a malformed IPv6 host) is a
+    :class:`ConfigurationError`, which retrying cannot fix."""
     try:
         request = urllib.request.Request(url, jsonlib.dumps(json).encode(), headers, method="POST")
         with _opener().open(request, timeout=timeout) as response:
-            return _Reply(response.status, response.read())
+            return response.status, response.read()
     except urllib.error.HTTPError as error:
         with error:
-            return _Reply(error.code, error.read())
+            return error.code, error.read()
     except ValueError as exc:
         raise ConfigurationError(f"cannot send a request to {url!r}: {exc}") from exc
 
@@ -238,7 +218,7 @@ def post_json(
     api_key_env: str,
     timeout: float,
     max_retries: int = MAX_RETRIES,
-    session=None,
+    post: Callable[..., tuple[int, bytes]] | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ):
     """POST ``body`` as JSON to ``url`` and return ``read`` of the reply's JSON.
@@ -254,10 +234,10 @@ def post_json(
     cannot go in a header is a :class:`ConfigurationError` before any
     attempt.
 
-    ``session`` is anything with ``post(url, json=, headers=, timeout=)``
-    returning an object with ``status_code``, ``text`` and ``json()``.
-    Without one, each attempt is a standard-library POST on a new
-    connection.
+    ``post`` makes one attempt: it takes ``(url, json=, headers=,
+    timeout=)`` and returns the reply's status and body bytes.  Without
+    one, each attempt is :func:`_urlopen_post`, a standard-library POST
+    on a new connection.
     """
     headers = {"Content-Type": "application/json"}
     if api_key_env:
@@ -272,36 +252,31 @@ def post_json(
                 f"environment variable {api_key_env} must hold ASCII with no line break (required by {owner})"
             )
         headers["Authorization"] = f"Bearer {key}"
-    post = session.post if session is not None else _urlopen_post
+    # Looked up per call, so that patching the module's _urlopen_post takes effect.
+    post = post or _urlopen_post
 
     last_error: GatewayError | None = None
     for attempt in range(max_retries + 1):
         if attempt > 0:
             sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
         try:
-            response = post(url, json=body, headers=headers, timeout=timeout)
+            status, content = post(url, json=body, headers=headers, timeout=timeout)
         except (OSError, http.client.HTTPException) as exc:
             last_error = TransportError(f"{owner}: {exc}")
             logger.warning("transport failure on %s (attempt %d): %s", owner, attempt + 1, exc)
             continue
-        if response.status_code == 200:
+        if status == 200:
             try:
-                return read(response.json())
+                return read(jsonlib.loads(content))
             except (ValueError, LookupError, TypeError) as exc:
-                raise ProviderError(
-                    f"{owner}: malformed {payload} payload: {exc}",
-                    status=200,
-                    body=response.text[:2000],
-                ) from exc
-        error = ProviderError(
-            f"{owner}: HTTP {response.status_code}",
-            status=response.status_code,
-            body=response.text[:2000],
-        )
-        if response.status_code not in _HTTP_RETRYABLE:
+                raise ProviderError(f"{owner}: malformed {payload} payload: {exc}", status=200,
+                                    body=content.decode("utf-8", "replace")[:2000]) from exc
+        error = ProviderError(f"{owner}: HTTP {status}", status=status,
+                              body=content.decode("utf-8", "replace")[:2000])
+        if status not in _HTTP_RETRYABLE:
             raise error
         last_error = error
-        logger.warning("retryable HTTP %d from %s (attempt %d)", response.status_code, owner, attempt + 1)
+        logger.warning("retryable HTTP %d from %s (attempt %d)", status, owner, attempt + 1)
     assert last_error is not None
     raise last_error
 
@@ -310,12 +285,12 @@ def complete(
     spec: ProviderSpec,
     prompt: str,
     *,
-    session=None,
+    post: Callable[..., tuple[int, bytes]] | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
     """Send one chat-completion request and return the assistant text,
     with :func:`post_json`'s retries up to ``spec.max_retries``.
-    ``session`` and ``sleep`` are :func:`post_json`'s."""
+    ``post`` and ``sleep`` are :func:`post_json`'s."""
     body = {
         "model": spec.model_id,
         "messages": [{"role": "user", "content": prompt}],
@@ -324,7 +299,7 @@ def complete(
     return post_json(spec.endpoint, body, lambda reply: reply["choices"][0]["message"]["content"],
                      owner=f"provider {spec.name}", payload="completion",
                      api_key_env=spec.api_key_env, timeout=spec.timeout,
-                     max_retries=spec.max_retries, session=session, sleep=sleep)
+                     max_retries=spec.max_retries, post=post, sleep=sleep)
 
 
 class HttpChatProvider:

@@ -142,16 +142,46 @@ class ReplyJournal:
         logger.info("replayed %d of %d calls from %s", self.replayed, self.calls, self.path)
 
 
-def _ask(client, prompt: str) -> str | GatewayError:
-    """The client's reply, or the provider failure (transport or HTTP,
-    after the gateway's retries) that stands in for it.  Configuration
-    errors propagate, since retrying cannot fix a missing API key."""
-    try:
-        return client.complete(prompt)
-    except ConfigurationError:
-        raise
-    except GatewayError as exc:
-        return exc
+def _journaled_replies(
+    prompts: Sequence[str],
+    provider: str,
+    model: str,
+    complete: Callable[[str], str],
+    jobs: int,
+    journal: ReplyJournal | None,
+) -> list[str | GatewayError]:
+    """Each prompt's reply, in prompt order: from ``journal`` when it holds
+    one, else from ``complete`` and then appended to ``journal``.  A provider
+    failure (transport or HTTP, after the gateway's retries) stands in for
+    its reply, unjournaled so that a rerun retries it; a configuration error
+    propagates, since retrying cannot fix it.  ``jobs`` (>= 1) calls run at once.
+    """
+    journal = journal if journal is not None else ReplyJournal()
+    looked_up = [journal.lookup(provider, model, prompt) for prompt in prompts]
+
+    def call(index: int) -> str | GatewayError:
+        reply = looked_up[index][1]
+        if reply is not None:
+            return reply
+        try:
+            return complete(prompts[index])
+        except ConfigurationError:
+            raise
+        except GatewayError as exc:
+            return exc
+
+    # Both maps yield in prompt order, whatever the jobs; only the wall-clock
+    # interleaving of provider calls changes with jobs > 1.  So this thread
+    # appends every journal line, and the journal's bytes do not depend on
+    # jobs or on thread timing.  The builtin map makes no call after one raises.
+    replies: list[str | GatewayError] = []
+    with ThreadPoolExecutor(max_workers=jobs) as executor:
+        answers = (executor.map if jobs > 1 else map)(call, range(len(prompts)))
+        for (key, journaled), reply in zip(looked_up, answers):
+            if journaled is None and not isinstance(reply, GatewayError):
+                journal.put(key, reply)
+            replies.append(reply)
+    return replies
 
 
 def synthesize_step(
@@ -164,10 +194,8 @@ def synthesize_step(
 ) -> list[CommandLine]:
     """Run one generation step; returns the newly accepted command lines.
 
-    The reply comes from ``journal`` when it holds one, else from the
-    provider, and then goes into it.  A provider failure (see :func:`_ask`)
-    returns an empty list, and the caller's failure counter decides when
-    to give up.
+    Its one call goes through :func:`_journaled_replies`.  A provider failure
+    returns an empty list, and the caller's failure counter decides when to give up.
     """
     if len(seeds) < SEEDS_PER_PROMPT:
         raise ValueError(
@@ -176,14 +204,11 @@ def synthesize_step(
     sampled = seeds.sample(rng, SEEDS_PER_PROMPT)
     prompt = build_synthesis_prompt(sampled)
     spec = pick_provider(pool, rng)
-    journal = journal if journal is not None else ReplyJournal()
-    key, response = journal.lookup(spec.name, spec.model_id, prompt)
-    if response is None:
-        response = _ask(client_for(spec), prompt)
-        if isinstance(response, GatewayError):
-            logger.warning("provider %s failed: %s", spec.name, response)
-            return []
-        journal.put(key, response)
+    [response] = _journaled_replies([prompt], spec.name, spec.model_id,
+                                    lambda text: client_for(spec).complete(text), 1, journal)
+    if isinstance(response, GatewayError):
+        logger.warning("provider %s failed: %s", spec.name, response)
+        return []
     parsed = parse_llm_response(response, provenance=spec.name)
     accepted: list[CommandLine] = []
     for command in parsed[:REQUESTED_PER_CALL]:
@@ -221,7 +246,6 @@ def run_synthesis(
         raise ValueError(
             f"need >= {SEEDS_PER_PROMPT} distinct initial seeds, got {len(seeds)}"
         )
-    journal = journal if journal is not None else ReplyJournal()
     rng = random.Random(cfg.rng_seed)
     synthesized: list[CommandLine] = []
     consecutive_failures = 0
@@ -258,42 +282,26 @@ class Reject:
     reason: str
 
 
-def _run_per_command(
+def _generate(
     commands: Sequence[CommandLine],
     provider,
     prompt_for: Callable[[CommandLine], str],
-    read: Callable[[CommandLine, str], object],
+    read: Callable[[CommandLine, str, int], object],
     jobs: int,
     journal: ReplyJournal | None,
-) -> list[object]:
-    """One provider call per command: ``read(command, reply)``, or a
-    :class:`Reject` when the call failed (see :func:`_ask`).  ``jobs``
-    calls run at once; it must be >= 1.  Replies in ``journal`` are taken
-    from it, and the others are appended to it."""
-    journal = journal if journal is not None else ReplyJournal()
-    name, model = getattr(provider, "name", ""), getattr(provider, "model", "")
-    prompts = [prompt_for(c) for c in commands]
-    looked_up = [journal.lookup(name, model, prompt) for prompt in prompts]
-
-    def call(index: int) -> str | GatewayError:
-        reply = looked_up[index][1]
-        return _ask(provider, prompts[index]) if reply is None else reply
-
-    # Both maps yield in input order, whatever the jobs; only the wall-clock
-    # interleaving of provider calls changes with jobs > 1.  So this thread
-    # appends every journal line, and the journal's bytes do not depend on
-    # jobs or on thread timing.
-    outcomes: list[object] = []
-    with ThreadPoolExecutor(max_workers=jobs) as executor:
-        replies = (executor.map if jobs > 1 else map)(call, range(len(commands)))
-        for command, (key, journaled), reply in zip(commands, looked_up, replies):
-            if isinstance(reply, GatewayError):
-                outcomes.append(Reject(command, f"provider failure: {reply}"))
-                continue
-            if journaled is None:
-                journal.put(key, reply)
-            outcomes.append(read(command, reply))
-    return outcomes
+) -> tuple[list, list[Reject]]:
+    """One provider call per command, split into results and rejects in input
+    order.  ``read(command, reply, n)`` makes the result that follows n others,
+    or a :class:`Reject`; a provider failure is a reject."""
+    replies = _journaled_replies([prompt_for(c) for c in commands], getattr(provider, "name", ""),
+                                 getattr(provider, "model", ""), provider.complete, jobs, journal)
+    results: list = []
+    rejects: list[Reject] = []
+    for command, reply in zip(commands, replies):
+        outcome = (Reject(command, f"provider failure: {reply}") if isinstance(reply, GatewayError)
+                   else read(command, reply, len(results)))
+        (rejects if isinstance(outcome, Reject) else results).append(outcome)
+    return results, rejects
 
 
 def generate_pairs(
@@ -312,26 +320,18 @@ def generate_pairs(
     sequentially from 0.
     """
 
-    def read(command: CommandLine, response: str):
+    def read(command: CommandLine, response: str, pair_id: int):
         candidates = parse_llm_response(
             response, source=Source.PAIR_GENERATED, provenance=getattr(provider, "name", None)
         )
         if not candidates:
             return Reject(command, "response contained no command lines")
-        return candidates[0]
-
-    outcomes = _run_per_command(commands, provider, build_pair_prompt, read, jobs, journal)
-    pairs: list[CommandLinePair] = []
-    rejects: list[Reject] = []
-    for command, outcome in zip(commands, outcomes):
-        if isinstance(outcome, Reject):
-            rejects.append(outcome)
-            continue
         try:
-            pairs.append(CommandLinePair(anchor=command, positive=outcome, pair_id=len(pairs)))
+            return CommandLinePair(anchor=command, positive=candidates[0], pair_id=pair_id)
         except ValueError:
-            rejects.append(Reject(command, f"positive duplicates the anchor: {outcome.text!r}"))
-    return pairs, rejects
+            return Reject(command, f"positive duplicates the anchor: {candidates[0].text!r}")
+
+    return _generate(commands, provider, build_pair_prompt, read, jobs, journal)
 
 
 def generate_explanations(
@@ -347,18 +347,8 @@ def generate_explanations(
     responses are rejects.  Order follows the input.
     """
 
-    def read(command: CommandLine, response: str):
+    def read(command: CommandLine, response: str, _: int):
         explanation = response.strip()
-        if not explanation:
-            return Reject(command, "empty explanation")
-        return explanation
+        return (command, explanation) if explanation else Reject(command, "empty explanation")
 
-    outcomes = _run_per_command(commands, provider, build_explanation_prompt, read, jobs, journal)
-    explanations: list[tuple[CommandLine, str]] = []
-    rejects: list[Reject] = []
-    for command, outcome in zip(commands, outcomes):
-        if isinstance(outcome, Reject):
-            rejects.append(outcome)
-        else:
-            explanations.append((command, outcome))
-    return explanations, rejects
+    return _generate(commands, provider, build_explanation_prompt, read, jobs, journal)

@@ -38,6 +38,31 @@ def mock_vocab_commands(count: int = 12) -> list[str]:
     return commands
 
 
+def reply(status: int, payload=None, text: str = "") -> tuple[int, bytes]:
+    """A finished POST as ``post`` returns it: the JSON of ``payload``, or ``text``."""
+    return status, (json.dumps(payload) if payload is not None else text).encode()
+
+
+class ScriptedPost:
+    """A ``post`` for ``gateway.post_json`` that records each call.
+
+    A list ``script`` is popped one step per call; anything else answers
+    every call.  A step is a :func:`reply`, an exception to raise, or a
+    callable that takes the request's JSON body and returns a reply.
+    """
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def __call__(self, url, json, headers, timeout):
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        step = self.script.pop(0) if isinstance(self.script, list) else self.script
+        if isinstance(step, Exception):
+            raise step
+        return step(json) if callable(step) else step
+
+
 @pytest.fixture
 def seeds_file(tmp_path: Path) -> Path:
     path = tmp_path / "seeds.jsonl"

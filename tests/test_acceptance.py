@@ -37,7 +37,7 @@ from cmdsim.evaluation import (
     build_gene_pools,
     mann_whitney_auc,
     mrr_at_k,
-    rank_from_scores,
+    rank_rows,
     synth_classification_dataset,
     top_at_k,
     train_logreg,
@@ -151,15 +151,18 @@ def test_criterion_03_retrieval_metric_oracle(capfd):
         levels = np.round(np.linspace(-1.0, 1.0, 21), 6)
         total_cases = 0
         for _ in range(20):  # 20 case sets x 50 cases = 1,000 cases
-            ranks = []
-            for _ in range(50):
+            positives = np.empty(50)
+            scores = np.full((50, 49), np.nan)  # NaN pads the shorter cases
+            expected = []
+            for i in range(50):
                 candidates = int(rng.integers(1, 51))
-                positive = float(rng.choice(levels))
+                positives[i] = float(rng.choice(levels))
                 negatives = [float(x) for x in rng.choice(levels, size=candidates - 1)]
-                rank = rank_from_scores(positive, negatives)
-                assert rank == full_sort_rank(positive, negatives)
-                ranks.append(rank)
+                scores[i, :len(negatives)] = negatives
+                expected.append(full_sort_rank(float(positives[i]), negatives))
                 total_cases += 1
+            ranks = rank_rows(positives, scores).tolist()
+            assert ranks == expected
             previous_mrr = 0.0
             previous_top = 0.0
             for k in range(1, 11):

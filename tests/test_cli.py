@@ -235,6 +235,15 @@ class TestSynthPairsAndExplain:
         assert capsys.readouterr().err.endswith(f"error: argument --jobs: must be >= 1, got {jobs}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("stage", ["pairs", "explain"])
+    def test_unknown_provider_exits_one(self, tmp_path, seeds_file, providers_file, capsys, stage):
+        out_dir = tmp_path / "out"
+        code = cli.run(["synth", stage, "--in", str(seeds_file), "--providers", str(providers_file),
+                        "--provider", "zz", "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no provider named 'zz' in pool\n"
+        assert not out_dir.exists()
+
 
 class TestEmbed:
     def test_vectors_and_meta(self, tmp_path, seeds_file):
@@ -496,11 +505,19 @@ class TestClusterStages:
         out = capsys.readouterr().out
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert lines["clusters"] == "2"
-        assert lines["pool"] == "100.0"
         # "seed" records sit only in the first duplicate group
         assert lines["seed"] == "50.0"
         assert lines["synth"] == "100.0"
         assert (tmp_path / "coverage.txt").read_text() == out
+
+    def test_coverage_source_named_pool_gets_one_line(self, tmp_path, capsys):
+        records = [{**record, "source": "pool" if record["source"] == "seed" else "synth"}
+                   for record in explanation_records()]
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        code = cli.run(["cluster", "coverage", "--in", str(input_path), "--eps", "0.05", "--min-pts", "2",
+                        "--dim", "64", "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == "clusters=2\npool=50.0\nsynth=100.0\n"
 
 
 class TestTrainCli:

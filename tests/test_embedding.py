@@ -20,6 +20,7 @@ from cmdsim.embedding import (
 )
 from cmdsim.gateway import ConfigurationError, ProviderError, TransportError
 
+from conftest import ScriptedPost, reply
 from oracles import hash3_embed
 
 texts_strategy = st.text(min_size=1, max_size=40).filter(lambda s: s.strip())
@@ -379,32 +380,6 @@ class TestEmbeddingCache:
         assert reloaded.get("id", "d").tobytes() == f_order[1].tobytes()
 
 
-class FakeEmbedResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no JSON")
-        return self._payload
-
-
-class FakeEmbedSession:
-    """Answers every post with ``response``, or with ``response(json)`` when it is callable."""
-
-    def __init__(self, response):
-        self.response = response
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        if isinstance(self.response, Exception):
-            raise self.response
-        return self.response(json) if callable(self.response) else self.response
-
-
 def no_sleep(_):
     pass
 
@@ -416,28 +391,28 @@ def _numbered_rows_of(numbers):
 def _numbered_rows(body):
     """A 200 reply whose row for the text "i" is [i, 1]."""
     rows = _numbered_rows_of(map(int, body["input"]))
-    return FakeEmbedResponse(200, {"data": [{"embedding": row} for row in rows.tolist()]})
+    return reply(200, {"data": [{"embedding": row} for row in rows.tolist()]})
 
 
 class TestRemoteBackend:
     def test_success(self):
-        session = FakeEmbedSession(
-            FakeEmbedResponse(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 2.0]}]})
+        post = ScriptedPost(
+            reply(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 2.0]}]})
         )
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post)
         matrix = backend.embed(["aa", "bb"])
         np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 2.0]])
-        assert session.calls[0]["json"] == {"input": ["aa", "bb"], "model": "emb-1"}
+        assert post.calls[0]["json"] == {"input": ["aa", "bb"], "model": "emb-1"}
 
     def test_http_error(self):
-        session = FakeEmbedSession(FakeEmbedResponse(500, text="boom"))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
+        post = ScriptedPost(reply(500, text="boom"))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=no_sleep)
         with pytest.raises(ProviderError):
             backend.embed(["aa"])
 
     def test_transport_error(self):
-        session = FakeEmbedSession(ConnectionError("down"))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
+        post = ScriptedPost(ConnectionError("down"))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=no_sleep)
         with pytest.raises(TransportError):
             backend.embed(["aa"])
 
@@ -451,21 +426,21 @@ class TestRemoteBackend:
 
     @pytest.mark.parametrize("n", [1, REMOTE_CHUNK, REMOTE_CHUNK + 1, 2 * REMOTE_CHUNK + 3])
     def test_requests_chunked_in_order(self, n):
-        session = FakeEmbedSession(_numbered_rows)
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
+        post = ScriptedPost(_numbered_rows)
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post)
         matrix = embed_batch(backend, [str(i) for i in range(n)])
-        assert len(session.calls) == -(-n // REMOTE_CHUNK)
-        assert all(len(call["json"]["input"]) <= REMOTE_CHUNK for call in session.calls)
+        assert len(post.calls) == -(-n // REMOTE_CHUNK)
+        assert all(len(call["json"]["input"]) <= REMOTE_CHUNK for call in post.calls)
         np.testing.assert_array_equal(matrix, unit_normalize(_numbered_rows_of(range(n))))
 
     def test_chunk_row_count_checked(self):
         # One row short in the first chunk, one extra in the second: the
         # total matches, so only a per-chunk check sees the shift.
-        def reply(body):
+        def reply_for(body):
             count = len(body["input"]) + (-1 if body["input"][0] == "0" else 1)
-            return FakeEmbedResponse(200, {"data": [{"embedding": [1.0, 0.0]}] * count})
+            return reply(200, {"data": [{"embedding": [1.0, 0.0]}] * count})
 
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=FakeEmbedSession(reply))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=ScriptedPost(reply_for))
         with pytest.raises(EmbeddingIntegrityError, match="shape"):
             embed_batch(backend, [str(i) for i in range(REMOTE_CHUNK + 1)])
 
@@ -473,17 +448,17 @@ class TestRemoteBackend:
         n = REMOTE_CHUNK + 5
         texts = [str(i) for i in range(n)]
         path = tmp_path / "cache.jsonl"
-        session = FakeEmbedSession(lambda body: (
-            FakeEmbedResponse(400, text="bad") if body["input"][0] != "0" else _numbered_rows(body)))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=no_sleep)
+        post = ScriptedPost(lambda body: (
+            reply(400, text="bad") if body["input"][0] != "0" else _numbered_rows(body)))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=no_sleep)
         with pytest.raises(ProviderError, match="HTTP 400"):
             embed_batch(backend, texts, EmbeddingCache(path))
-        assert len(session.calls) == 2
+        assert len(post.calls) == 2
         assert len(EmbeddingCache(path)) == REMOTE_CHUNK
 
-        session.response = _numbered_rows
+        post.script = _numbered_rows
         matrix = embed_batch(backend, texts, EmbeddingCache(path))
-        assert [call["json"]["input"] for call in session.calls[2:]] == [texts[REMOTE_CHUNK:]]
+        assert [call["json"]["input"] for call in post.calls[2:]] == [texts[REMOTE_CHUNK:]]
         np.testing.assert_array_equal(matrix, unit_normalize(_numbered_rows_of(range(n))))
 
     def test_missing_key_env(self, monkeypatch):
@@ -495,7 +470,7 @@ class TestRemoteBackend:
             backend.embed(["aa"])
 
     def test_malformed_payload(self):
-        session = FakeEmbedSession(FakeEmbedResponse(200, {"data": "oops"}))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session)
+        post = ScriptedPost(reply(200, {"data": "oops"}))
+        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post)
         with pytest.raises(ProviderError, match="malformed"):
             backend.embed(["aa"])

@@ -28,7 +28,7 @@ from cmdsim.evaluation import (
     load_technique_corpus,
     mann_whitney_auc,
     mrr_at_k,
-    rank_from_scores,
+    rank_rows,
     synth_classification_dataset,
     top_at_k,
     train_logreg,
@@ -60,26 +60,32 @@ class VectorBackend:
         return np.array([self.table[t] for t in texts], dtype=np.float64)
 
 
+def rank_one(positive, negatives) -> int:
+    """``rank_rows`` of one case."""
+    row = np.array(list(negatives), dtype=np.float64).reshape(1, -1)
+    return int(rank_rows(np.array([positive]), row)[0])
+
+
 class TestRankFromScores:
     def test_clear_winner(self):
-        assert rank_from_scores(0.9, [0.1, 0.2, 0.3]) == 1
+        assert rank_one(0.9, [0.1, 0.2, 0.3]) == 1
 
     def test_ties_count_against_the_positive(self):
-        assert rank_from_scores(0.5, [0.5, 0.4]) == 2
-        assert rank_from_scores(0.5, [0.5, 0.5]) == 3
+        assert rank_one(0.5, [0.5, 0.4]) == 2
+        assert rank_one(0.5, [0.5, 0.5]) == 3
 
     def test_no_negatives(self):
-        assert rank_from_scores(0.0, []) == 1
+        assert rank_one(0.0, []) == 1
 
     def test_dead_last(self):
-        assert rank_from_scores(0.1, [0.2, 0.3, 0.4]) == 4
+        assert rank_one(0.1, [0.2, 0.3, 0.4]) == 4
 
     def test_nan_never_counts_for_any_iterable(self):
         scores = [0.5, math.nan, 0.7, 0.1]
         for negatives in (scores, np.array(scores), iter(scores)):
-            assert rank_from_scores(0.5, negatives) == 3
-        assert rank_from_scores(math.nan, np.array(scores)) == 1
-        assert rank_from_scores(0.0, iter([])) == 1
+            assert rank_one(0.5, negatives) == 3
+        assert rank_one(math.nan, np.array(scores)) == 1
+        assert rank_one(0.0, iter([])) == 1
 
 
 class TestMetricAggregation:

@@ -28,6 +28,8 @@ from cmdsim.gateway import (
     pick_provider,
 )
 
+from conftest import ScriptedPost, reply
+
 
 def make_spec(**overrides) -> ProviderSpec:
     settings = dict(name="p1", endpoint="https://api.example/v1/chat", model_id="m1")
@@ -77,7 +79,7 @@ class TestProviderPool:
     def test_by_name(self):
         pool = ProviderPool(providers=(make_spec(), make_spec(name="p2")))
         assert pool.by_name("p2").name == "p2"
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="^no provider named 'missing' in pool$"):
             pool.by_name("missing")
 
 
@@ -161,141 +163,121 @@ class TestPickProvider:
             assert abs(count / 6000 - 1 / 6) <= 0.03
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (str(payload) if payload is not None else "")
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no JSON")
-        return self._payload
-
-
 def chat_payload(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
-class FakeSession:
-    """Scripted session: pops one canned result per post call."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        step = self.script.pop(0)
-        if isinstance(step, Exception):
-            raise step
-        return step
+def ask_chat(post, sleep):
+    return complete(make_spec(), "p", post=post, sleep=sleep)
 
 
-def ask_chat(session, sleep):
-    return complete(make_spec(), "p", session=session, sleep=sleep)
-
-
-def ask_embeddings(session, sleep):
-    backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, session=session, sleep=sleep)
+def ask_embeddings(post, sleep):
+    backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=sleep)
     return backend.embed(["aa"]).tolist()
 
 
 # Chat and embeddings share one retrying POST, so each retry case below
 # runs through both: name -> (call, its 200 reply, the call's result).
 CALLERS = {
-    "chat": (ask_chat, FakeResponse(200, chat_payload("ok")), "ok"),
-    "embeddings": (ask_embeddings, FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}]}), [[1.0, 0.0]]),
+    "chat": (ask_chat, reply(200, chat_payload("ok")), "ok"),
+    "embeddings": (ask_embeddings, reply(200, {"data": [{"embedding": [1.0, 0.0]}]}), [[1.0, 0.0]]),
 }
 
 
 class TestComplete:
     def test_retry_on_429_then_success(self):
         for name, (ask, ok, expected) in CALLERS.items():
-            session = FakeSession([FakeResponse(429, text="slow down"), ok])
+            post = ScriptedPost([reply(429, text="slow down"), ok])
             sleeps = []
-            assert ask(session, sleeps.append) == expected, name
-            assert len(session.calls) == 2, name
+            assert ask(post, sleeps.append) == expected, name
+            assert len(post.calls) == 2, name
             assert sleeps == [0.5], name
 
     def test_exponential_backoff_sequence(self):
         for name, (ask, ok, expected) in CALLERS.items():
-            session = FakeSession([FakeResponse(503), FakeResponse(503), ok])
+            post = ScriptedPost([reply(503), reply(503), ok])
             sleeps = []
-            assert ask(session, sleeps.append) == expected, name
+            assert ask(post, sleeps.append) == expected, name
             assert sleeps == [0.5, 1.0], name
 
     def test_backoff_doubles_each_retry(self):
         # Two retries cannot tell doubling from linear growth; a third can.
-        session = FakeSession([FakeResponse(503)] * 3 + [FakeResponse(200, chat_payload("ok"))])
+        post = ScriptedPost([reply(503)] * 3 + [reply(200, chat_payload("ok"))])
         sleeps = []
-        assert complete(make_spec(max_retries=3), "p", session=session, sleep=sleeps.append) == "ok"
+        assert complete(make_spec(max_retries=3), "p", post=post, sleep=sleeps.append) == "ok"
         assert sleeps == [0.5, 1.0, 2.0]
 
     def test_non_retryable_status_fails_immediately(self):
         for name, (ask, _, _) in CALLERS.items():
-            session = FakeSession([FakeResponse(404, text="nope")])
+            post = ScriptedPost([reply(404, text="nope")])
             sleeps = []
             with pytest.raises(ProviderError) as excinfo:
-                ask(session, sleeps.append)
+                ask(post, sleeps.append)
             assert excinfo.value.status == 404, name
             assert excinfo.value.body == "nope", name
-            assert len(session.calls) == 1, name
+            assert len(post.calls) == 1, name
             assert sleeps == [], name
 
     def test_retries_exhausted_raises_last_error(self):
         for name, (ask, _, _) in CALLERS.items():
-            session = FakeSession([FakeResponse(500)] * (MAX_RETRIES + 1))
+            post = ScriptedPost([reply(500)] * (MAX_RETRIES + 1))
             sleeps = []
             with pytest.raises(ProviderError) as excinfo:
-                ask(session, sleeps.append)
+                ask(post, sleeps.append)
             assert excinfo.value.status == 500, name
-            assert len(session.calls) == MAX_RETRIES + 1, name
+            assert len(post.calls) == MAX_RETRIES + 1, name
             assert sleeps == [0.5, 1.0], name
 
     def test_transport_failures_retried(self):
         for name, (ask, ok, expected) in CALLERS.items():
-            session = FakeSession([ConnectionError("boom"), ok])
+            post = ScriptedPost([ConnectionError("boom"), ok])
             sleeps = []
-            assert ask(session, sleeps.append) == expected, name
+            assert ask(post, sleeps.append) == expected, name
             assert sleeps == [0.5], name
 
     def test_transport_failures_exhausted(self):
         for name, (ask, _, _) in CALLERS.items():
-            session = FakeSession([ConnectionError("boom")] * (MAX_RETRIES + 1))
+            post = ScriptedPost([ConnectionError("boom")] * (MAX_RETRIES + 1))
             sleeps = []
             with pytest.raises(TransportError):
-                ask(session, sleeps.append)
-            assert len(session.calls) == MAX_RETRIES + 1, name
+                ask(post, sleeps.append)
+            assert len(post.calls) == MAX_RETRIES + 1, name
             assert sleeps == [0.5, 1.0], name
 
     def test_success_extracts_content(self):
-        session = FakeSession([FakeResponse(200, chat_payload("<CMD>whoami"))])
-        result = complete(make_spec(), "prompt text", session=session, sleep=lambda _: None)
+        post = ScriptedPost([reply(200, chat_payload("<CMD>whoami"))])
+        result = complete(make_spec(), "prompt text", post=post, sleep=lambda _: None)
         assert result == "<CMD>whoami"
-        call = session.calls[0]
+        call = post.calls[0]
         assert call["json"]["messages"] == [{"role": "user", "content": "prompt text"}]
         assert call["json"]["model"] == "m1"
         assert call["json"]["temperature"] == 1.0
         assert "Authorization" not in call["headers"]
 
     def test_malformed_payload(self):
-        session = FakeSession([FakeResponse(200, {"unexpected": True})])
+        post = ScriptedPost([reply(200, {"unexpected": True})])
         with pytest.raises(ProviderError, match="provider p1: malformed completion payload") as excinfo:
-            complete(make_spec(), "p", session=session, sleep=lambda _: None)
+            complete(make_spec(), "p", post=post, sleep=lambda _: None)
         assert excinfo.value.status == 200
 
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("CMDSIM_TEST_KEY", raising=False)
         spec = make_spec(api_key_env="CMDSIM_TEST_KEY")
         with pytest.raises(ConfigurationError, match="CMDSIM_TEST_KEY"):
-            complete(spec, "p", session=FakeSession([]))
+            complete(spec, "p", post=ScriptedPost([]))
+
+    def test_default_post_is_the_module_one_at_call_time(self, monkeypatch):
+        # A local endpoint, so that a seam bound too early fails without leaving the host.
+        post = ScriptedPost([reply(200, chat_payload("ok"))])
+        monkeypatch.setattr("cmdsim.gateway._urlopen_post", post)
+        assert complete(make_spec(endpoint="http://127.0.0.1:9/v1"), "p", sleep=lambda _: None) == "ok"
+        assert [call["url"] for call in post.calls] == ["http://127.0.0.1:9/v1"]
 
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("CMDSIM_TEST_KEY", "sekrit")
-        session = FakeSession([FakeResponse(200, chat_payload("ok"))])
-        complete(make_spec(api_key_env="CMDSIM_TEST_KEY"), "p", session=session)
-        assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
+        post = ScriptedPost([reply(200, chat_payload("ok"))])
+        complete(make_spec(api_key_env="CMDSIM_TEST_KEY"), "p", post=post)
+        assert post.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
 def token_trigrams(token: str) -> set[str]:

@@ -311,6 +311,29 @@ class TestGeneratePairs:
         assert [p.pair_id for p in pairs] == [0, 1]
         assert len(rejects) == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rejects_and_pair_ids_keep_input_order(self, jobs):
+        def behavior(prompt):
+            query = prompt.split("\n")[4]  # the substituted command line
+            if query in ("cmd-02", "cmd-05"):
+                raise TransportError(f"provider p: {query} timed out")
+            if query == "cmd-04":
+                return "no markers"
+            if query in ("cmd-01", "cmd-06"):
+                return f"<CMD>{query.upper()}"
+            return f"<CMD>twin of {query}"
+
+        commands = [CommandLine(f"cmd-{i:02d}") for i in range(8)]
+        pairs, rejects = generate_pairs(commands, PairClient(behavior), jobs=jobs)
+        assert [(p.anchor.text, p.pair_id) for p in pairs] == [("cmd-00", 0), ("cmd-03", 1), ("cmd-07", 2)]
+        assert [(r.command.text, r.reason) for r in rejects] == [
+            ("cmd-01", "positive duplicates the anchor: 'CMD-01'"),
+            ("cmd-02", "provider failure: provider p: cmd-02 timed out"),
+            ("cmd-04", "response contained no command lines"),
+            ("cmd-05", "provider failure: provider p: cmd-05 timed out"),
+            ("cmd-06", "positive duplicates the anchor: 'CMD-06'"),
+        ]
+
     def test_jobs_do_not_change_results(self):
         commands = [CommandLine(f"cmd-{i:02d}") for i in range(12)]
         provider = MockProvider()
