@@ -44,12 +44,7 @@ from .embedding import (
     RemoteEmbeddingBackend,
     embed_batch,
 )
-from .gateway import (
-    TEMPLATE_VERSION,
-    GatewayError,
-    build_client,
-    load_provider_pool,
-)
+from .gateway import TEMPLATE_VERSION, GatewayError, load_provider_pool
 
 def _int_at_least(minimum: int):
     """An argparse ``type``: an int, refused below ``minimum``."""
@@ -334,13 +329,13 @@ def cmd_synth_generate(args: argparse.Namespace) -> int:
     """``synth pairs`` and ``synth explain``: one provider call per command."""
     commands = jsonl.read_commands(args.input)
     pool = _load_pool(args)
-    client = build_client(pool.by_name(args.provider) if args.provider else pool.providers[0])
+    spec = pool.by_name(args.provider) if args.provider else pool.providers[0]
     pairs = args.stage == "synth.pairs"
     noun = "pairs" if pairs else "explanations"
     generate = synthesis.generate_pairs if pairs else synthesis.generate_explanations
     out = _out_path(args, args.out)
     with _journal(out) as journal:
-        results, rejects = generate(commands, client, jobs=args.jobs, journal=journal)
+        results, rejects = generate(commands, spec, jobs=args.jobs, journal=journal)
     if pairs:
         jsonl.write_pairs(out, results)
     else:
@@ -356,25 +351,15 @@ def cmd_synth_generate(args: argparse.Namespace) -> int:
         rejects_path,
         ({"text": r.command.text, "reason": r.reason} for r in rejects),
     )
-    jsonl.write_meta(out, args.stage, provider=getattr(client, "name", "?"),
+    jsonl.write_meta(out, args.stage, provider=spec.name,
                      rejects=len(rejects), **{noun: len(results)})
     print(f"{len(results)} {noun} -> {out} ({len(rejects)} rejects -> {rejects_path})")
     return 0
 
 
-def _column(records: list[dict], field: str) -> list:
-    """Each record's ``field``; raises on the first record without it."""
-    values = []
-    for i, record in enumerate(records):
-        if field not in record:
-            raise ValueError(f"record {i} has no field {field!r}")
-        values.append(record[field])
-    return values
-
-
 def cmd_embed(args: argparse.Namespace) -> int:
-    records = list(jsonl.read_records(args.input))
-    texts = _column(records, args.text_field)
+    records = jsonl.read_records(args.input, required=[args.text_field])
+    texts = [record[args.text_field] for _, record in records]
     backend = _backend(args)
     matrix = embed_batch(backend, texts, _cache(args))
     out = _out_path(args, args.out)
@@ -384,11 +369,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_explanations(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
-    records = list(jsonl.read_records(args.input))
+def _read_explanations(args: argparse.Namespace, *fields: str) -> tuple[list[dict], list[str]]:
+    """The records of ``--in``, each with a string ``explanation`` and
+    ``fields``, and their explanations."""
+    records = [record for _, record in jsonl.read_records(args.input, required=["explanation", *fields])]
     if not records:
         raise ValueError("input file has no records")
-    return records, _column(records, "explanation")
+    return records, [record["explanation"] for record in records]
 
 
 def cmd_cluster_negatives(args: argparse.Namespace) -> int:
@@ -426,16 +413,17 @@ def cmd_cluster_negatives(args: argparse.Namespace) -> int:
 def cmd_cluster_dbscan(args: argparse.Namespace) -> int:
     """``cluster dedup`` and ``cluster coverage``: DBSCAN over the
     embedded explanations, then the survivors or the per-source rates."""
-    records, explanations = _read_explanations(args)
     dedup = args.stage == "cluster.dedup"
-    tags = None if dedup else [str(tag) for tag in _column(records, args.tag_field)]
+    # The tag column is checked with the explanations, before anything is embedded.
+    records, explanations = _read_explanations(args, *([] if dedup else [args.tag_field]))
     params = clustering.DbscanParams(eps=args.eps, min_pts=args.min_pts)
     backend = _backend(args)
     matrix = embed_batch(backend, explanations, _cache(args))
     labeling = clustering.dbscan(matrix, params)
     if not dedup:
-        rates = clustering.cluster_coverage(labeling, tags)
-        _report(args, [("clusters", labeling.num_clusters), *rates.items()],
+        rates = clustering.cluster_coverage(labeling, [record[args.tag_field] for record in records])
+        # A rate's key has a prefix, so no tag can shadow the clusters= line.
+        _report(args, [("clusters", labeling.num_clusters), *((f"rate.{tag}", r) for tag, r in rates.items())],
                 eps=params.eps, min_pts=params.min_pts)
         return 0
     kept = clustering.dedup_by_clusters(records, labeling, args.keep)

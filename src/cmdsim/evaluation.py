@@ -90,12 +90,12 @@ def load_retrieval_cases(
 ) -> list[RetrievalCase]:
     """Read {query, positive, negative_ids} records; ids index ``corpus``."""
     cases: list[RetrievalCase] = []
-    for lineno, record in enumerate(read_records(testset_path), start=1):
-        for key in ("query", "positive", "negative_ids"):
-            if key not in record:
-                raise ValueError(f"{testset_path}:{lineno}: missing field {key!r}")
+    for lineno, record in read_records(testset_path, required=("query", "positive")):
+        ids = record.get("negative_ids")
+        if not isinstance(ids, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in ids):
+            raise ValueError(f"{testset_path}:{lineno}: negative_ids must be a list of integer indices")
         negatives = []
-        for negative_id in record["negative_ids"]:
+        for negative_id in ids:
             if not 0 <= negative_id < len(corpus):
                 raise ValueError(
                     f"{testset_path}:{lineno}: negative id {negative_id} outside "
@@ -202,10 +202,7 @@ def load_technique_corpus(path: str | Path) -> TechniqueCorpus:
     order of first occurrence.
     """
     grouped: dict[str, list[str]] = {}
-    for lineno, record in enumerate(read_records(path), start=1):
-        for key in ("technique_id", "command"):
-            if key not in record:
-                raise ValueError(f"{path}:{lineno}: missing field {key!r}")
+    for _, record in read_records(path, required=("technique_id", "command")):
         grouped.setdefault(record["technique_id"], []).append(record["command"])
     return TechniqueCorpus(
         [Technique(technique_id, tuple(commands)) for technique_id, commands in grouped.items()]

@@ -1,9 +1,10 @@
 """Chat-completion providers, the provider pool, and prompt builders.
 
-Every generation stage talks to a provider through one tiny interface:
-``complete(prompt) -> assistant text``.  Real providers speak the common
-chat-completion JSON HTTP shape; a deterministic :class:`MockProvider`
-ships in-tree so the whole pipeline runs offline and reproducibly.
+A provider is a :class:`ProviderSpec`, and every generation stage asks
+one through :func:`complete` ``(spec, prompt) -> assistant text``.  Real
+providers speak the common chat-completion JSON HTTP shape; a ``mock:``
+endpoint is answered by the deterministic in-tree :class:`MockProvider`,
+so the whole pipeline runs offline and reproducibly.
 
 Prompt wording lives in versioned template files under
 ``cmdsim/templates/`` and is substituted, never rebuilt, so prompts are
@@ -168,11 +169,6 @@ def build_explanation_prompt(command: CommandLine | str) -> str:
     return EXPLANATION_TEMPLATE.replace(_COMMAND_SLOT, text, 1)
 
 
-def pick_provider(pool: ProviderPool, rng) -> ProviderSpec:
-    """Uniformly pick one provider; deterministic under a seeded rng."""
-    return rng.choice(pool.providers)
-
-
 class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
     """Follow no redirect.  The stock handler re-sends a 301, 302 or 303
     as a GET carrying every header, Authorization too, to whatever
@@ -288,9 +284,15 @@ def complete(
     post: Callable[..., tuple[int, bytes]] | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
-    """Send one chat-completion request and return the assistant text,
-    with :func:`post_json`'s retries up to ``spec.max_retries``.
-    ``post`` and ``sleep`` are :func:`post_json`'s."""
+    """The assistant text ``spec``'s provider gives for ``prompt``: the one
+    place a provider stage gets a reply.
+
+    A ``mock:`` endpoint is answered in-process by :class:`MockProvider`,
+    salted with ``spec.model_id``.  Any other endpoint gets one
+    chat-completion request, with :func:`post_json`'s retries up to
+    ``spec.max_retries``; ``post`` and ``sleep`` are :func:`post_json`'s."""
+    if spec.endpoint.startswith("mock:"):
+        return MockProvider(salt=spec.model_id).complete(prompt)
     body = {
         "model": spec.model_id,
         "messages": [{"role": "user", "content": prompt}],
@@ -300,18 +302,6 @@ def complete(
                      owner=f"provider {spec.name}", payload="completion",
                      api_key_env=spec.api_key_env, timeout=spec.timeout,
                      max_retries=spec.max_retries, post=post, sleep=sleep)
-
-
-class HttpChatProvider:
-    """A ProviderSpec that answers prompts over HTTP."""
-
-    def __init__(self, spec: ProviderSpec) -> None:
-        self.spec = spec
-        self.name = spec.name
-        self.model = spec.model_id
-
-    def complete(self, prompt: str) -> str:
-        return complete(self.spec, prompt)
 
 
 # Vocabulary for the deterministic mock.  The two columns are synonym
@@ -341,6 +331,8 @@ MOCK_TARGETS: tuple[str, ...] = (
     "c:\\srv\\omega",
     "c:\\srv\\sigma",
 )
+_MOCK_VERB_MAP = dict(MOCK_VERB_SYNONYMS)
+_MOCK_FLAG_MAP = dict(MOCK_FLAG_SYNONYMS)
 _MOCK_TAGS = "0123456789abcdef"
 _MOCK_CONCEPTS: tuple[str, ...] = (
     "duplicates files",
@@ -365,27 +357,20 @@ def _slot_content(prompt: str, prefix: str, suffix: str) -> str | None:
 class MockProvider:
     """Deterministic offline provider.
 
-    Responses are a pure function of the prompt text: an exact-match
-    response table is consulted first, then the three shipped prompt
-    templates are recognized structurally, and anything else is echoed
-    back.  Synthesis responses draw commands from a small closed
-    vocabulary (verb, flag, target path, hex tag); pair responses map
-    each verb and flag to a trigram-disjoint synonym; explanation
-    responses describe the verb concept, flag profile, and target while
-    ignoring the tag, so near-duplicate commands explain identically.
+    Responses are a pure function of the salt and the prompt text: the
+    three shipped prompt templates are recognized structurally, and
+    anything else is echoed back.  Synthesis responses draw commands
+    from a small closed vocabulary (verb, flag, target path, hex tag),
+    salted by the spec's model id; pair responses map each verb and flag
+    to a trigram-disjoint synonym; explanation responses describe the
+    verb concept, flag profile, and target while ignoring the tag, so
+    near-duplicate commands explain identically.
     """
 
-    def __init__(self, name: str = "mock", table: dict[str, str] | None = None, salt: str = "") -> None:
-        self.name = name
-        # build_client passes the spec's model id, which salts the replies.
-        self.salt = self.model = salt
-        self._table = dict(table) if table else {}
-        self._verb_map = {a: b for a, b in MOCK_VERB_SYNONYMS}
-        self._flag_map = {a: b for a, b in MOCK_FLAG_SYNONYMS}
+    def __init__(self, salt: str = "") -> None:
+        self.salt = salt
 
     def complete(self, prompt: str) -> str:
-        if prompt in self._table:
-            return self._table[prompt]
         if prompt.startswith(_SYNTH_PREFIX):
             return self._synthesize(prompt)
         query = _slot_content(prompt, _PAIR_PREFIX, _PAIR_SUFFIX)
@@ -409,7 +394,7 @@ class MockProvider:
 
     def _similar(self, query: str) -> str:
         tokens = query.split(" ")
-        mapped = [self._flag_map.get(t, self._verb_map.get(t, t)) for t in tokens]
+        mapped = [_MOCK_FLAG_MAP.get(t, _MOCK_VERB_MAP.get(t, t)) for t in tokens]
         candidate = " ".join(mapped)
         if canonical_dedup_key(candidate) == canonical_dedup_key(query):
             # Out-of-vocabulary command: fall back to a visible rewrite.
@@ -447,14 +432,6 @@ class MockProvider:
         )
 
 
-def build_client(spec: ProviderSpec):
-    """Turn a spec into a provider; ``mock:`` endpoints get the
-    deterministic in-process mock."""
-    if spec.endpoint.startswith("mock:"):
-        return MockProvider(name=spec.name, salt=spec.model_id)
-    return HttpChatProvider(spec)
-
-
 def load_provider_pool(path: str | Path) -> ProviderPool:
     """Read a provider pool from an INI-style configuration file.
 
@@ -471,27 +448,33 @@ def load_provider_pool(path: str | Path) -> ProviderPool:
         raise ConfigurationError(f"provider configuration file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"provider configuration file not found: {path}")
-    specs = []
-    for section in parser.sections():
-        if section == "pool":
-            continue
+
+    def entry(section: str, key: str, convert: Callable[[str], object] = str, fallback: object = None):
+        """``convert`` of ``section``'s ``key``; ``fallback`` when the
+        section lacks the key, which is an error when there is none."""
         entries = parser[section]
-        for required in ("endpoint", "model"):
-            if required not in entries:
-                raise ConfigurationError(
-                    f"provider {section!r}: missing required key {required!r} in {path}"
-                )
-        specs.append(
-            ProviderSpec(
-                name=section,
-                endpoint=entries["endpoint"],
-                model_id=entries["model"],
-                api_key_env=entries.get("api_key_env", ""),
-                temperature=entries.getfloat("temperature", fallback=1.0),
-                max_retries=entries.getint("max_retries", fallback=MAX_RETRIES),
-                timeout=entries.getfloat("timeout", fallback=30.0),
-            )
+        try:
+            if key in entries:
+                return convert(entries[key])
+            if fallback is None:
+                raise ValueError("missing required key")
+            return fallback
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigurationError(f"provider configuration file {path}: [{section}] {key}: {exc}") from exc
+
+    specs = [
+        ProviderSpec(
+            name=section,
+            endpoint=entry(section, "endpoint"),
+            model_id=entry(section, "model"),
+            api_key_env=entry(section, "api_key_env", fallback=""),
+            temperature=entry(section, "temperature", float, 1.0),
+            max_retries=entry(section, "max_retries", int, MAX_RETRIES),
+            timeout=entry(section, "timeout", float, 30.0),
         )
+        for section in parser.sections()
+        if section != "pool"
+    ]
     if not specs:
         raise ConfigurationError(f"no provider sections found in {path}")
     return ProviderPool(providers=tuple(specs))

@@ -20,8 +20,13 @@ import numpy as np
 from .core import CommandLine, CommandLinePair, Source
 
 
-def read_records(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield one dict per non-blank line; raises on malformed JSON."""
+def read_records(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(line number, record)`` for each non-blank line, 1-based.
+
+    A line that is not a JSON object, or whose record lacks a field named
+    in ``required`` or holds a non-string there, is a ``ValueError``
+    naming the file and line.
+    """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -33,7 +38,12 @@ def read_records(path: str | Path) -> Iterator[dict[str, Any]]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            yield record
+            for key in required:
+                if key not in record:
+                    raise ValueError(f"{path}:{lineno}: missing required field {key!r}")
+                if not isinstance(record[key], str):
+                    raise ValueError(f"{path}:{lineno}: field {key!r} must be a string")
+            yield lineno, record
 
 
 @contextlib.contextmanager
@@ -106,24 +116,17 @@ def vector_records(texts: Sequence[Any], vectors: np.ndarray) -> Iterator[str]:
                    f'"vector": [{", ".join(row.tolist())}]}}')
 
 
-def _require(record: dict[str, Any], key: str, path: str | Path, lineno: int) -> Any:
-    if key not in record:
-        raise ValueError(f"{path}:{lineno}: missing required field {key!r}")
-    return record[key]
-
-
 def read_commands(path: str | Path, *, default_source: Source = Source.REAL_WORLD) -> list[CommandLine]:
     """Read ``{"text": ..., "source": ...}`` records into command lines.
 
     ``source`` is optional in the file; unknown source names are an error.
     """
     commands: list[CommandLine] = []
-    for lineno, record in enumerate(read_records(path), start=1):
-        text = _require(record, "text", path, lineno)
+    for _, record in read_records(path, required=("text",)):
         raw_source = record.get("source")
         source = Source(raw_source) if raw_source is not None else default_source
         commands.append(
-            CommandLine(text, source=source, provenance=record.get("provenance"))
+            CommandLine(record["text"], source=source, provenance=record.get("provenance"))
         )
     return commands
 
@@ -144,14 +147,12 @@ def read_pairs(path: str | Path) -> list[CommandLinePair]:
     ``pair_id`` defaults to the zero-based record index when absent.
     """
     pairs: list[CommandLinePair] = []
-    for lineno, record in enumerate(read_records(path), start=1):
-        anchor = _require(record, "anchor", path, lineno)
-        positive = _require(record, "positive", path, lineno)
+    for index, (_, record) in enumerate(read_records(path, required=("anchor", "positive"))):
         pairs.append(
             CommandLinePair(
-                anchor=CommandLine(anchor, source=Source.LLM_SYNTHESIZED),
-                positive=CommandLine(positive, source=Source.PAIR_GENERATED),
-                pair_id=record.get("pair_id", lineno - 1),
+                anchor=CommandLine(record["anchor"], source=Source.LLM_SYNTHESIZED),
+                positive=CommandLine(record["positive"], source=Source.PAIR_GENERATED),
+                pair_id=record.get("pair_id", index),
             )
         )
     return pairs

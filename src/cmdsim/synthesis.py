@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import gateway
 from .core import CommandLine, CommandLinePair, SeedPool, Source, parse_llm_response
 from .gateway import (
     SEEDS_PER_PROMPT,
@@ -26,11 +27,9 @@ from .gateway import (
     GatewayError,
     ProviderPool,
     ProviderSpec,
-    build_client,
     build_explanation_prompt,
     build_pair_prompt,
     build_synthesis_prompt,
-    pick_provider,
 )
 
 logger = logging.getLogger(__name__)
@@ -144,27 +143,27 @@ class ReplyJournal:
 
 def _journaled_replies(
     prompts: Sequence[str],
-    provider: str,
-    model: str,
-    complete: Callable[[str], str],
+    spec: ProviderSpec,
     jobs: int,
     journal: ReplyJournal | None,
 ) -> list[str | GatewayError]:
-    """Each prompt's reply, in prompt order: from ``journal`` when it holds
-    one, else from ``complete`` and then appended to ``journal``.  A provider
-    failure (transport or HTTP, after the gateway's retries) stands in for
-    its reply, unjournaled so that a rerun retries it; a configuration error
-    propagates, since retrying cannot fix it.  ``jobs`` (>= 1) calls run at once.
+    """Each prompt's reply from ``spec``, in prompt order: from ``journal``
+    when it holds one, else from :func:`gateway.complete` and then appended
+    to ``journal``.  A provider failure (transport or HTTP, after the
+    gateway's retries) stands in for its reply, unjournaled so that a rerun
+    retries it; a configuration error propagates, since retrying cannot fix
+    it.  ``jobs`` (>= 1) calls run at once.
     """
     journal = journal if journal is not None else ReplyJournal()
-    looked_up = [journal.lookup(provider, model, prompt) for prompt in prompts]
+    looked_up = [journal.lookup(spec.name, spec.model_id, prompt) for prompt in prompts]
 
     def call(index: int) -> str | GatewayError:
         reply = looked_up[index][1]
         if reply is not None:
             return reply
         try:
-            return complete(prompts[index])
+            # Looked up per call, so that a patched gateway.complete takes effect.
+            return gateway.complete(spec, prompts[index])
         except ConfigurationError:
             raise
         except GatewayError as exc:
@@ -189,13 +188,14 @@ def synthesize_step(
     seeds: SeedPool,
     rng: random.Random,
     *,
-    client_for: Callable[[ProviderSpec], object],
     journal: ReplyJournal | None = None,
 ) -> list[CommandLine]:
     """Run one generation step; returns the newly accepted command lines.
 
-    Its one call goes through :func:`_journaled_replies`.  A provider failure
-    returns an empty list, and the caller's failure counter decides when to give up.
+    It samples the seeds, then picks a provider uniformly from ``pool``,
+    both from ``rng``; its one call goes through :func:`_journaled_replies`.
+    A provider failure returns an empty list, and the caller's failure
+    counter decides when to give up.
     """
     if len(seeds) < SEEDS_PER_PROMPT:
         raise ValueError(
@@ -203,9 +203,8 @@ def synthesize_step(
         )
     sampled = seeds.sample(rng, SEEDS_PER_PROMPT)
     prompt = build_synthesis_prompt(sampled)
-    spec = pick_provider(pool, rng)
-    [response] = _journaled_replies([prompt], spec.name, spec.model_id,
-                                    lambda text: client_for(spec).complete(text), 1, journal)
+    spec = rng.choice(pool.providers)
+    [response] = _journaled_replies([prompt], spec, 1, journal)
     if isinstance(response, GatewayError):
         logger.warning("provider %s failed: %s", spec.name, response)
         return []
@@ -227,7 +226,6 @@ def run_synthesis(
     initial_seeds: Sequence[CommandLine],
     cfg: SynthesisConfig,
     *,
-    client_for: Callable[[ProviderSpec], object] = build_client,
     journal: ReplyJournal | None = None,
 ) -> list[CommandLine]:
     """Generate until ``cfg.target_count`` new command lines exist.
@@ -251,7 +249,7 @@ def run_synthesis(
     consecutive_failures = 0
     accepted_since_progress = 0
     while len(synthesized) < cfg.target_count:
-        accepted = synthesize_step(pool, seeds, rng, client_for=client_for, journal=journal)
+        accepted = synthesize_step(pool, seeds, rng, journal=journal)
         if accepted:
             synthesized.extend(accepted)
             consecutive_failures = 0
@@ -284,7 +282,7 @@ class Reject:
 
 def _generate(
     commands: Sequence[CommandLine],
-    provider,
+    spec: ProviderSpec,
     prompt_for: Callable[[CommandLine], str],
     read: Callable[[CommandLine, str, int], object],
     jobs: int,
@@ -293,8 +291,7 @@ def _generate(
     """One provider call per command, split into results and rejects in input
     order.  ``read(command, reply, n)`` makes the result that follows n others,
     or a :class:`Reject`; a provider failure is a reject."""
-    replies = _journaled_replies([prompt_for(c) for c in commands], getattr(provider, "name", ""),
-                                 getattr(provider, "model", ""), provider.complete, jobs, journal)
+    replies = _journaled_replies([prompt_for(c) for c in commands], spec, jobs, journal)
     results: list = []
     rejects: list[Reject] = []
     for command, reply in zip(commands, replies):
@@ -306,12 +303,12 @@ def _generate(
 
 def generate_pairs(
     commands: Sequence[CommandLine],
-    provider,
+    spec: ProviderSpec,
     *,
     jobs: int = 1,
     journal: ReplyJournal | None = None,
 ) -> tuple[list[CommandLinePair], list[Reject]]:
-    """Ask the provider for one similar command per input.
+    """Ask ``spec``'s provider for one similar command per input.
 
     The FIRST extracted command of each response becomes the positive.
     Inputs whose response yields nothing usable (no markers, duplicate
@@ -322,7 +319,7 @@ def generate_pairs(
 
     def read(command: CommandLine, response: str, pair_id: int):
         candidates = parse_llm_response(
-            response, source=Source.PAIR_GENERATED, provenance=getattr(provider, "name", None)
+            response, source=Source.PAIR_GENERATED, provenance=spec.name
         )
         if not candidates:
             return Reject(command, "response contained no command lines")
@@ -331,17 +328,17 @@ def generate_pairs(
         except ValueError:
             return Reject(command, f"positive duplicates the anchor: {candidates[0].text!r}")
 
-    return _generate(commands, provider, build_pair_prompt, read, jobs, journal)
+    return _generate(commands, spec, build_pair_prompt, read, jobs, journal)
 
 
 def generate_explanations(
     commands: Sequence[CommandLine],
-    provider,
+    spec: ProviderSpec,
     *,
     jobs: int = 1,
     journal: ReplyJournal | None = None,
 ) -> tuple[list[tuple[CommandLine, str]], list[Reject]]:
-    """Ask the provider to describe each command line.
+    """Ask ``spec``'s provider to describe each command line.
 
     The whole assistant text, trimmed, is the explanation; empty
     responses are rejects.  Order follows the input.
@@ -351,4 +348,4 @@ def generate_explanations(
         explanation = response.strip()
         return (command, explanation) if explanation else Reject(command, "empty explanation")
 
-    return _generate(commands, provider, build_explanation_prompt, read, jobs, journal)
+    return _generate(commands, spec, build_explanation_prompt, read, jobs, journal)

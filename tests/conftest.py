@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cmdsim import cli
+from cmdsim import cli, gateway
 from cmdsim.gateway import (
     MOCK_FLAG_SYNONYMS,
     MOCK_TARGETS,
@@ -61,6 +61,13 @@ class ScriptedPost:
         if isinstance(step, Exception):
             raise step
         return step(json) if callable(step) else step
+
+
+@pytest.fixture
+def use_complete(monkeypatch):
+    """Install ``fn(spec, prompt) -> reply`` as ``gateway.complete`` for one
+    test; every provider stage asks its provider through that name."""
+    return lambda fn: monkeypatch.setattr(gateway, "complete", fn)
 
 
 @pytest.fixture

@@ -297,7 +297,7 @@ class TestEmbed:
     def test_missing_text_field(self, tmp_path, capsys):
         bad = write_jsonl(tmp_path / "bad.jsonl", [{"name": "no text here"}])
         assert cli.run(["embed", "--in", str(bad), "--output-dir", str(tmp_path)]) == 1
-        assert "has no field" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad}:1: missing required field 'text'\n"
 
     def test_cache_reuse_is_byte_stable(self, tmp_path, seeds_file):
         out_dir = tmp_path / "cached"
@@ -506,8 +506,8 @@ class TestClusterStages:
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert lines["clusters"] == "2"
         # "seed" records sit only in the first duplicate group
-        assert lines["seed"] == "50.0"
-        assert lines["synth"] == "100.0"
+        assert lines["rate.seed"] == "50.0"
+        assert lines["rate.synth"] == "100.0"
         assert (tmp_path / "coverage.txt").read_text() == out
 
     def test_coverage_source_named_pool_gets_one_line(self, tmp_path, capsys):
@@ -517,7 +517,30 @@ class TestClusterStages:
         code = cli.run(["cluster", "coverage", "--in", str(input_path), "--eps", "0.05", "--min-pts", "2",
                         "--dim", "64", "--output-dir", str(tmp_path)])
         assert code == 0
-        assert capsys.readouterr().out == "clusters=2\npool=50.0\nsynth=100.0\n"
+        assert capsys.readouterr().out == "clusters=2\nrate.pool=50.0\nrate.synth=100.0\n"
+
+    def test_coverage_source_named_clusters_does_not_shadow_the_count(self, tmp_path, capsys):
+        records = [{**record, "source": "clusters" if record["source"] == "seed" else "synth"}
+                   for record in explanation_records()]
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        code = cli.run(["cluster", "coverage", "--in", str(input_path), "--eps", "0.05", "--min-pts", "2",
+                        "--dim", "64", "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == "clusters=2\nrate.clusters=50.0\nrate.synth=100.0\n"
+
+    @pytest.mark.parametrize("stage, record, message", [
+        ("dedup", {"text": "cmd", "explanation": 7}, "field 'explanation' must be a string"),
+        ("coverage", {"text": "cmd", "explanation": "x"}, "missing required field 'source'"),
+        ("coverage", {"text": "cmd", "explanation": "x", "source": None}, "field 'source' must be a string"),
+    ])
+    def test_bad_field_names_its_line_before_any_embedding(self, tmp_path, capsys, monkeypatch,
+                                                           stage, record, message):
+        monkeypatch.setattr(cli, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+        input_path = tmp_path / "explained.jsonl"
+        input_path.write_text("\n" + json.dumps(explanation_records()[0]) + "\n\n" + json.dumps(record) + "\n",
+                              encoding="utf-8")
+        assert cli.run(["cluster", stage, "--in", str(input_path), "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {input_path}:4: {message}\n"
 
 
 class TestTrainCli:
@@ -943,6 +966,16 @@ class TestConfigPrecedence:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: provider configuration file {providers}: ")
+
+    def test_providers_bad_value_names_file_section_and_key(self, tmp_path, seeds_file, capsys):
+        providers = tmp_path / "bad.conf"
+        providers.write_text("[mock-a]\nendpoint = mock:\nmodel = alpha\ntemperature = hot\n", encoding="utf-8")
+        code = cli.run(["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers),
+                        "--target", "2", "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: provider configuration file {providers}: [mock-a] "
+                                           "temperature: could not convert string to float: 'hot'\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(("argv", "section", "key", "value", "detail"), [
         (["train", "--pairs", "p.jsonl"], "train", "batch", "x",

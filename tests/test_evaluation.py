@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -165,8 +166,18 @@ class TestLoadRetrievalCases:
     def test_missing_field(self, tmp_path):
         testset = tmp_path / "cases.jsonl"
         self.write(testset, [{"query": "q", "negative_ids": []}])
-        with pytest.raises(ValueError, match="missing field 'positive'"):
+        with pytest.raises(ValueError, match="cases.jsonl:1: missing required field 'positive'"):
             load_retrieval_cases(testset, [])
+
+    @pytest.mark.parametrize("negative_ids", [["1"], [1.0], 5, [True], None, {"0": 1}])
+    def test_malformed_negative_ids_name_file_and_line(self, tmp_path, negative_ids):
+        testset = tmp_path / "cases.jsonl"
+        record = {"query": "q", "positive": "p"}
+        if negative_ids is not None:
+            record["negative_ids"] = negative_ids
+        testset.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(testset))}:2: negative_ids must be a list of integer indices$"):
+            load_retrieval_cases(testset, [CommandLine("a b"), CommandLine("c d")])
 
     def test_negative_id_out_of_range(self, tmp_path):
         testset = tmp_path / "cases.jsonl"
@@ -284,7 +295,13 @@ class TestTechniqueCorpus:
     def test_load_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"technique_id": "t"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="missing field 'command'"):
+        with pytest.raises(ValueError, match="bad.jsonl:1: missing required field 'command'"):
+            load_technique_corpus(path)
+
+    def test_load_names_the_true_line(self, tmp_path):
+        path = tmp_path / "tech.jsonl"
+        path.write_text('\n\n{"technique_id": "t", "command": 3}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="tech.jsonl:3: field 'command' must be a string"):
             load_technique_corpus(path)
 
 

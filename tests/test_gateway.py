@@ -2,31 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from cmdsim.core import CommandLine, parse_llm_response
+from cmdsim.core import CommandLine, SeedPool, parse_llm_response
 from cmdsim.embedding import RemoteEmbeddingBackend
 from cmdsim.gateway import (
     MAX_RETRIES,
     MOCK_FLAG_SYNONYMS,
     MOCK_VERB_SYNONYMS,
     ConfigurationError,
-    HttpChatProvider,
     MockProvider,
     ProviderError,
     ProviderPool,
     ProviderSpec,
     TransportError,
-    build_client,
     build_explanation_prompt,
     build_pair_prompt,
     build_synthesis_prompt,
     complete,
     load_provider_pool,
-    pick_provider,
 )
+from cmdsim.synthesis import synthesize_step
 
 from conftest import ScriptedPost, reply
 
@@ -133,34 +132,48 @@ class TestPromptBuilders:
             build_explanation_prompt("")
 
 
+def step_providers(pool: ProviderPool, rng: random.Random, steps: int) -> list[str]:
+    """The provider each of ``steps`` synthesis steps picked, read from the
+    provenance of the command it accepted; every reply is fresh."""
+    seeds = SeedPool(CommandLine(text) for text in SEEDS)
+    picked = []
+    for _ in range(steps):
+        [accepted] = synthesize_step(pool, seeds, rng)
+        picked.append(accepted.provenance)
+    return picked
+
+
 class TestPickProvider:
+    """Each synthesis step picks its provider uniformly from the pool,
+    deterministically under a seeded rng."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_replies(self, use_complete):
+        counter = itertools.count()
+        use_complete(lambda spec, prompt: f"<CMD>generated-{next(counter):05d}")
+
     def test_single_provider(self):
-        pool = ProviderPool(providers=(make_spec(),))
-        assert pick_provider(pool, random.Random(0)) is pool.providers[0]
+        pool = ProviderPool(providers=(make_spec(endpoint="mock:"),))
+        assert step_providers(pool, random.Random(0), 3) == [pool.providers[0].name] * 3
 
     def test_deterministic_sequence(self):
         pool = ProviderPool(
-            providers=tuple(make_spec(name=f"p{i}") for i in range(6))
+            providers=tuple(make_spec(name=f"p{i}", endpoint="mock:") for i in range(6))
         )
-        first = [pick_provider(pool, random.Random(11)).name for _ in range(1)]
-        rng_a, rng_b = random.Random(5), random.Random(5)
-        seq_a = [pick_provider(pool, rng_a).name for _ in range(50)]
-        seq_b = [pick_provider(pool, rng_b).name for _ in range(50)]
+        seq_a = step_providers(pool, random.Random(5), 50)
+        seq_b = step_providers(pool, random.Random(5), 50)
         assert seq_a == seq_b
-        assert first  # silence unused warning path
+        assert len(set(seq_a)) > 1
 
     def test_empirical_uniformity(self):
-        # 6,000 seeded draws from 6 providers: each frequency within
+        # 6,000 seeded steps over 6 providers: each frequency within
         # 1/6 +- 0.03.
         pool = ProviderPool(
-            providers=tuple(make_spec(name=f"p{i}") for i in range(6))
+            providers=tuple(make_spec(name=f"p{i}", endpoint="mock:") for i in range(6))
         )
-        rng = random.Random(123)
-        counts = {f"p{i}": 0 for i in range(6)}
-        for _ in range(6000):
-            counts[pick_provider(pool, rng).name] += 1
-        for count in counts.values():
-            assert abs(count / 6000 - 1 / 6) <= 0.03
+        picked = step_providers(pool, random.Random(123), 6000)
+        for i in range(6):
+            assert abs(picked.count(f"p{i}") / 6000 - 1 / 6) <= 0.03
 
 
 def chat_payload(content: str) -> dict:
@@ -303,10 +316,6 @@ class TestMockProvider:
             tokens = command.text.split(" ")
             assert len(tokens) == 3
 
-    def test_table_takes_priority(self):
-        provider = MockProvider(table={"ping": "<CMD>pong"})
-        assert provider.complete("ping") == "<CMD>pong"
-
     def test_unknown_prompt_echoes(self):
         assert MockProvider().complete("free-form prompt") == "free-form prompt"
 
@@ -343,14 +352,19 @@ class TestMockProvider:
         assert original == synonym
 
 
-class TestClientFactory:
-    def test_build_client_kinds(self):
-        mock = build_client(make_spec(endpoint="mock:", model_id="salt-1"))
-        assert isinstance(mock, MockProvider)
-        assert isinstance(build_client(make_spec(endpoint="mock:whatever")), MockProvider)
-        http = build_client(make_spec())
-        assert isinstance(http, HttpChatProvider)
-        assert http.name == "p1"
+class TestMockEndpoint:
+    def test_mock_spec_is_answered_in_process_and_never_posts(self, monkeypatch):
+        monkeypatch.setattr("cmdsim.gateway._urlopen_post", lambda *a, **k: pytest.fail("posted"))
+        prompt = build_synthesis_prompt(SEEDS)
+        for endpoint in ("mock:", "mock:whatever"):
+            spec = make_spec(endpoint=endpoint, model_id="salt-1")
+            post = ScriptedPost([])
+            assert complete(spec, prompt, post=post) == MockProvider(salt="salt-1").complete(prompt)
+            assert complete(spec, prompt) == MockProvider(salt="salt-1").complete(prompt)
+            assert post.calls == []
+        # The model id salts the reply.
+        assert complete(make_spec(endpoint="mock:", model_id="salt-2"), prompt) != complete(
+            make_spec(endpoint="mock:", model_id="salt-1"), prompt)
 
 
 class TestLoadProviderPool:
@@ -388,3 +402,24 @@ class TestLoadProviderPool:
         path.write_text("[pool]\nrng_seed = 1\n", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="no provider sections"):
             load_provider_pool(path)
+
+    @pytest.mark.parametrize("entry, message", [
+        ("temperature = hot", "[a] temperature: could not convert string to float: 'hot'"),
+        ("max_retries = 2.5", "[a] max_retries: invalid literal for int() with base 10: '2.5'"),
+        ("timeout = soon", "[a] timeout: could not convert string to float: 'soon'"),
+        ("api_key_env = KEY%", "[a] api_key_env: '%' must be followed by '%' or '(', found: '%'"),
+    ])
+    def test_bad_value_names_file_section_and_key(self, tmp_path, entry, message):
+        path = tmp_path / "providers.conf"
+        path.write_text(f"[ok]\nendpoint = mock:\nmodel = m\n\n[a]\nendpoint = mock:\nmodel = m\n{entry}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_provider_pool(path)
+        assert str(excinfo.value) == f"provider configuration file {path}: {message}"
+
+    def test_missing_required_key_names_file_section_and_key(self, tmp_path):
+        path = tmp_path / "providers.conf"
+        path.write_text("[a]\nmodel = m\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_provider_pool(path)
+        assert str(excinfo.value) == f"provider configuration file {path}: [a] endpoint: missing required key"

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,13 +21,26 @@ def test_records_roundtrip(tmp_path):
     path = tmp_path / "r.jsonl"
     records = [{"a": 1}, {"b": "xé", "c": [1, 2]}]
     assert jsonl.write_records(path, records) == 2
-    assert list(jsonl.read_records(path)) == records
+    assert list(jsonl.read_records(path)) == [(1, records[0]), (2, records[1])]
 
 
 def test_read_records_skips_blank_lines(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('{"a": 1}\n\n  \n{"a": 2}\n', encoding="utf-8")
-    assert [r["a"] for r in jsonl.read_records(path)] == [1, 2]
+    assert [(lineno, r["a"]) for lineno, r in jsonl.read_records(path)] == [(1, 1), (4, 2)]
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"b": "x"}, "missing required field 'a'"),
+    ({"a": 1, "b": "x"}, "field 'a' must be a string"),
+    ({"a": "x", "b": None}, "field 'b' must be a string"),
+    ({"a": "x", "b": ["x"]}, "field 'b' must be a string"),
+])
+def test_read_records_required_names_the_true_line(tmp_path, record, message):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": "ok", "b": "ok"}\n\n' + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+        list(jsonl.read_records(path, required=("a", "b")))
 
 
 def test_read_records_reports_line_numbers(tmp_path):

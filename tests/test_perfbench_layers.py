@@ -12,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cmdsim import clustering, embedding
+from cmdsim import clustering, embedding, gateway, synthesis
+from cmdsim.core import CommandLine
+
+from conftest import ScriptedPost, reply
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +49,21 @@ def test_install_patches_every_layer_and_uninstall_restores():
         tracer.uninstall()
     assert embedding.embed_batch is original
     assert clustering.dbscan is original_dbscan
+
+
+def test_traced_provider_calls_reach_the_complete_span(monkeypatch):
+    # The stages look gateway.complete up per call; a copy bound at import
+    # would bypass the wrapper and leave gateway.completions at 0.
+    layers, tracer_module = _load("layers"), _load("tracer")
+    post = ScriptedPost(reply(200, {"choices": [{"message": {"content": "Lists users."}}]}))
+    monkeypatch.setattr(gateway, "_urlopen_post", post)
+    spec = gateway.ProviderSpec(name="local", endpoint="http://127.0.0.1:9/v1", model_id="m")
+    commands = [CommandLine("net user"), CommandLine("whoami"), CommandLine("net user")]
+    tracer = tracer_module.Tracer()
+    try:
+        layers.install(tracer)
+        explanations, rejects = synthesis.generate_explanations(commands, spec, jobs=2)
+    finally:
+        tracer.uninstall()
+    assert (len(explanations), rejects, len(post.calls)) == (3, [], 3)
+    assert [span[3] for span in tracer.spans].count("gateway.complete") == 3
