@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         generate_p.add_argument("--out", default=f"{noun}.jsonl", help=f"{noun} JSONL (default %(default)s)")
         generate_p.add_argument("--rejects", help="rejects JSONL (default <out>.rejects.jsonl)")
         generate_p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                                help="concurrent provider calls (default %(default)s)")
+                                help="requests in flight at once; a call waiting out a retry "
+                                     "backoff does not hold one (default %(default)s)")
 
     embed_p = _add_stage(subparsers, "embed", "embed texts to vectors", cmd_embed, backend=True)
     embed_p.add_argument("--in", dest="input", required=True, help="JSONL with a text field")
@@ -369,21 +370,22 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_explanations(args: argparse.Namespace, *fields: str) -> tuple[list[dict], list[str]]:
+def _read_explanations(args: argparse.Namespace, *fields: str) -> tuple[list[int], list[dict], list[str]]:
     """The records of ``--in``, each with a string ``explanation`` and
-    ``fields``, and their explanations."""
-    records = [record for _, record in jsonl.read_records(args.input, required=["explanation", *fields])]
-    if not records:
+    ``fields``, with their line numbers and their explanations."""
+    numbered = list(jsonl.read_records(args.input, required=["explanation", *fields]))
+    if not numbered:
         raise ValueError("input file has no records")
-    return records, [record["explanation"] for record in records]
+    records = [record for _, record in numbered]
+    return [lineno for lineno, _ in numbered], records, [record["explanation"] for record in records]
 
 
 def cmd_cluster_negatives(args: argparse.Namespace) -> int:
-    records, explanations = _read_explanations(args)
+    linenos, records, explanations = _read_explanations(args)
     positives = [record.get("positive_id") for record in records]
-    for i, positive in enumerate(positives):
+    for lineno, positive in zip(linenos, positives):
         if positive is not None and (not isinstance(positive, int) or isinstance(positive, bool)):
-            raise ValueError(f"record {i}: positive_id must be an integer index")
+            raise ValueError(f"{args.input}:{lineno}: positive_id must be an integer index")
     n = args.n
     queries = range(len(records))
     clustering.check_negatives(len(records), queries, n, positives)
@@ -415,7 +417,7 @@ def cmd_cluster_dbscan(args: argparse.Namespace) -> int:
     embedded explanations, then the survivors or the per-source rates."""
     dedup = args.stage == "cluster.dedup"
     # The tag column is checked with the explanations, before anything is embedded.
-    records, explanations = _read_explanations(args, *([] if dedup else [args.tag_field]))
+    _, records, explanations = _read_explanations(args, *([] if dedup else [args.tag_field]))
     params = clustering.DbscanParams(eps=args.eps, min_pts=args.min_pts)
     backend = _backend(args)
     matrix = embed_batch(backend, explanations, _cache(args))

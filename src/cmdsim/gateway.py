@@ -65,6 +65,16 @@ class ConfigurationError(GatewayError):
     """Local misconfiguration, e.g. a missing API-key environment variable."""
 
 
+class SettingError(ValueError):
+    """A setting out of range: ``key`` names it and ``reason`` says why,
+    so that a loader can point at the line that set it."""
+
+    def __init__(self, owner: str, key: str, reason: str) -> None:
+        super().__init__(f"{owner}: {key} {reason}")
+        self.key = key
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class ProviderSpec:
     """Connection settings for one chat-completion provider."""
@@ -80,22 +90,23 @@ class ProviderSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("provider name must not be empty")
-        check_endpoint(self.endpoint, f"provider {self.name}", _HTTP_SCHEMES + ("mock:",))
+        owner = f"provider {self.name}"
+        check_endpoint(self.endpoint, owner, _HTTP_SCHEMES + ("mock:",))
         if not self.model_id:
-            raise ValueError(f"provider {self.name}: model_id must not be empty")
+            raise SettingError(owner, "model_id", "must not be empty")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"provider {self.name}: temperature must be finite and >= 0")
+            raise SettingError(owner, "temperature", "must be finite and >= 0")
         if self.max_retries < 0:
-            raise ValueError(f"provider {self.name}: max_retries must be >= 0")
+            raise SettingError(owner, "max_retries", "must be >= 0")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"provider {self.name}: timeout must be finite and positive")
+            raise SettingError(owner, "timeout", "must be finite and positive")
 
 
 def check_endpoint(endpoint: str, owner: str, schemes: tuple[str, ...] = _HTTP_SCHEMES) -> None:
     """Reject an endpoint that starts with none of ``schemes``, at load
     rather than after a call's retries."""
     if not endpoint.startswith(schemes):
-        raise ValueError(f"{owner}: endpoint {endpoint!r} must start with one of {', '.join(schemes)}")
+        raise SettingError(owner, "endpoint", f"{endpoint!r} must start with one of {', '.join(schemes)}")
 
 
 @dataclass(frozen=True)
@@ -462,19 +473,24 @@ def load_provider_pool(path: str | Path) -> ProviderPool:
         except (ValueError, configparser.Error) as exc:
             raise ConfigurationError(f"provider configuration file {path}: [{section}] {key}: {exc}") from exc
 
-    specs = [
-        ProviderSpec(
-            name=section,
-            endpoint=entry(section, "endpoint"),
-            model_id=entry(section, "model"),
-            api_key_env=entry(section, "api_key_env", fallback=""),
-            temperature=entry(section, "temperature", float, 1.0),
-            max_retries=entry(section, "max_retries", int, MAX_RETRIES),
-            timeout=entry(section, "timeout", float, 30.0),
-        )
-        for section in parser.sections()
-        if section != "pool"
-    ]
+    def spec(section: str) -> ProviderSpec:
+        try:
+            return ProviderSpec(
+                name=section,
+                endpoint=entry(section, "endpoint"),
+                model_id=entry(section, "model"),
+                api_key_env=entry(section, "api_key_env", fallback=""),
+                temperature=entry(section, "temperature", float, 1.0),
+                max_retries=entry(section, "max_retries", int, MAX_RETRIES),
+                timeout=entry(section, "timeout", float, 30.0),
+            )
+        except SettingError as exc:
+            # The spec's model_id is the file's model key; the other keys match.
+            key = "model" if exc.key == "model_id" else exc.key
+            raise ConfigurationError(
+                f"provider configuration file {path}: [{section}] {key}: {exc.reason}") from exc
+
+    specs = [spec(section) for section in parser.sections() if section != "pool"]
     if not specs:
         raise ConfigurationError(f"no provider sections found in {path}")
     return ProviderPool(providers=tuple(specs))

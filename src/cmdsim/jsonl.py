@@ -119,15 +119,20 @@ def vector_records(texts: Sequence[Any], vectors: np.ndarray) -> Iterator[str]:
 def read_commands(path: str | Path, *, default_source: Source = Source.REAL_WORLD) -> list[CommandLine]:
     """Read ``{"text": ..., "source": ...}`` records into command lines.
 
-    ``source`` is optional in the file; unknown source names are an error.
+    ``source`` is optional in the file; an unknown source name, like a
+    text too short for a command line, is a ``ValueError`` naming the
+    file and line.
     """
     commands: list[CommandLine] = []
-    for _, record in read_records(path, required=("text",)):
+    for lineno, record in read_records(path, required=("text",)):
         raw_source = record.get("source")
-        source = Source(raw_source) if raw_source is not None else default_source
-        commands.append(
-            CommandLine(record["text"], source=source, provenance=record.get("provenance"))
-        )
+        try:
+            source = Source(raw_source) if raw_source is not None else default_source
+            commands.append(
+                CommandLine(record["text"], source=source, provenance=record.get("provenance"))
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return commands
 
 
@@ -144,17 +149,25 @@ def write_commands(path: str | Path, commands: Iterable[CommandLine]) -> int:
 def read_pairs(path: str | Path) -> list[CommandLinePair]:
     """Read ``{"anchor": ..., "positive": ...}`` records into pairs.
 
-    ``pair_id`` defaults to the zero-based record index when absent.
+    ``pair_id`` defaults to the zero-based record index when absent, and
+    must be an integer when present.  A value a pair cannot hold is a
+    ``ValueError`` naming the file and line.
     """
     pairs: list[CommandLinePair] = []
-    for index, (_, record) in enumerate(read_records(path, required=("anchor", "positive"))):
-        pairs.append(
-            CommandLinePair(
-                anchor=CommandLine(record["anchor"], source=Source.LLM_SYNTHESIZED),
-                positive=CommandLine(record["positive"], source=Source.PAIR_GENERATED),
-                pair_id=record.get("pair_id", index),
+    for index, (lineno, record) in enumerate(read_records(path, required=("anchor", "positive"))):
+        pair_id = record.get("pair_id", index)
+        try:
+            if not isinstance(pair_id, int) or isinstance(pair_id, bool):
+                raise ValueError(f"field 'pair_id' must be an integer, got {pair_id!r}")
+            pairs.append(
+                CommandLinePair(
+                    anchor=CommandLine(record["anchor"], source=Source.LLM_SYNTHESIZED),
+                    positive=CommandLine(record["positive"], source=Source.PAIR_GENERATED),
+                    pair_id=pair_id,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return pairs
 
 

@@ -14,6 +14,8 @@ import json
 import logging
 import os
 import random
+import threading
+import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -152,18 +154,30 @@ def _journaled_replies(
     to ``journal``.  A provider failure (transport or HTTP, after the
     gateway's retries) stands in for its reply, unjournaled so that a rerun
     retries it; a configuration error propagates, since retrying cannot fix
-    it.  ``jobs`` (>= 1) calls run at once.
+    it.  ``jobs`` (>= 1) requests are in flight at once; a call waiting out
+    a retry backoff does not hold one.
     """
     journal = journal if journal is not None else ReplyJournal()
     looked_up = [journal.lookup(spec.name, spec.model_id, prompt) for prompt in prompts]
+    # A call holds a slot while it is on the network.  Its backoff before a
+    # retry gives the slot to another call and waits for it again after.
+    slots = threading.BoundedSemaphore(jobs)
+
+    def backoff(seconds: float) -> None:
+        slots.release()
+        try:
+            time.sleep(seconds)
+        finally:
+            slots.acquire()
 
     def call(index: int) -> str | GatewayError:
         reply = looked_up[index][1]
         if reply is not None:
             return reply
         try:
-            # Looked up per call, so that a patched gateway.complete takes effect.
-            return gateway.complete(spec, prompts[index])
+            with slots:
+                # Looked up per call, so that a patched gateway.complete takes effect.
+                return gateway.complete(spec, prompts[index], sleep=backoff)
         except ConfigurationError:
             raise
         except GatewayError as exc:
@@ -173,8 +187,10 @@ def _journaled_replies(
     # interleaving of provider calls changes with jobs > 1.  So this thread
     # appends every journal line, and the journal's bytes do not depend on
     # jobs or on thread timing.  The builtin map makes no call after one raises.
+    # With 2 * jobs threads, up to jobs calls can back off while jobs others
+    # post; the pool does not grow with the prompts or the failures.
     replies: list[str | GatewayError] = []
-    with ThreadPoolExecutor(max_workers=jobs) as executor:
+    with ThreadPoolExecutor(max_workers=2 * jobs) as executor:
         answers = (executor.map if jobs > 1 else map)(call, range(len(prompts)))
         for (key, journaled), reply in zip(looked_up, answers):
             if journaled is None and not isinstance(reply, GatewayError):

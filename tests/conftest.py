@@ -66,8 +66,9 @@ class ScriptedPost:
 @pytest.fixture
 def use_complete(monkeypatch):
     """Install ``fn(spec, prompt) -> reply`` as ``gateway.complete`` for one
-    test; every provider stage asks its provider through that name."""
-    return lambda fn: monkeypatch.setattr(gateway, "complete", fn)
+    test; every provider stage asks its provider through that name.  The
+    keyword arguments a stage passes (``sleep=``) are dropped."""
+    return lambda fn: monkeypatch.setattr(gateway, "complete", lambda spec, prompt, **_: fn(spec, prompt))
 
 
 @pytest.fixture

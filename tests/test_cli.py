@@ -152,6 +152,7 @@ class TestSynthRun:
         ({"endpoint": "ftp://x"}, "endpoint 'ftp://x' must start with one of http://, https://, mock:"),
         ({"temperature": "nan"}, "temperature must be finite and >= 0"),
         ({"timeout": "nan"}, "timeout must be finite and positive"),
+        ({"max_retries": "-1"}, "max_retries must be >= 0"),
     ])
     def test_unusable_provider_exits_before_any_call(self, tmp_path, seeds_file, capsys, monkeypatch,
                                                      entry, message):
@@ -164,7 +165,9 @@ class TestSynthRun:
         code = cli.run(["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers),
                         "--target", "4", "--output-dir", str(out_dir)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: provider live: {message}\n"
+        # ``message`` is the spec's own "KEY REASON"; the file's error puts a colon after KEY.
+        key, reason = message.split(" ", 1)
+        assert capsys.readouterr().err == f"error: provider configuration file {providers}: [live] {key}: {reason}\n"
         assert not out_dir.exists()
 
     def test_unsendable_api_key_exits_at_the_first_call(self, tmp_path, seeds_file, capsys, monkeypatch):
@@ -452,7 +455,17 @@ class TestClusterStages:
              "--dim", "64", "--output-dir", str(tmp_path)]
         )
         assert code == 1
-        assert "record 2: positive_id must be an integer index" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {input_path}:3: positive_id must be an integer index\n"
+
+    def test_negatives_name_a_bad_positive_id_by_its_line_past_blank_lines(self, tmp_path, capsys):
+        records = explanation_records()
+        records[2]["positive_id"] = "3"
+        input_path = tmp_path / "explained.jsonl"
+        input_path.write_text("\n\n" + "".join(json.dumps(r) + "\n\n" for r in records), encoding="utf-8")
+        code = cli.run(["cluster", "negatives", "--in", str(input_path), "--n", "3",
+                        "--dim", "64", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {input_path}:7: positive_id must be an integer index\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_negatives_reject_n_below_one(self, tmp_path, capsys, n):

@@ -408,6 +408,12 @@ class TestLoadProviderPool:
         ("max_retries = 2.5", "[a] max_retries: invalid literal for int() with base 10: '2.5'"),
         ("timeout = soon", "[a] timeout: could not convert string to float: 'soon'"),
         ("api_key_env = KEY%", "[a] api_key_env: '%' must be followed by '%' or '(', found: '%'"),
+        # Out of range: ProviderSpec's own checks, placed in the file.
+        ("max_retries = -1", "[a] max_retries: must be >= 0"),
+        ("temperature = nan", "[a] temperature: must be finite and >= 0"),
+        ("temperature = -0.5", "[a] temperature: must be finite and >= 0"),
+        ("timeout = 0", "[a] timeout: must be finite and positive"),
+        ("timeout = inf", "[a] timeout: must be finite and positive"),
     ])
     def test_bad_value_names_file_section_and_key(self, tmp_path, entry, message):
         path = tmp_path / "providers.conf"
@@ -423,3 +429,10 @@ class TestLoadProviderPool:
         with pytest.raises(ConfigurationError) as excinfo:
             load_provider_pool(path)
         assert str(excinfo.value) == f"provider configuration file {path}: [a] endpoint: missing required key"
+
+    def test_empty_model_names_the_file_key(self, tmp_path):
+        path = tmp_path / "providers.conf"
+        path.write_text("[a]\nendpoint = mock:\nmodel =\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_provider_pool(path)
+        assert str(excinfo.value) == f"provider configuration file {path}: [a] model: must not be empty"

@@ -208,6 +208,24 @@ def test_read_pairs_rejects_duplicate_members(tmp_path):
         jsonl.read_pairs(path)
 
 
+@pytest.mark.parametrize(("read", "line", "message"), [
+    (jsonl.read_commands, '{"text": "whoami", "source": "martian"}', "'martian' is not a valid Source"),
+    (jsonl.read_commands, '{"text": "x"}', "command line must be at least 2 characters: 'x'"),
+    (jsonl.read_pairs, '{"anchor": "aa", "positive": "bb", "pair_id": "x"}',
+     "field 'pair_id' must be an integer, got 'x'"),
+    (jsonl.read_pairs, '{"anchor": "aa", "positive": "bb", "pair_id": true}',
+     "field 'pair_id' must be an integer, got True"),
+    (jsonl.read_pairs, '{"anchor": "aa", "positive": "bb", "pair_id": -1}', "pair_id must be non-negative"),
+])
+def test_bad_value_in_a_present_field_names_file_and_line(tmp_path, read, line, message):
+    path = tmp_path / "in.jsonl"
+    good = '{"text": "net user", "anchor": "cc", "positive": "dd", "pair_id": 0}'
+    path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}:3: {message}"
+
+
 def test_write_is_deterministic(tmp_path):
     pairs = [
         CommandLinePair(CommandLine("aa"), CommandLine("bb"), 0),

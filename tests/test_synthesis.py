@@ -5,9 +5,14 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
+import threading
+import time
 
 import pytest
+from conftest import reply
 
+from cmdsim import gateway
 from cmdsim.core import CommandLine, SeedPool, Source
 from cmdsim.gateway import (
     ConfigurationError,
@@ -19,6 +24,7 @@ from cmdsim.gateway import (
 )
 from cmdsim.synthesis import (
     Reject,
+    _journaled_replies,
     ReplyJournal,
     SynthesisAborted,
     SynthesisConfig,
@@ -341,6 +347,159 @@ class TestGenerateExplanations:
         serial, _ = generate_explanations(commands, MOCK, jobs=1)
         threaded, _ = generate_explanations(commands, MOCK, jobs=3)
         assert serial == threaded
+
+
+# A provider behind HTTP; its tests patch gateway._urlopen_post, so nothing is sent.
+HTTP = ProviderSpec(name="local", endpoint="http://127.0.0.1:9/v1", model_id="m")
+
+
+def completion(text: str) -> tuple[int, bytes]:
+    return reply(200, {"choices": [{"message": {"content": text}}]})
+
+
+def prompt_of(body: dict) -> str:
+    return body["messages"][0]["content"]
+
+
+class TestJobSlots:
+    """``jobs`` requests in flight at once; a call backing off holds none."""
+
+    def test_a_call_backing_off_gives_its_slot_to_another(self, monkeypatch):
+        # The first post of the stage is refused with a 503.  While its call
+        # waits out the backoff, the other two commands' posts must be in
+        # flight together, which the barrier needs to let either through.
+        barrier, met, lock = threading.Barrier(2, timeout=10), threading.Event(), threading.Lock()
+        refused, retried_after_meeting = [], []
+
+        def post(url, json, headers, timeout):
+            prompt = prompt_of(json)
+            with lock:
+                first = not refused
+                refused.extend([prompt] if first else [])
+            if first:
+                return reply(503, text="busy")
+            if prompt == refused[0]:
+                retried_after_meeting.append(met.is_set())
+            else:
+                barrier.wait()
+                met.set()
+            return completion("Explained.")
+
+        monkeypatch.setattr(gateway, "_urlopen_post", post)
+        monkeypatch.setattr(time, "sleep", lambda seconds: met.wait(10))
+        commands = [CommandLine(f"cmd-{i:02d}") for i in range(3)]
+        explanations, rejects = generate_explanations(commands, HTTP, jobs=2)
+        assert (len(explanations), rejects, retried_after_meeting) == (3, [], [True])
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_no_more_than_jobs_posts_in_flight(self, monkeypatch, jobs):
+        lock, seen = threading.Lock(), set()
+        in_flight = most = 0
+
+        def post(url, json, headers, timeout):
+            nonlocal in_flight, most
+            prompt = prompt_of(json)
+            with lock:
+                in_flight += 1
+                most = max(most, in_flight)
+                first = prompt not in seen
+                seen.add(prompt)
+            try:
+                threading.Event().wait(0.002)  # the time on the network
+                return reply(503, text="busy") if first else completion(f"Explains {prompt[-8:]}")
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(gateway, "_urlopen_post", post)
+        monkeypatch.setattr(time, "sleep", lambda seconds: threading.Event().wait(seconds / 100))
+        commands = [CommandLine(f"cmd-{i:02d}") for i in range(24)]
+        explanations, rejects = generate_explanations(commands, HTTP, jobs=jobs)
+        assert (len(explanations), rejects, len(seen)) == (24, [], 24)
+        assert 1 <= most <= jobs
+
+    def test_replies_and_journal_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
+        # alpha00 and every third command after it are refused once; alpha04
+        # is refused on every attempt, so it ends as a provider failure.
+        lock, attempts = threading.Lock(), {}
+
+        def post(url, json, headers, timeout):
+            prompt = prompt_of(json)
+            with lock:
+                attempts[prompt] = attempts.get(prompt, 0) + 1
+                attempt = attempts[prompt]
+            refused = "alpha04" in prompt or (attempt == 1 and int(prompt.split("\n")[4][-2:]) % 3 == 0)
+            return reply(503, text="busy") if refused else completion(MockProvider().complete(prompt))
+
+        monkeypatch.setattr(gateway, "_urlopen_post", post)
+        monkeypatch.setattr(time, "sleep", lambda seconds: threading.Event().wait(seconds / 100))
+        commands = [CommandLine(f"copy /aa c:\\srv\\alpha{i:02d}") for i in range(10)]
+        runs = []
+        for jobs in (1, 2):
+            attempts.clear()
+            path = tmp_path / f"jobs{jobs}.replies.jsonl"
+            with ReplyJournal(path) as journal:
+                pairs, rejects = generate_pairs(commands, HTTP, jobs=jobs, journal=journal)
+            runs.append((pairs, [(r.command, r.reason) for r in rejects], path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert [r[0].text for r in runs[0][1]] == [commands[4].text]
+        assert len(runs[0][2].splitlines()) == 9
+
+    def test_configuration_error_leaves_no_thread_behind(self, monkeypatch):
+        lock, seen = threading.Lock(), set()
+
+        def post(url, json, headers, timeout):
+            prompt = prompt_of(json)
+            if "cmd-05" in prompt:
+                raise gateway.ConfigurationError("cannot send a request")
+            with lock:
+                first = prompt not in seen
+                seen.add(prompt)
+            return reply(503, text="busy") if first else completion("Explained.")
+
+        monkeypatch.setattr(gateway, "_urlopen_post", post)
+        monkeypatch.setattr(time, "sleep", lambda seconds: threading.Event().wait(seconds / 100))
+        before = threading.active_count()
+        commands = [CommandLine(f"cmd-{i:02d}") for i in range(12)]
+        with pytest.raises(ConfigurationError, match="cannot send a request"):
+            generate_explanations(commands, HTTP, jobs=2)
+        assert threading.active_count() == before
+
+    def test_worker_threads_do_not_grow_with_prompts_or_retries(self, monkeypatch):
+        # 1,000 prompts, each refused once: the pool stays at 2 * jobs threads,
+        # and with a short switch interval no more than jobs posts overlap.
+        jobs, lock, seen, workers = 4, threading.Lock(), set(), set()
+        before = threading.active_count()
+        most_threads = in_flight = most_in_flight = 0
+
+        def post(url, json, headers, timeout):
+            nonlocal most_threads, in_flight, most_in_flight
+            prompt = prompt_of(json)
+            with lock:
+                most_threads = max(most_threads, threading.active_count() - before)
+                workers.add(threading.get_ident())
+                in_flight += 1
+                most_in_flight = max(most_in_flight, in_flight)
+                first = prompt not in seen
+                seen.add(prompt)
+            answer = reply(503, text="busy") if first else completion("Explained.")
+            with lock:
+                in_flight -= 1
+            return answer
+
+        monkeypatch.setattr(gateway, "_urlopen_post", post)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            replies = _journaled_replies([f"prompt {i}" for i in range(1000)], HTTP, jobs, None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == ["Explained."] * 1000
+        assert len(seen) == 1000
+        assert most_threads <= 2 * jobs
+        assert len(workers) <= 2 * jobs
+        assert 1 <= most_in_flight <= jobs
 
 
 class TestReject:
