@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -198,16 +198,20 @@ class EmbeddingCache:
 
     ``path`` indexes batches, one ``{"identity", "dim", "offset", "texts"}``
     line each, of rows kept in ``path + ".f64"`` as little-endian float64.
-    A load keeps the complete lines whose rows are all there, cutting the rest.
+    A load keeps the complete lines whose rows are all there, cutting the
+    rest, and reads no rows: :meth:`get` serves read-only views of a map of
+    the rows file, which :meth:`release` lets go.  Truncating the rows file
+    under a live map crashes its process (SIGBUS).
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path, self.rows_path = Path(path), Path(f"{path}.f64")
-        self._entries: dict[tuple[str, str], np.ndarray] = {}
+        # Where each vector's values sit in the rows file.
+        self._rows: dict[tuple[str, str], slice] = {}
+        self._map: np.ndarray | None = None
         self.hits = self.misses = self._values = self._index_bytes = 0
         index = self.path.read_bytes() if self.path.exists() else b""
-        rows = np.fromfile(self.rows_path, "<f8") if self.rows_path.exists() else np.empty(0)
-        rows.flags.writeable = False  # served vectors are views into it
+        size = self.rows_path.stat().st_size // 8 if self.rows_path.exists() else 0
         # Only the last line can be torn, and a torn line has no newline.
         for lineno, line in enumerate(index[:index.rfind(b"\n") + 1].splitlines(True), start=1):
             try:
@@ -215,10 +219,12 @@ class EmbeddingCache:
                 identity, dim, offset, texts = (batch[k] for k in ("identity", "dim", "offset", "texts"))
                 if offset != self._values:
                     raise ValueError(f"batch starts at value {offset}, not {self._values}")
+                if not dim > 0:
+                    raise ValueError(f"dim {dim} is not positive")
                 end = offset + dim * len(texts)
-                if end > rows.size:
+                if end > size:
                     break  # its rows were cut short
-                self._entries.update(zip(((identity, t) for t in texts), rows[offset:end].reshape(-1, dim)))
+                self._place(identity, texts, offset, dim)
             except (ValueError, LookupError, TypeError) as exc:
                 if isinstance(exc, KeyError) and "vector" in batch:
                     raise ValueError(f"{self.path}: old JSONL cache; delete it to rebuild") from None
@@ -229,23 +235,38 @@ class EmbeddingCache:
                 logger.warning("%s: cutting off what a crash left after byte %d", file, keep)
                 os.truncate(file, keep)
 
+    def _place(self, identity: str, texts: Collection[str], offset: int, dim: int) -> None:
+        """Note the rows of ``texts``, ``dim`` values each, as starting at value ``offset``."""
+        starts = range(offset, offset + dim * len(texts), dim)
+        self._rows.update(((identity, text), slice(at, at + dim)) for text, at in zip(texts, starts))
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def get(self, identity: str, text: str) -> np.ndarray | None:
-        vector = self._entries.get((identity, text))
-        self.hits += vector is not None
-        self.misses += vector is None
-        return vector
+        where = self._rows.get((identity, text))
+        self.hits += where is not None
+        self.misses += where is None
+        if where is None:
+            return None
+        if self._map is None or where.stop > self._map.size:
+            # Exactly the whole rows: numpy refuses an empty map or a torn float.
+            self._map = np.memmap(self.rows_path, "<f8", "r", shape=(self._values,)).view(np.ndarray)
+        return self._map[where]
+
+    def release(self) -> None:
+        """Let go of the rows map; vectors served from it keep it alive."""
+        self._map = None
 
     def put(self, identity: str, texts: Sequence[str], vectors: np.ndarray) -> None:
-        """Append the rows of the uncached ``texts`` as one batch; may keep views of ``vectors``."""
-        fresh = {text: i for i, text in enumerate(texts) if (identity, text) not in self._entries}
+        """Append the rows of the uncached ``texts`` as one batch."""
+        fresh = {text: i for i, text in enumerate(texts) if (identity, text) not in self._rows}
         if fresh:
             block = np.ascontiguousarray(vectors, dtype="<f8")
-            block = block[list(fresh.values())] if len(fresh) < len(block) else block.view()
-            block.flags.writeable = False
-            line = json.dumps({"identity": identity, "dim": block.shape[1], "offset": self._values,
+            if len(fresh) < len(block):
+                block = block[list(fresh.values())]
+            dim = block.shape[1]
+            line = json.dumps({"identity": identity, "dim": dim, "offset": self._values,
                                "texts": list(fresh)}, ensure_ascii=False).encode() + b"\n"
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # Rows before their index line; cutting back to the kept ends drops a failed put.
@@ -254,7 +275,7 @@ class EmbeddingCache:
                 with open(file, "ab") as handle:
                     handle.truncate(keep)
                     handle.write(data)
-            self._entries.update(zip(((identity, text) for text in fresh), block))
+            self._place(identity, fresh, self._values, dim)
             self._values, self._index_bytes = self._values + block.size, self._index_bytes + len(line)
 
 
@@ -265,9 +286,10 @@ def embed_batch(
 ) -> np.ndarray:
     """Embed texts in order, L2-normalized, with write-through caching.
 
-    Returns an (n, backend.dim) float64 matrix of unit rows.  Texts
-    already in the cache never reach the backend; duplicate texts within
-    one call are embedded once.  The backend gets at most REMOTE_CHUNK
+    Returns a new (n, backend.dim) float64 matrix of unit rows, sharing
+    no memory with the cache.  Texts already in the cache never reach the
+    backend; duplicate texts within one call are embedded once, and each
+    distinct text is looked up once.  The backend gets at most REMOTE_CHUNK
     texts per call, and each chunk is checked, normalized and cached
     before the next is sent, so a failure keeps the chunks answered.
     """
@@ -275,16 +297,24 @@ def embed_batch(
     for text in texts:
         if not isinstance(text, str) or not text.strip():
             raise ValueError("texts must be non-empty strings")
-    if not texts:
-        return np.zeros((0, backend.dim), dtype=np.float64)
-    resolved: dict[str, np.ndarray] = {}
+    out = np.empty((len(texts), backend.dim), dtype=np.float64)
+    # The row of each text's first occurrence; repeats are copied from it last.
+    first: dict[str, int] = {}
+    for i, text in enumerate(texts):
+        first.setdefault(text, i)
+    missing = list(first)
     if cache is not None:
-        for text in texts:
-            if text not in resolved:
-                hit = cache.get(backend.identity, text)
-                if hit is not None:
-                    resolved[text] = hit
-    missing = [t for t in dict.fromkeys(texts) if t not in resolved]
+        missing = []
+        for looked, (text, i) in enumerate(first.items(), start=1):
+            hit = cache.get(backend.identity, text)
+            if hit is None:
+                missing.append(text)
+            else:
+                out[i] = hit
+            if looked % REMOTE_CHUNK == 0:
+                # Mapped pages count in RSS until unmapped: hold a chunk's, not the call's.
+                cache.release()
+        cache.release()
     for start in range(0, len(missing), REMOTE_CHUNK):
         chunk = missing[start:start + REMOTE_CHUNK]
         raw = np.asarray(backend.embed(chunk), dtype=np.float64)
@@ -299,8 +329,12 @@ def embed_batch(
                 f"backend {backend.identity} returned non-finite values"
             )
         normalized = unit_normalize(raw)
-        del raw  # one chunk x d matrix fewer held while the cache writes and the result is stacked
-        resolved.update(zip(chunk, normalized))
+        del raw  # one chunk x d matrix fewer held while the cache writes
+        out[[first[text] for text in chunk]] = normalized
         if cache is not None:
             cache.put(backend.identity, chunk, normalized)
-    return np.stack([resolved[t] for t in texts])
+        del normalized
+    sources = np.array([first[text] for text in texts], dtype=np.intp)
+    repeats = sources != np.arange(len(texts))
+    out[repeats] = out[sources[repeats]]
+    return out

@@ -242,6 +242,25 @@ class TestEmbedBatch:
         together = embed_batch(backend, ["cc", "aa", "bb"])
         np.testing.assert_array_equal(together, np.stack(separate))
 
+    def test_hits_misses_and_repeats_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("cmdsim.embedding.REMOTE_CHUNK", 2)
+        backend = HashingEmbeddingBackend(16)
+        sent = []
+        embed = backend.embed
+        backend.embed = lambda chunk: sent.append(list(chunk)) or embed(chunk)
+        cache = EmbeddingCache(tmp_path / "cache.jsonl")
+        embed_batch(backend, ["net view", "whoami"], cache)
+        sent.clear()
+        texts = ["net user", "net view", "net user", "ipconfig", "whoami", "hostname",
+                 "ipconfig", "net view", "tasklist", "net user"]
+        matrix = embed_batch(backend, texts, cache)
+        assert sent == [["net user", "ipconfig"], ["hostname", "tasklist"]]
+        assert cache.hits + cache.misses == 2 + len(set(texts))  # one get per distinct text
+        expected = np.stack([embed_batch(HashingEmbeddingBackend(16), [text])[0] for text in texts])
+        assert matrix.tobytes() == expected.tobytes()
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous and matrix.flags.writeable
+        assert not any(np.shares_memory(matrix, cache.get(backend.identity, text)) for text in texts)
+
 
 def _two_batches(path):
     """A cache at ``path`` holding one 16-d batch of one text, then one of
@@ -277,6 +296,14 @@ class TestEmbeddingCache:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"identity": "x"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="cache.jsonl:1"):
+            EmbeddingCache(path)
+
+    @pytest.mark.parametrize("dim", [-2, 0, 2.5])
+    def test_dim_that_places_no_rows_reported(self, tmp_path, dim):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(f'{{"identity": "x", "dim": {dim}, "offset": 0, "texts": ["a", "b"]}}\n', encoding="utf-8")
+        _rows_path(path).write_bytes(np.ones(8).tobytes())
+        with pytest.raises(ValueError, match="cache.jsonl:1: corrupt cache line"):
             EmbeddingCache(path)
 
     def test_corrupt_line_before_the_last_raises(self, tmp_path):
@@ -378,6 +405,41 @@ class TestEmbeddingCache:
         reloaded = EmbeddingCache(path)
         assert reloaded.get("id", "b").tobytes() == c_order[1].tobytes()
         assert reloaded.get("id", "d").tobytes() == f_order[1].tobytes()
+
+    def test_get_after_put_serves_the_appended_rows(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend, vectors = _two_batches(path)
+        cache = EmbeddingCache(path)
+        assert cache.get(backend.identity, "net user").tobytes() == vectors[0].tobytes()
+        appended = np.array([[0.6, 0.8], [0.8, 0.6]])
+        cache.put("id", ["a", "b"], appended)
+        assert cache.get("id", "b").tobytes() == appended[1].tobytes()
+        assert cache.get(backend.identity, "net use").tobytes() == vectors[2].tobytes()
+
+    def test_served_vector_outlives_release(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        backend, vectors = _two_batches(path)
+        cache = EmbeddingCache(path)
+        served = cache.get(backend.identity, "net view")
+        cache.release()
+        embed_batch(backend, ["net start"], cache)
+        del cache
+        assert served.tobytes() == vectors[1].tobytes()
+        assert not served.flags.writeable
+
+    @pytest.mark.parametrize("rows", [b"", b"\x01\x02\x03"])
+    @pytest.mark.parametrize("index", [b"", b'{"identity": "hash3-16", "dim"'])
+    def test_no_whole_batch_loads_empty(self, tmp_path, rows, index):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(index)
+        _rows_path(path).write_bytes(rows)
+        cache = EmbeddingCache(path)
+        assert len(cache) == 0
+        assert cache.get("hash3-16", "net user") is None
+        assert path.read_bytes() == _rows_path(path).read_bytes() == b""
+        backend = HashingEmbeddingBackend(16)
+        first = embed_batch(backend, ["net user"], cache)
+        assert EmbeddingCache(path).get(backend.identity, "net user").tobytes() == first[0].tobytes()
 
 
 def no_sleep(_):
