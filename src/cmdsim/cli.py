@@ -236,7 +236,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     config = configparser.ConfigParser()
     try:
         read = config.read(args.config, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {args.config}: {exc}") from exc
     if not read:
         raise ValueError(f"config file not found: {args.config}")

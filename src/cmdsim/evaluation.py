@@ -3,7 +3,10 @@ gene-pool malicious-command detection (Mann-Whitney AUC), and the
 seven-command classification benchmark.
 
 Scores and metrics use fixed summation orders, so repeated runs over
-the same inputs are bit-identical.
+the same inputs are bit-identical on one BLAS build with one thread
+count.  A BLAS splits a GEMM by its thread count, so the logistic
+regression probe's weights can differ in the last bits between, say,
+``OPENBLAS_NUM_THREADS=1`` and 2.
 """
 
 from __future__ import annotations
@@ -484,7 +487,9 @@ def _fit_multinomial(
     call is a lone fit's.  The wider GEMMs are not equal by construction
     (a BLAS may pick its kernel by shape), so ``tests/test_evaluation.py``
     asserts bit equality with the per-entry reference fit on the shapes
-    the probe and its tests use.  The gradient reads the strided view
+    the probe and its tests use.  Those bits hold for one BLAS build and
+    thread count: the same fit under another thread count can round its
+    GEMMs differently.  The gradient reads the strided view
     ``design.T``, as a lone fit does: a contiguous copy is faster at
     large n but rounds differently on small 2-class shapes.
     """

@@ -16,14 +16,11 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
-import http.client
 import json as jsonlib
 import logging
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from importlib import resources
@@ -180,19 +177,24 @@ def build_explanation_prompt(command: CommandLine | str) -> str:
     return EXPLANATION_TEMPLATE.replace(_COMMAND_SLOT, text, 1)
 
 
-class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
-    """Follow no redirect.  The stock handler re-sends a 301, 302 or 303
-    as a GET carrying every header, Authorization too, to whatever
-    location the reply names; here each 3xx is an HTTP error instead."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        raise urllib.error.HTTPError(req.full_url, code, msg, headers, fp)
-
-
 @functools.cache
-def _opener() -> urllib.request.OpenerDirector:
-    # Built on first use, as urlopen's own opener is: building one reads
-    # the proxy variables and costs about as much as a request.
+def _opener():
+    """The :mod:`urllib.request` opener every POST goes through, built on
+    first use, as urlopen's own opener is: building one reads the proxy
+    variables and costs about as much as a request.  The HTTP client, and
+    with it ``ssl``, ``email`` and ``socket``, loads here and not at
+    import, so a stage that sends no request never pays for it."""
+    import urllib.error
+    import urllib.request
+
+    class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+        """Follow no redirect.  The stock handler re-sends a 301, 302 or 303
+        as a GET carrying every header, Authorization too, to whatever
+        location the reply names; here each 3xx is an HTTP error instead."""
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            raise urllib.error.HTTPError(req.full_url, code, msg, headers, fp)
+
     return urllib.request.build_opener(_RefuseRedirect)
 
 
@@ -204,6 +206,9 @@ def _urlopen_post(url: str, json: dict, headers: dict[str, str], timeout: float)
     An HTTP error status is returned, not raised.  A URL or header that
     cannot be sent (say, a malformed IPv6 host) is a
     :class:`ConfigurationError`, which retrying cannot fix."""
+    import urllib.error
+    import urllib.request
+
     try:
         request = urllib.request.Request(url, jsonlib.dumps(json).encode(), headers, method="POST")
         with _opener().open(request, timeout=timeout) as response:
@@ -261,6 +266,7 @@ def post_json(
         headers["Authorization"] = f"Bearer {key}"
     # Looked up per call, so that patching the module's _urlopen_post takes effect.
     post = post or _urlopen_post
+    import http.client  # loaded with the first request, not at import
 
     last_error: GatewayError | None = None
     for attempt in range(max_retries + 1):
@@ -455,7 +461,7 @@ def load_provider_pool(path: str | Path) -> ProviderPool:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"provider configuration file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"provider configuration file not found: {path}")

@@ -23,27 +23,45 @@ from .core import CommandLine, CommandLinePair, Source
 def read_records(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield ``(line number, record)`` for each non-blank line, 1-based.
 
-    A line that is not a JSON object, or whose record lacks a field named
-    in ``required`` or holds a non-string there, is a ``ValueError``
-    naming the file and line.
+    A line that is not UTF-8, is not a JSON object, or whose record lacks
+    a field named in ``required`` or holds a non-string there, is a
+    ``ValueError`` naming the file and line.
     """
     with open(path, encoding="utf-8") as handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{lineno}: expected a JSON object")
+                for key in required:
+                    if key not in record:
+                        raise ValueError(f"{path}:{lineno}: missing required field {key!r}")
+                    if not isinstance(record[key], str):
+                        raise ValueError(f"{path}:{lineno}: field {key!r} must be a string")
+                yield lineno, record
+        except UnicodeDecodeError as exc:
+            # The decoder's offset counts bytes into one read buffer, not lines.
+            raise ValueError(f"{_undecodable_line(path)}: not valid UTF-8: {exc.reason}") from exc
+
+
+def _undecodable_line(path: str | Path) -> str:
+    """``PATH:LINE`` of the first line of ``path`` that is not UTF-8, with
+    lines split as a strict text read splits them: each undecodable byte
+    is escaped to a lone surrogate, which cannot be encoded again.  Just
+    ``PATH`` when the file has since been rewritten as UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            for key in required:
-                if key not in record:
-                    raise ValueError(f"{path}:{lineno}: missing required field {key!r}")
-                if not isinstance(record[key], str):
-                    raise ValueError(f"{path}:{lineno}: field {key!r} must be a string")
-            yield lineno, record
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return f"{path}:{lineno}"
+    return str(path)
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ the valid non-duplicates, repeat until the target count is reached.
 from __future__ import annotations
 
 import collections
+import contextlib
 import hashlib
 import json
 import logging
@@ -17,7 +18,6 @@ import random
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,10 +188,17 @@ def _journaled_replies(
     # appends every journal line, and the journal's bytes do not depend on
     # jobs or on thread timing.  The builtin map makes no call after one raises.
     # With 2 * jobs threads, up to jobs calls can back off while jobs others
-    # post; the pool does not grow with the prompts or the failures.
+    # post; the pool does not grow with the prompts or the failures.  With
+    # jobs == 1 there is no pool, and concurrent.futures is never loaded.
     replies: list[str | GatewayError] = []
-    with ThreadPoolExecutor(max_workers=2 * jobs) as executor:
-        answers = (executor.map if jobs > 1 else map)(call, range(len(prompts)))
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = stack.enter_context(ThreadPoolExecutor(max_workers=2 * jobs))
+            answers = executor.map(call, range(len(prompts)))
+        else:
+            answers = map(call, range(len(prompts)))
         for (key, journaled), reply in zip(looked_up, answers):
             if journaled is None and not isinstance(reply, GatewayError):
                 journal.put(key, reply)

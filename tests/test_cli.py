@@ -72,6 +72,13 @@ class TestParsing:
         assert code == 1
         assert "config file not found" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_is_named(self, tmp_path, capsys):
+        pairs = write_synonym_pairs(tmp_path / "pairs.jsonl", 4)
+        config = tmp_path / "config.ini"
+        config.write_bytes(b"\xff\xfe[common]\ndim = 8\n")
+        assert cli.run(["stats", "--pairs", str(pairs), "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {config}: 'utf-8' codec can't decode")
+
 
 _BACKEND_FLAGS = ["--backend", "--dim", "--embed-endpoint", "--embed-model", "--embed-key-env", "--cache"]
 _COMMON_FLAGS = ["--config", "--output-dir", "--verbose", "-h", "--help"]

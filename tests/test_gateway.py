@@ -391,6 +391,13 @@ class TestLoadProviderPool:
         with pytest.raises(ConfigurationError, match="not found"):
             load_provider_pool(tmp_path / "absent.conf")
 
+    def test_file_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "providers.conf"
+        path.write_bytes(b"\xff\xfe[a]\nendpoint = mock:\nmodel = m\n")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_provider_pool(path)
+        assert str(excinfo.value).startswith(f"provider configuration file {path}: 'utf-8' codec can't decode")
+
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "providers.conf"
         path.write_text("[a]\nendpoint = mock:\n", encoding="utf-8")

@@ -227,9 +227,53 @@ def test_unsendable_url_is_a_configuration_error_without_retries(caller):
     assert sleeps == []
 
 
-def test_cli_import_leaves_requests_out():
+# The HTTP client with what it pulls in, and the thread pool: each loads
+# with the first request or the first pool that needs it, not at import.
+_ON_FIRST_USE = ("requests", "http.client", "urllib.request", "ssl", "email", "socket", "concurrent.futures")
+
+
+def _loaded_on_first_use(tmp_path, stages):
+    """Which of ``_ON_FIRST_USE`` a fresh process holds after ``import
+    cmdsim.cli``, and then after each argv of ``stages`` has run through
+    ``cli.run`` (each must exit 0): one sorted list per point."""
     src = str(Path(cmdsim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = subprocess.run([sys.executable, "-c", "import sys, cmdsim.cli; print('requests' in sys.modules)"],
-                           env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert probe.stdout == "False\n"
+    script = (
+        "import json, sys\n"
+        "from cmdsim import cli\n"
+        f"watched = {_ON_FIRST_USE!r}\n"
+        "loaded = [sorted(m for m in watched if m in sys.modules)]\n"
+        f"for argv in {stages!r}:\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "    loaded.append(sorted(m for m in watched if m in sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    probe = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+def test_offline_stages_load_no_http_client_or_thread_pool(tmp_path):
+    records = tmp_path / "explanations.jsonl"
+    records.write_text("".join(
+        json.dumps({"text": f"copy /aa c:\\srv\\alpha{i}", "explanation": f"This command duplicates files {i % 2}."})
+        + "\n" for i in range(6)), encoding="utf-8")
+    out = str(tmp_path / "out")
+    loaded = _loaded_on_first_use(tmp_path, [
+        ["embed", "--in", str(records), "--output-dir", out],
+        ["cluster", "dedup", "--in", str(records), "--min-pts", "2", "--output-dir", out],
+    ])
+    assert loaded == [[], [], []]
+
+
+def test_provider_stages_load_the_thread_pool_only_for_jobs_above_one(tmp_path, seeds_file, providers_file):
+    out = str(tmp_path / "out")
+    loaded = _loaded_on_first_use(tmp_path, [
+        ["synth", "run", "--seeds", str(seeds_file), "--providers", str(providers_file),
+         "--target", "8", "--output-dir", out],
+        ["synth", "pairs", "--in", str(seeds_file), "--providers", str(providers_file),
+         "--jobs", "2", "--output-dir", out],
+    ])
+    # mock: providers answer in-process, so no HTTP client loads either.
+    assert loaded == [[], [], ["concurrent.futures"]]

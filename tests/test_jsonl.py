@@ -50,6 +50,20 @@ def test_read_records_reports_line_numbers(tmp_path):
         list(jsonl.read_records(path))
 
 
+@pytest.mark.parametrize("text, line", [
+    (b'{"a": "x"}\n{"a": "\xffy"}\n{"a": "z"}\n', 2),
+    # \r and \r\n end a line as \n does; a truncated sequence at the end counts too.
+    (b'{"a": "x"}\r{"a": "y"}\r\n\n{"a": "\xe2\x82', 4),
+    # Past the decoder's first read buffer.
+    (b'{"a": "x"}\n' * 20_000 + b'{"a": "\xc3("}\n', 20_001),
+], ids=["lf", "cr-and-crlf", "past-first-buffer"])
+def test_read_records_names_the_first_undecodable_line(tmp_path, text, line):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not valid UTF-8: "):
+        list(jsonl.read_records(path))
+
+
 def test_read_records_rejects_non_objects(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("[1, 2]\n", encoding="utf-8")
