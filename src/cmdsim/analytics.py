@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CommandLine, CommandLinePair, text_of, tokenize
-from .jsonl import write_csv
+from .jsonl import _undecodable_line, write_csv
 
 ROUGE_MODES = ("f1", "precision", "recall")  # the first is the default
 HISTOGRAM_BINS = 20
@@ -178,13 +178,17 @@ def write_histogram_csv(path: str | Path, histogram: OverlapHistogram) -> None:
 
 
 def load_universe(path: str | Path) -> list[str]:
-    """Read a universe file: one entry per line, # comments allowed."""
+    """Read a universe file: one entry per line, # comments allowed.  A
+    byte that is not UTF-8 is a ``ValueError`` naming its ``PATH:LINE``."""
     entries: list[str] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                entries.append(line)
+        try:
+            for line in handle:
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    entries.append(line)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{_undecodable_line(path)}: not valid UTF-8: {exc.reason}") from exc
     if not entries:
         raise ValueError(f"universe file {path} has no entries")
     return entries

@@ -321,7 +321,7 @@ def cmd_synth_run(args: argparse.Namespace) -> int:
         return 1
     jsonl.write_commands(out, synthesized)
     jsonl.write_meta(out, args.stage, seed=args.seed, target=cfg.target_count,
-                     providers=[p.name for p in pool.providers], synthesized=len(synthesized))
+                     providers=[p.name for p in pool], synthesized=len(synthesized))
     print(f"synthesized {len(synthesized)} commands -> {out}")
     return 0
 
@@ -330,7 +330,9 @@ def cmd_synth_generate(args: argparse.Namespace) -> int:
     """``synth pairs`` and ``synth explain``: one provider call per command."""
     commands = jsonl.read_commands(args.input)
     pool = _load_pool(args)
-    spec = pool.by_name(args.provider) if args.provider else pool.providers[0]
+    spec = next((p for p in pool if p.name == args.provider), None) if args.provider else pool[0]
+    if spec is None:
+        raise ValueError(f"no provider named {args.provider!r} in pool")
     pairs = args.stage == "synth.pairs"
     noun = "pairs" if pairs else "explanations"
     generate = synthesis.generate_pairs if pairs else synthesis.generate_explanations

@@ -92,15 +92,12 @@ class AdapterModel:
         return self.weights.shape[1]
 
     def transform(self, base: np.ndarray) -> np.ndarray:
-        """Map base row vectors into the adapted unit-normalized space
-        (a ``ValueError`` when W maps one to the zero vector)."""
+        """Map a matrix of base row vectors into the adapted unit-normalized
+        space (a ``ValueError`` when W maps one to the zero vector)."""
         base = np.asarray(base, dtype=np.float64)
-        squeeze = base.ndim == 1
-        rows = base[None, :] if squeeze else base
-        if rows.shape[1] != self.d_in:
-            raise ValueError(f"expected vectors of dim {self.d_in}, got {rows.shape[1]}")
-        unit = unit_normalize(rows @ self.weights)
-        return unit[0] if squeeze else unit
+        if base.ndim != 2 or base.shape[1] != self.d_in:
+            raise ValueError(f"expected rows of dim {self.d_in}, got shape {base.shape}")
+        return unit_normalize(base @ self.weights)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -115,16 +112,15 @@ class AdapterModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "AdapterModel":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        weights = np.asarray(payload["W"], dtype=np.float64).reshape(
-            payload["d_in"], payload["d_out"]
-        )
-        return cls(
-            weights,
-            backend_identity=payload.get("backend_identity", ""),
-            step=payload.get("step", 0),
-        )
+        """The adapter :meth:`save` wrote to ``path``; a file that is no such
+        checkpoint is a ``ValueError`` that names it."""
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+            weights = np.asarray(payload["W"], dtype=np.float64).reshape(payload["d_in"], payload["d_out"])
+            return cls(weights, backend_identity=payload.get("backend_identity", ""), step=payload.get("step", 0))
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ValueError(f"{path}: not an adapter checkpoint: {exc}") from exc
 
 
 def info_nce_loss(sims: np.ndarray, temperature: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,12 +155,6 @@ class SeedPool:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[CommandLine]:
-        return iter(self._entries)
-
-    def __contains__(self, command: CommandLine | str) -> bool:
-        return canonical_dedup_key(command) in self._keys
 
     def sample(self, rng, k: int) -> list[CommandLine]:
         """Draw ``k`` distinct entries without replacement using ``rng``."""

@@ -45,13 +45,13 @@ class EmbeddingIntegrityError(ValueError):
 
 
 def unit_normalize(vectors: np.ndarray) -> np.ndarray:
-    """L2-normalize a vector or a matrix of row vectors.
+    """L2-normalize a matrix of row vectors.
 
     Raises on zero-norm rows: a zero vector carries no direction and
     would poison every cosine downstream.
     """
     array = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(array) if array.ndim == 1 else np.linalg.norm(array, axis=1, keepdims=True)
+    norms = np.linalg.norm(array, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise EmbeddingIntegrityError("cannot normalize a zero vector")
     return array / norms
@@ -72,7 +72,6 @@ class HashingEmbeddingBackend:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.identity = f"hash3-{dim}"
-        self.calls = 0
         # The packed keys of the grams seen so far, sorted, and each one's
         # 2 * coordinate + (1 if the gram adds, 0 if it subtracts).  The
         # last key, above every gram key, keeps searchsorted in bounds.
@@ -104,7 +103,6 @@ class HashingEmbeddingBackend:
         backend's sorted key table in one search; Python touches only the
         grams new to the table, once each, to hash them.
         """
-        self.calls += 1
         vectors = np.empty((len(texts), self.dim), dtype=np.float64)
         for start in range(0, len(texts), HASH_SLICE):
             canonicals = [canonical_dedup_key(text) for text in texts[start:start + HASH_SLICE]]
@@ -157,7 +155,7 @@ class RemoteEmbeddingBackend:
 
     One :meth:`embed` is one request through :func:`cmdsim.gateway.post_json`,
     with the chat calls' retries; :func:`embed_batch` keeps it to
-    REMOTE_CHUNK texts.  ``post`` and ``sleep`` are ``post_json``'s."""
+    REMOTE_CHUNK texts.  ``sleep`` is ``post_json``'s."""
 
     def __init__(
         self,
@@ -167,7 +165,6 @@ class RemoteEmbeddingBackend:
         api_key_env: str = "",
         *,
         timeout: float = 60.0,
-        post: Callable[..., tuple[int, bytes]] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if dim <= 0:
@@ -179,17 +176,14 @@ class RemoteEmbeddingBackend:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.identity = f"{model_id}-{dim}"
-        self.calls = 0
-        self._post = post
         self._sleep = sleep
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        self.calls += 1
         rows = post_json(self.endpoint, {"input": list(texts), "model": self.model_id},
                          lambda reply: [item["embedding"] for item in reply["data"]],
                          owner=f"embedding backend {self.model_id}", payload="embeddings",
                          api_key_env=self.api_key_env, timeout=self.timeout,
-                         post=self._post, sleep=self._sleep)
+                         sleep=self._sleep)
         return np.asarray(rows, dtype=np.float64)
 
 
@@ -209,7 +203,7 @@ class EmbeddingCache:
         # Where each vector's values sit in the rows file.
         self._rows: dict[tuple[str, str], slice] = {}
         self._map: np.ndarray | None = None
-        self.hits = self.misses = self._values = self._index_bytes = 0
+        self._values = self._index_bytes = 0
         index = self.path.read_bytes() if self.path.exists() else b""
         size = self.rows_path.stat().st_size // 8 if self.rows_path.exists() else 0
         # Only the last line can be torn, and a torn line has no newline.
@@ -240,13 +234,8 @@ class EmbeddingCache:
         starts = range(offset, offset + dim * len(texts), dim)
         self._rows.update(((identity, text), slice(at, at + dim)) for text, at in zip(texts, starts))
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     def get(self, identity: str, text: str) -> np.ndarray | None:
         where = self._rows.get((identity, text))
-        self.hits += where is not None
-        self.misses += where is None
         if where is None:
             return None
         if self._map is None or where.stop > self._map.size:

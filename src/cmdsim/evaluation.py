@@ -223,7 +223,6 @@ class GenePoolSplit:
     """
 
     technique_id: str
-    sample_rate: float
     pool: tuple[str, ...]
     queries: tuple[str, ...]
     negatives: tuple[str, ...]
@@ -255,7 +254,6 @@ def build_gene_pools(corpus: TechniqueCorpus, rate: float) -> list[GenePoolSplit
         splits.append(
             GenePoolSplit(
                 technique_id=technique.technique_id,
-                sample_rate=rate,
                 pool=pool,
                 queries=queries,
                 negatives=negatives,

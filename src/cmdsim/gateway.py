@@ -52,11 +52,6 @@ class TransportError(GatewayError):
 class ProviderError(GatewayError):
     """Non-success HTTP response or malformed payload from a provider."""
 
-    def __init__(self, message: str, status: int, body: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.body = body
-
 
 class ConfigurationError(GatewayError):
     """Local misconfiguration, e.g. a missing API-key environment variable."""
@@ -104,26 +99,6 @@ def check_endpoint(endpoint: str, owner: str, schemes: tuple[str, ...] = _HTTP_S
     rather than after a call's retries."""
     if not endpoint.startswith(schemes):
         raise SettingError(owner, "endpoint", f"{endpoint!r} must start with one of {', '.join(schemes)}")
-
-
-@dataclass(frozen=True)
-class ProviderPool:
-    """A non-empty collection of providers sampled uniformly per call."""
-
-    providers: tuple[ProviderSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.providers:
-            raise ValueError("provider pool must not be empty")
-        names = [p.name for p in self.providers]
-        if len(set(names)) != len(names):
-            raise ValueError("provider names must be unique within a pool")
-
-    def by_name(self, name: str) -> ProviderSpec:
-        for spec in self.providers:
-            if spec.name == name:
-                return spec
-        raise ConfigurationError(f"no provider named {name!r} in pool")
 
 
 def _load_template(filename: str) -> str:
@@ -199,8 +174,8 @@ def _opener():
 
 
 def _urlopen_post(url: str, json: dict, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
-    """The default ``post`` of :func:`post_json`: one :mod:`urllib.request`
-    POST on a new connection, returning the reply's status and body.
+    """One attempt of :func:`post_json`: a :mod:`urllib.request` POST on a
+    new connection, returning the reply's status and body.
     Proxies come from the ``*_proxy`` environment variables, TLS is
     verified against the default CA store, and no redirect is followed.
     An HTTP error status is returned, not raised.  A URL or header that
@@ -230,7 +205,6 @@ def post_json(
     api_key_env: str,
     timeout: float,
     max_retries: int = MAX_RETRIES,
-    post: Callable[..., tuple[int, bytes]] | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ):
     """POST ``body`` as JSON to ``url`` and return ``read`` of the reply's JSON.
@@ -244,12 +218,8 @@ def post_json(
     ``owner`` names the caller in errors and logs; a bearer token is read
     from ``api_key_env`` when one is named, and a missing key or one that
     cannot go in a header is a :class:`ConfigurationError` before any
-    attempt.
-
-    ``post`` makes one attempt: it takes ``(url, json=, headers=,
-    timeout=)`` and returns the reply's status and body bytes.  Without
-    one, each attempt is :func:`_urlopen_post`, a standard-library POST
-    on a new connection.
+    attempt.  Each attempt is one :func:`_urlopen_post`, looked up per
+    call, which tests patch to stand in for the network.
     """
     headers = {"Content-Type": "application/json"}
     if api_key_env:
@@ -264,8 +234,6 @@ def post_json(
                 f"environment variable {api_key_env} must hold ASCII with no line break (required by {owner})"
             )
         headers["Authorization"] = f"Bearer {key}"
-    # Looked up per call, so that patching the module's _urlopen_post takes effect.
-    post = post or _urlopen_post
     import http.client  # loaded with the first request, not at import
 
     last_error: GatewayError | None = None
@@ -273,7 +241,7 @@ def post_json(
         if attempt > 0:
             sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
         try:
-            status, content = post(url, json=body, headers=headers, timeout=timeout)
+            status, content = _urlopen_post(url, json=body, headers=headers, timeout=timeout)
         except (OSError, http.client.HTTPException) as exc:
             last_error = TransportError(f"{owner}: {exc}")
             logger.warning("transport failure on %s (attempt %d): %s", owner, attempt + 1, exc)
@@ -282,10 +250,8 @@ def post_json(
             try:
                 return read(jsonlib.loads(content))
             except (ValueError, LookupError, TypeError) as exc:
-                raise ProviderError(f"{owner}: malformed {payload} payload: {exc}", status=200,
-                                    body=content.decode("utf-8", "replace")[:2000]) from exc
-        error = ProviderError(f"{owner}: HTTP {status}", status=status,
-                              body=content.decode("utf-8", "replace")[:2000])
+                raise ProviderError(f"{owner}: malformed {payload} payload: {exc}") from exc
+        error = ProviderError(f"{owner}: HTTP {status}")
         if status not in _HTTP_RETRYABLE:
             raise error
         last_error = error
@@ -298,7 +264,6 @@ def complete(
     spec: ProviderSpec,
     prompt: str,
     *,
-    post: Callable[..., tuple[int, bytes]] | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
     """The assistant text ``spec``'s provider gives for ``prompt``: the one
@@ -307,7 +272,7 @@ def complete(
     A ``mock:`` endpoint is answered in-process by :class:`MockProvider`,
     salted with ``spec.model_id``.  Any other endpoint gets one
     chat-completion request, with :func:`post_json`'s retries up to
-    ``spec.max_retries``; ``post`` and ``sleep`` are :func:`post_json`'s."""
+    ``spec.max_retries``; ``sleep`` is :func:`post_json`'s."""
     if spec.endpoint.startswith("mock:"):
         return MockProvider(salt=spec.model_id).complete(prompt)
     body = {
@@ -318,7 +283,7 @@ def complete(
     return post_json(spec.endpoint, body, lambda reply: reply["choices"][0]["message"]["content"],
                      owner=f"provider {spec.name}", payload="completion",
                      api_key_env=spec.api_key_env, timeout=spec.timeout,
-                     max_retries=spec.max_retries, post=post, sleep=sleep)
+                     max_retries=spec.max_retries, sleep=sleep)
 
 
 # Vocabulary for the deterministic mock.  The two columns are synonym
@@ -449,12 +414,13 @@ class MockProvider:
         )
 
 
-def load_provider_pool(path: str | Path) -> ProviderPool:
-    """Read a provider pool from an INI-style configuration file.
+def load_provider_pool(path: str | Path) -> tuple[ProviderSpec, ...]:
+    """Read a provider pool, one spec per provider in file order, from an
+    INI-style configuration file.
 
-    Each section defines one provider (section name = provider name)
-    with keys endpoint, model, and optionally api_key_env, temperature,
-    max_retries, timeout.  A ``[pool]`` section, where older files set
+    Each section defines one provider (section name = provider name, so
+    configparser refuses a name given twice) with keys endpoint, model,
+    and optionally api_key_env, temperature, max_retries, timeout.  A ``[pool]`` section, where older files set
     an ``rng_seed`` that nothing read, is skipped.
     Secrets never appear in the file, only environment-variable names.
     """
@@ -496,7 +462,7 @@ def load_provider_pool(path: str | Path) -> ProviderPool:
             raise ConfigurationError(
                 f"provider configuration file {path}: [{section}] {key}: {exc.reason}") from exc
 
-    specs = [spec(section) for section in parser.sections() if section != "pool"]
+    specs = tuple(spec(section) for section in parser.sections() if section != "pool")
     if not specs:
         raise ConfigurationError(f"no provider sections found in {path}")
-    return ProviderPool(providers=tuple(specs))
+    return specs

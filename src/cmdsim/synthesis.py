@@ -27,7 +27,6 @@ from .gateway import (
     SEEDS_PER_PROMPT,
     ConfigurationError,
     GatewayError,
-    ProviderPool,
     ProviderSpec,
     build_explanation_prompt,
     build_pair_prompt,
@@ -207,7 +206,7 @@ def _journaled_replies(
 
 
 def synthesize_step(
-    pool: ProviderPool,
+    pool: Sequence[ProviderSpec],
     seeds: SeedPool,
     rng: random.Random,
     *,
@@ -226,7 +225,7 @@ def synthesize_step(
         )
     sampled = seeds.sample(rng, SEEDS_PER_PROMPT)
     prompt = build_synthesis_prompt(sampled)
-    spec = rng.choice(pool.providers)
+    spec = rng.choice(pool)
     [response] = _journaled_replies([prompt], spec, 1, journal)
     if isinstance(response, GatewayError):
         logger.warning("provider %s failed: %s", spec.name, response)
@@ -245,7 +244,7 @@ def _checkpoint(cfg: SynthesisConfig, synthesized: list[CommandLine]) -> None:
 
 
 def run_synthesis(
-    pool: ProviderPool,
+    pool: Sequence[ProviderSpec],
     initial_seeds: Sequence[CommandLine],
     cfg: SynthesisConfig,
     *,

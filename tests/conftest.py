@@ -39,12 +39,13 @@ def mock_vocab_commands(count: int = 12) -> list[str]:
 
 
 def reply(status: int, payload=None, text: str = "") -> tuple[int, bytes]:
-    """A finished POST as ``post`` returns it: the JSON of ``payload``, or ``text``."""
+    """A finished POST as ``gateway._urlopen_post`` returns it: the JSON of
+    ``payload``, or ``text``."""
     return status, (json.dumps(payload) if payload is not None else text).encode()
 
 
 class ScriptedPost:
-    """A ``post`` for ``gateway.post_json`` that records each call.
+    """A stand-in for ``gateway._urlopen_post`` that records each call.
 
     A list ``script`` is popped one step per call; anything else answers
     every call.  A step is a :func:`reply`, an exception to raise, or a
@@ -61,6 +62,18 @@ class ScriptedPost:
         if isinstance(step, Exception):
             raise step
         return step(json) if callable(step) else step
+
+
+@pytest.fixture
+def use_post(monkeypatch):
+    """Install ``post`` as ``gateway._urlopen_post``, the one attempt behind
+    every chat and embeddings request, for one test; returns ``post``."""
+
+    def install(post):
+        monkeypatch.setattr(gateway, "_urlopen_post", post)
+        return post
+
+    return install
 
 
 @pytest.fixture

@@ -727,6 +727,25 @@ class TestEvalRetrievalCli:
         assert not (out_dir / "cache.jsonl").exists()  # refused before embedding
         assert not (out_dir / "retrieval_report.txt").exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"d_in": 3, "d_out": 3}', "'W'"),
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"d_in": 3, "d_out": 3, "W": [1, 2, 3, 4]}', "cannot reshape array of size 4 into shape"),
+        (b'{"W": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+        (b'{"d_in": 1, "d_out": 1, "W": [NaN]}', "weights must be finite"),
+    ], ids=["missing-key", "not-json", "wrong-length", "not-utf8", "nan-weight"])
+    def test_bad_adapter_file_is_named(self, tmp_path, capsys, content, reason):
+        corpus, testset = self.build_inputs(tmp_path)
+        adapter_path = tmp_path / "adapter.json"
+        adapter_path.write_bytes(content)
+        out_dir = tmp_path / "out"
+        code = cli.run(["eval", "retrieval", "--testset", str(testset), "--corpus", str(corpus),
+                        "--adapter", str(adapter_path), "--dim", "64", "--output-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {adapter_path}: not an adapter checkpoint: {reason}")
+        assert not out_dir.exists()
+
 
 class TestEvalDetectCli:
     def test_detect_report(self, tmp_path, capsys):
@@ -901,6 +920,15 @@ class TestAnalyzeCoverageCli:
         assert (tmp_path / "coverage.txt").read_text() == out
         meta = json.loads((tmp_path / "coverage.txt.meta.json").read_text())
         assert meta["stage"] == "analyze.coverage"
+
+    def test_universe_not_utf8_names_path_and_line(self, tmp_path, seeds_file, capsys):
+        groups = tmp_path / "u.txt"
+        groups.write_bytes(b"copy\nlist\xff\nnet\n")
+        code = cli.run(["analyze", "coverage", "--in", str(seeds_file), "--command-universe", str(groups),
+                        "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {groups}:2: not valid UTF-8: invalid start byte\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bundled_universes(self, tmp_path, seeds_file, capsys):
         code = cli.run(

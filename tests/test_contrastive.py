@@ -86,9 +86,9 @@ class TestAdapterModel:
 
     def test_transform_vector(self):
         model = AdapterModel(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        out = model.transform(np.array([1.0, 1.0]))
-        expected = np.array([2.0, 1.0]) / math.sqrt(5.0)
-        assert out.shape == (2,)
+        out = model.transform(np.array([[1.0, 1.0]]))
+        expected = np.array([[2.0, 1.0]]) / math.sqrt(5.0)
+        assert out.shape == (1, 2)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_transform_matrix_rows_unit(self):
@@ -100,13 +100,15 @@ class TestAdapterModel:
 
     def test_transform_dim_mismatch(self):
         model = AdapterModel(np.eye(4))
-        with pytest.raises(ValueError, match="dim 4"):
-            model.transform(np.ones(3))
+        with pytest.raises(ValueError, match=r"dim 4, got shape \(2, 3\)"):
+            model.transform(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"dim 4, got shape \(4,\)"):
+            model.transform(np.ones(4))
 
     def test_transform_degenerate_rejected(self):
         model = AdapterModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="zero vector"):
-            model.transform(np.array([0.0, 1.0]))
+            model.transform(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_save_load_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(3)

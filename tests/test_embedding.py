@@ -28,8 +28,8 @@ texts_strategy = st.text(min_size=1, max_size=40).filter(lambda s: s.strip())
 
 class TestUnitNormalize:
     def test_vector(self):
-        out = unit_normalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(out, [0.6, 0.8])
+        out = unit_normalize(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]])
 
     def test_matrix_rows(self):
         out = unit_normalize(np.array([[3.0, 4.0], [0.0, 2.0]]))
@@ -37,7 +37,7 @@ class TestUnitNormalize:
 
     def test_zero_vector_rejected(self):
         with pytest.raises(EmbeddingIntegrityError):
-            unit_normalize(np.zeros(4))
+            unit_normalize(np.zeros((1, 4)))
 
     def test_zero_row_rejected(self):
         with pytest.raises(EmbeddingIntegrityError):
@@ -184,6 +184,21 @@ class FakeBackend:
         return out
 
 
+class CountingBackend(HashingEmbeddingBackend):
+    """The hashing backend, counting its :meth:`embed` calls."""
+
+    calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return super().embed(texts)
+
+
+def cached_texts(cache, identity, texts):
+    """Those of ``texts`` that ``cache`` holds for ``identity``."""
+    return [text for text in texts if cache.get(identity, text) is not None]
+
+
 class TestEmbedBatch:
     def test_rows_are_unit_norm(self):
         matrix = embed_batch(HashingEmbeddingBackend(64), ["whoami", "net view"])
@@ -216,7 +231,7 @@ class TestEmbedBatch:
     def test_cache_write_through_and_bitwise_hits(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(cache_path)
-        backend = HashingEmbeddingBackend(64)
+        backend = CountingBackend(64)
         first = embed_batch(backend, ["net user", "net view"], cache)
         assert backend.calls == 1
         again = embed_batch(backend, ["net user", "net view"], cache)
@@ -225,14 +240,15 @@ class TestEmbedBatch:
 
         # A fresh cache instance reloads from disk bitwise-identically.
         reloaded = EmbeddingCache(cache_path)
-        served = embed_batch(HashingEmbeddingBackend(64), ["net user"], reloaded)
+        fresh = CountingBackend(64)
+        served = embed_batch(fresh, ["net user"], reloaded)
         np.testing.assert_array_equal(served[0], first[0])
-        assert reloaded.hits == 1
+        assert fresh.calls == 0
 
     def test_cache_keys_include_backend_identity(self, tmp_path):
         cache = EmbeddingCache(tmp_path / "cache.jsonl")
         embed_batch(HashingEmbeddingBackend(64), ["whoami"], cache)
-        other = HashingEmbeddingBackend(32)
+        other = CountingBackend(32)
         embed_batch(other, ["whoami"], cache)
         assert other.calls == 1  # different identity, not a hit
 
@@ -251,11 +267,14 @@ class TestEmbedBatch:
         cache = EmbeddingCache(tmp_path / "cache.jsonl")
         embed_batch(backend, ["net view", "whoami"], cache)
         sent.clear()
+        gets = []
+        get = cache.get
+        cache.get = lambda identity, text: gets.append(text) or get(identity, text)
         texts = ["net user", "net view", "net user", "ipconfig", "whoami", "hostname",
                  "ipconfig", "net view", "tasklist", "net user"]
         matrix = embed_batch(backend, texts, cache)
         assert sent == [["net user", "ipconfig"], ["hostname", "tasklist"]]
-        assert cache.hits + cache.misses == 2 + len(set(texts))  # one get per distinct text
+        assert sorted(gets) == sorted(set(texts))  # one get per distinct text
         expected = np.stack([embed_batch(HashingEmbeddingBackend(16), [text])[0] for text in texts])
         assert matrix.tobytes() == expected.tobytes()
         assert matrix.dtype == np.float64 and matrix.flags.c_contiguous and matrix.flags.writeable
@@ -265,7 +284,7 @@ class TestEmbedBatch:
 def _two_batches(path):
     """A cache at ``path`` holding one 16-d batch of one text, then one of
     two; returns the backend and the three vectors in that order."""
-    backend = HashingEmbeddingBackend(16)
+    backend = CountingBackend(16)
     first = embed_batch(backend, ["net user"], EmbeddingCache(path))
     second = embed_batch(backend, ["net view", "net use"], EmbeddingCache(path))
     return backend, np.concatenate([first, second])
@@ -280,10 +299,10 @@ def _assert_recovers(path, backend, vectors, kept, index):
     vectors, cuts the index back to ``index`` and the rows to the kept
     vectors' bytes; the lost texts are embedded again, bitwise equal."""
     cache = EmbeddingCache(path)
-    assert len(cache) == kept
+    texts = ["net user", "net view", "net use"]
+    assert cached_texts(cache, backend.identity, texts) == texts[:kept]
     assert path.read_bytes() == index
     assert _rows_path(path).read_bytes() == vectors[:kept].tobytes()
-    texts = ["net user", "net view", "net use"]
     np.testing.assert_array_equal(embed_batch(backend, texts, cache), vectors)
     assert backend.calls == 2 + (kept < 3)
     reloaded = EmbeddingCache(path)
@@ -365,7 +384,8 @@ class TestEmbeddingCache:
             handle.write(b'{"identity": "hash3-16", "dim"')
         again = embed_batch(backend, ["net use", "net start"], cache)
         reloaded = EmbeddingCache(path)
-        assert len(reloaded) == 4
+        texts = ["net user", "net view", "net use", "net start"]
+        assert cached_texts(reloaded, backend.identity, texts) == texts
         assert reloaded.get(backend.identity, "net start").tobytes() == again[1].tobytes()
         assert _rows_path(path).read_bytes() == vectors.tobytes() + again[1].tobytes()
 
@@ -382,7 +402,7 @@ class TestEmbeddingCache:
         expected = {(b.identity, t): embed_batch(b, [t], cache)[0]
                     for b in (wide, narrow, wide) for t in (f"whoami /{b.dim}", "hostname")}
         reloaded = EmbeddingCache(path)
-        assert len(reloaded) == 4
+        assert _rows_path(path).stat().st_size == 8 * (2 * 64 + 2 * 32)  # the repeats added no rows
         for (identity, text), vector in expected.items():
             served = reloaded.get(identity, text)
             assert served.shape == vector.shape
@@ -434,7 +454,6 @@ class TestEmbeddingCache:
         path.write_bytes(index)
         _rows_path(path).write_bytes(rows)
         cache = EmbeddingCache(path)
-        assert len(cache) == 0
         assert cache.get("hash3-16", "net user") is None
         assert path.read_bytes() == _rows_path(path).read_bytes() == b""
         backend = HashingEmbeddingBackend(16)
@@ -456,25 +475,29 @@ def _numbered_rows(body):
     return reply(200, {"data": [{"embedding": row} for row in rows.tolist()]})
 
 
+# A local endpoint, so that a test that forgets to patch the POST stays on the host.
+ENDPOINT = "http://127.0.0.1:9/v1/embed"
+
+
 class TestRemoteBackend:
-    def test_success(self):
-        post = ScriptedPost(
+    def test_success(self, use_post):
+        post = use_post(ScriptedPost(
             reply(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 2.0]}]})
-        )
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post)
+        ))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2)
         matrix = backend.embed(["aa", "bb"])
         np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 2.0]])
         assert post.calls[0]["json"] == {"input": ["aa", "bb"], "model": "emb-1"}
 
-    def test_http_error(self):
-        post = ScriptedPost(reply(500, text="boom"))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=no_sleep)
+    def test_http_error(self, use_post):
+        use_post(ScriptedPost(reply(500, text="boom")))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2, sleep=no_sleep)
         with pytest.raises(ProviderError):
             backend.embed(["aa"])
 
-    def test_transport_error(self):
-        post = ScriptedPost(ConnectionError("down"))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=no_sleep)
+    def test_transport_error(self, use_post):
+        use_post(ScriptedPost(ConnectionError("down")))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2, sleep=no_sleep)
         with pytest.raises(TransportError):
             backend.embed(["aa"])
 
@@ -487,36 +510,37 @@ class TestRemoteBackend:
         assert 1 <= REMOTE_CHUNK <= 2048
 
     @pytest.mark.parametrize("n", [1, REMOTE_CHUNK, REMOTE_CHUNK + 1, 2 * REMOTE_CHUNK + 3])
-    def test_requests_chunked_in_order(self, n):
-        post = ScriptedPost(_numbered_rows)
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post)
+    def test_requests_chunked_in_order(self, n, use_post):
+        post = use_post(ScriptedPost(_numbered_rows))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2)
         matrix = embed_batch(backend, [str(i) for i in range(n)])
         assert len(post.calls) == -(-n // REMOTE_CHUNK)
         assert all(len(call["json"]["input"]) <= REMOTE_CHUNK for call in post.calls)
         np.testing.assert_array_equal(matrix, unit_normalize(_numbered_rows_of(range(n))))
 
-    def test_chunk_row_count_checked(self):
+    def test_chunk_row_count_checked(self, use_post):
         # One row short in the first chunk, one extra in the second: the
         # total matches, so only a per-chunk check sees the shift.
         def reply_for(body):
             count = len(body["input"]) + (-1 if body["input"][0] == "0" else 1)
             return reply(200, {"data": [{"embedding": [1.0, 0.0]}] * count})
 
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=ScriptedPost(reply_for))
+        use_post(ScriptedPost(reply_for))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2)
         with pytest.raises(EmbeddingIntegrityError, match="shape"):
             embed_batch(backend, [str(i) for i in range(REMOTE_CHUNK + 1)])
 
-    def test_failed_chunk_keeps_the_cached_ones(self, tmp_path):
+    def test_failed_chunk_keeps_the_cached_ones(self, tmp_path, use_post):
         n = REMOTE_CHUNK + 5
         texts = [str(i) for i in range(n)]
         path = tmp_path / "cache.jsonl"
-        post = ScriptedPost(lambda body: (
-            reply(400, text="bad") if body["input"][0] != "0" else _numbered_rows(body)))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=no_sleep)
+        post = use_post(ScriptedPost(lambda body: (
+            reply(400, text="bad") if body["input"][0] != "0" else _numbered_rows(body))))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2, sleep=no_sleep)
         with pytest.raises(ProviderError, match="HTTP 400"):
             embed_batch(backend, texts, EmbeddingCache(path))
         assert len(post.calls) == 2
-        assert len(EmbeddingCache(path)) == REMOTE_CHUNK
+        assert cached_texts(EmbeddingCache(path), backend.identity, texts) == texts[:REMOTE_CHUNK]
 
         post.script = _numbered_rows
         matrix = embed_batch(backend, texts, EmbeddingCache(path))
@@ -525,14 +549,12 @@ class TestRemoteBackend:
 
     def test_missing_key_env(self, monkeypatch):
         monkeypatch.delenv("CMDSIM_EMB_KEY", raising=False)
-        backend = RemoteEmbeddingBackend(
-            "https://e.example", "emb-1", 2, api_key_env="CMDSIM_EMB_KEY"
-        )
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2, api_key_env="CMDSIM_EMB_KEY")
         with pytest.raises(ConfigurationError, match="CMDSIM_EMB_KEY"):
             backend.embed(["aa"])
 
-    def test_malformed_payload(self):
-        post = ScriptedPost(reply(200, {"data": "oops"}))
-        backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post)
+    def test_malformed_payload(self, use_post):
+        use_post(ScriptedPost(reply(200, {"data": "oops"})))
+        backend = RemoteEmbeddingBackend(ENDPOINT, "emb-1", 2)
         with pytest.raises(ProviderError, match="malformed"):
             backend.embed(["aa"])

@@ -16,7 +16,6 @@ from cmdsim.gateway import (
     ConfigurationError,
     MockProvider,
     ProviderError,
-    ProviderPool,
     ProviderSpec,
     TransportError,
     build_explanation_prompt,
@@ -31,7 +30,8 @@ from conftest import ScriptedPost, reply
 
 
 def make_spec(**overrides) -> ProviderSpec:
-    settings = dict(name="p1", endpoint="https://api.example/v1/chat", model_id="m1")
+    # A local endpoint, so that a test that forgets to patch the POST stays on the host.
+    settings = dict(name="p1", endpoint="http://127.0.0.1:9/v1/chat", model_id="m1")
     settings.update(overrides)
     return ProviderSpec(**settings)
 
@@ -64,22 +64,6 @@ class TestProviderSpec:
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             make_spec(**overrides)
-
-
-class TestProviderPool:
-    def test_requires_providers(self):
-        with pytest.raises(ValueError):
-            ProviderPool(providers=())
-
-    def test_unique_names(self):
-        with pytest.raises(ValueError):
-            ProviderPool(providers=(make_spec(), make_spec()))
-
-    def test_by_name(self):
-        pool = ProviderPool(providers=(make_spec(), make_spec(name="p2")))
-        assert pool.by_name("p2").name == "p2"
-        with pytest.raises(ConfigurationError, match="^no provider named 'missing' in pool$"):
-            pool.by_name("missing")
 
 
 SEEDS = [f"seed-cmd-{i:02d}" for i in range(12)]
@@ -132,7 +116,7 @@ class TestPromptBuilders:
             build_explanation_prompt("")
 
 
-def step_providers(pool: ProviderPool, rng: random.Random, steps: int) -> list[str]:
+def step_providers(pool: tuple[ProviderSpec, ...], rng: random.Random, steps: int) -> list[str]:
     """The provider each of ``steps`` synthesis steps picked, read from the
     provenance of the command it accepted; every reply is fresh."""
     seeds = SeedPool(CommandLine(text) for text in SEEDS)
@@ -153,13 +137,11 @@ class TestPickProvider:
         use_complete(lambda spec, prompt: f"<CMD>generated-{next(counter):05d}")
 
     def test_single_provider(self):
-        pool = ProviderPool(providers=(make_spec(endpoint="mock:"),))
-        assert step_providers(pool, random.Random(0), 3) == [pool.providers[0].name] * 3
+        pool = (make_spec(endpoint="mock:"),)
+        assert step_providers(pool, random.Random(0), 3) == [pool[0].name] * 3
 
     def test_deterministic_sequence(self):
-        pool = ProviderPool(
-            providers=tuple(make_spec(name=f"p{i}", endpoint="mock:") for i in range(6))
-        )
+        pool = tuple(make_spec(name=f"p{i}", endpoint="mock:") for i in range(6))
         seq_a = step_providers(pool, random.Random(5), 50)
         seq_b = step_providers(pool, random.Random(5), 50)
         assert seq_a == seq_b
@@ -168,9 +150,7 @@ class TestPickProvider:
     def test_empirical_uniformity(self):
         # 6,000 seeded steps over 6 providers: each frequency within
         # 1/6 +- 0.03.
-        pool = ProviderPool(
-            providers=tuple(make_spec(name=f"p{i}", endpoint="mock:") for i in range(6))
-        )
+        pool = tuple(make_spec(name=f"p{i}", endpoint="mock:") for i in range(6))
         picked = step_providers(pool, random.Random(123), 6000)
         for i in range(6):
             assert abs(picked.count(f"p{i}") / 6000 - 1 / 6) <= 0.03
@@ -180,17 +160,18 @@ def chat_payload(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
-def ask_chat(post, sleep):
-    return complete(make_spec(), "p", post=post, sleep=sleep)
+def ask_chat(sleep):
+    return complete(make_spec(), "p", sleep=sleep)
 
 
-def ask_embeddings(post, sleep):
-    backend = RemoteEmbeddingBackend("https://e.example", "emb-1", 2, post=post, sleep=sleep)
+def ask_embeddings(sleep):
+    backend = RemoteEmbeddingBackend("http://127.0.0.1:9/v1/embed", "emb-1", 2, sleep=sleep)
     return backend.embed(["aa"]).tolist()
 
 
 # Chat and embeddings share one retrying POST, so each retry case below
 # runs through both: name -> (call, its 200 reply, the call's result).
+# Each test installs its ScriptedPost with use_post.
 CALLERS = {
     "chat": (ask_chat, reply(200, chat_payload("ok")), "ok"),
     "embeddings": (ask_embeddings, reply(200, {"data": [{"embedding": [1.0, 0.0]}]}), [[1.0, 0.0]]),
@@ -198,68 +179,65 @@ CALLERS = {
 
 
 class TestComplete:
-    def test_retry_on_429_then_success(self):
+    def test_retry_on_429_then_success(self, use_post):
         for name, (ask, ok, expected) in CALLERS.items():
-            post = ScriptedPost([reply(429, text="slow down"), ok])
+            post = use_post(ScriptedPost([reply(429, text="slow down"), ok]))
             sleeps = []
-            assert ask(post, sleeps.append) == expected, name
+            assert ask(sleeps.append) == expected, name
             assert len(post.calls) == 2, name
             assert sleeps == [0.5], name
 
-    def test_exponential_backoff_sequence(self):
+    def test_exponential_backoff_sequence(self, use_post):
         for name, (ask, ok, expected) in CALLERS.items():
-            post = ScriptedPost([reply(503), reply(503), ok])
+            use_post(ScriptedPost([reply(503), reply(503), ok]))
             sleeps = []
-            assert ask(post, sleeps.append) == expected, name
+            assert ask(sleeps.append) == expected, name
             assert sleeps == [0.5, 1.0], name
 
-    def test_backoff_doubles_each_retry(self):
+    def test_backoff_doubles_each_retry(self, use_post):
         # Two retries cannot tell doubling from linear growth; a third can.
-        post = ScriptedPost([reply(503)] * 3 + [reply(200, chat_payload("ok"))])
+        use_post(ScriptedPost([reply(503)] * 3 + [reply(200, chat_payload("ok"))]))
         sleeps = []
-        assert complete(make_spec(max_retries=3), "p", post=post, sleep=sleeps.append) == "ok"
+        assert complete(make_spec(max_retries=3), "p", sleep=sleeps.append) == "ok"
         assert sleeps == [0.5, 1.0, 2.0]
 
-    def test_non_retryable_status_fails_immediately(self):
+    def test_non_retryable_status_fails_immediately(self, use_post):
         for name, (ask, _, _) in CALLERS.items():
-            post = ScriptedPost([reply(404, text="nope")])
+            post = use_post(ScriptedPost([reply(404, text="nope")]))
             sleeps = []
-            with pytest.raises(ProviderError) as excinfo:
-                ask(post, sleeps.append)
-            assert excinfo.value.status == 404, name
-            assert excinfo.value.body == "nope", name
+            with pytest.raises(ProviderError, match=r"^(provider p1|embedding backend emb-1): HTTP 404$"):
+                ask(sleeps.append)
             assert len(post.calls) == 1, name
             assert sleeps == [], name
 
-    def test_retries_exhausted_raises_last_error(self):
+    def test_retries_exhausted_raises_last_error(self, use_post):
         for name, (ask, _, _) in CALLERS.items():
-            post = ScriptedPost([reply(500)] * (MAX_RETRIES + 1))
+            post = use_post(ScriptedPost([reply(500)] * (MAX_RETRIES + 1)))
             sleeps = []
-            with pytest.raises(ProviderError) as excinfo:
-                ask(post, sleeps.append)
-            assert excinfo.value.status == 500, name
+            with pytest.raises(ProviderError, match="HTTP 500$"):
+                ask(sleeps.append)
             assert len(post.calls) == MAX_RETRIES + 1, name
             assert sleeps == [0.5, 1.0], name
 
-    def test_transport_failures_retried(self):
+    def test_transport_failures_retried(self, use_post):
         for name, (ask, ok, expected) in CALLERS.items():
-            post = ScriptedPost([ConnectionError("boom"), ok])
+            use_post(ScriptedPost([ConnectionError("boom"), ok]))
             sleeps = []
-            assert ask(post, sleeps.append) == expected, name
+            assert ask(sleeps.append) == expected, name
             assert sleeps == [0.5], name
 
-    def test_transport_failures_exhausted(self):
+    def test_transport_failures_exhausted(self, use_post):
         for name, (ask, _, _) in CALLERS.items():
-            post = ScriptedPost([ConnectionError("boom")] * (MAX_RETRIES + 1))
+            post = use_post(ScriptedPost([ConnectionError("boom")] * (MAX_RETRIES + 1)))
             sleeps = []
             with pytest.raises(TransportError):
-                ask(post, sleeps.append)
+                ask(sleeps.append)
             assert len(post.calls) == MAX_RETRIES + 1, name
             assert sleeps == [0.5, 1.0], name
 
-    def test_success_extracts_content(self):
-        post = ScriptedPost([reply(200, chat_payload("<CMD>whoami"))])
-        result = complete(make_spec(), "prompt text", post=post, sleep=lambda _: None)
+    def test_success_extracts_content(self, use_post):
+        post = use_post(ScriptedPost([reply(200, chat_payload("<CMD>whoami"))]))
+        result = complete(make_spec(), "prompt text", sleep=lambda _: None)
         assert result == "<CMD>whoami"
         call = post.calls[0]
         assert call["json"]["messages"] == [{"role": "user", "content": "prompt text"}]
@@ -267,17 +245,18 @@ class TestComplete:
         assert call["json"]["temperature"] == 1.0
         assert "Authorization" not in call["headers"]
 
-    def test_malformed_payload(self):
-        post = ScriptedPost([reply(200, {"unexpected": True})])
-        with pytest.raises(ProviderError, match="provider p1: malformed completion payload") as excinfo:
-            complete(make_spec(), "p", post=post, sleep=lambda _: None)
-        assert excinfo.value.status == 200
+    def test_malformed_payload(self, use_post):
+        use_post(ScriptedPost([reply(200, {"unexpected": True})]))
+        with pytest.raises(ProviderError, match="provider p1: malformed completion payload"):
+            complete(make_spec(), "p", sleep=lambda _: None)
 
-    def test_missing_api_key_env(self, monkeypatch):
+    def test_missing_api_key_env(self, monkeypatch, use_post):
         monkeypatch.delenv("CMDSIM_TEST_KEY", raising=False)
         spec = make_spec(api_key_env="CMDSIM_TEST_KEY")
+        post = use_post(ScriptedPost([]))
         with pytest.raises(ConfigurationError, match="CMDSIM_TEST_KEY"):
-            complete(spec, "p", post=ScriptedPost([]))
+            complete(spec, "p")
+        assert post.calls == []
 
     def test_default_post_is_the_module_one_at_call_time(self, monkeypatch):
         # A local endpoint, so that a seam bound too early fails without leaving the host.
@@ -286,10 +265,10 @@ class TestComplete:
         assert complete(make_spec(endpoint="http://127.0.0.1:9/v1"), "p", sleep=lambda _: None) == "ok"
         assert [call["url"] for call in post.calls] == ["http://127.0.0.1:9/v1"]
 
-    def test_api_key_header(self, monkeypatch):
+    def test_api_key_header(self, monkeypatch, use_post):
         monkeypatch.setenv("CMDSIM_TEST_KEY", "sekrit")
-        post = ScriptedPost([reply(200, chat_payload("ok"))])
-        complete(make_spec(api_key_env="CMDSIM_TEST_KEY"), "p", post=post)
+        post = use_post(ScriptedPost([reply(200, chat_payload("ok"))]))
+        complete(make_spec(api_key_env="CMDSIM_TEST_KEY"), "p")
         assert post.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
@@ -358,10 +337,7 @@ class TestMockEndpoint:
         prompt = build_synthesis_prompt(SEEDS)
         for endpoint in ("mock:", "mock:whatever"):
             spec = make_spec(endpoint=endpoint, model_id="salt-1")
-            post = ScriptedPost([])
-            assert complete(spec, prompt, post=post) == MockProvider(salt="salt-1").complete(prompt)
             assert complete(spec, prompt) == MockProvider(salt="salt-1").complete(prompt)
-            assert post.calls == []
         # The model id salts the reply.
         assert complete(make_spec(endpoint="mock:", model_id="salt-2"), prompt) != complete(
             make_spec(endpoint="mock:", model_id="salt-1"), prompt)
@@ -377,14 +353,12 @@ class TestLoadProviderPool:
             "[beta]\nendpoint = mock:\nmodel = m-b\n",
             encoding="utf-8",
         )
-        pool = load_provider_pool(path)
-        assert [p.name for p in pool.providers] == ["alpha", "beta"]
-        alpha = pool.by_name("alpha")
+        alpha, beta = load_provider_pool(path)
+        assert (alpha.name, beta.name) == ("alpha", "beta")
         assert alpha.temperature == 0.5
         assert alpha.max_retries == 4
         assert alpha.timeout == 10.0
         assert alpha.api_key_env == "A_KEY"
-        beta = pool.by_name("beta")
         assert beta.temperature == 1.0
 
     def test_missing_file(self, tmp_path):
@@ -405,10 +379,22 @@ class TestLoadProviderPool:
             load_provider_pool(path)
 
     def test_no_sections(self, tmp_path):
+        # A file with only the skipped [pool] section holds no provider.
         path = tmp_path / "providers.conf"
         path.write_text("[pool]\nrng_seed = 1\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="no provider sections"):
+        with pytest.raises(ConfigurationError) as excinfo:
             load_provider_pool(path)
+        assert str(excinfo.value) == f"no provider sections found in {path}"
+
+    def test_repeated_section_names_the_file(self, tmp_path):
+        # A section name is a provider name, so a pool cannot name one provider twice.
+        path = tmp_path / "providers.conf"
+        path.write_text("[a]\nendpoint = mock:\nmodel = m\n[a]\nendpoint = mock:\nmodel = n\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_provider_pool(str(path))
+        assert str(excinfo.value) == (f"provider configuration file {path}: While reading from "
+                                      f"{str(path)!r} [line  4]: section 'a' already exists")
 
     @pytest.mark.parametrize("entry, message", [
         ("temperature = hot", "[a] temperature: could not convert string to float: 'hot'"),

@@ -150,10 +150,10 @@ def test_other_status_not_retried_and_body_capped(server, caller, status, monkey
     text = "route « absente » " + "x" * 3000
     server.replies.append((status, text.encode()))
     sleeps = []
-    with pytest.raises(ProviderError, match=f"HTTP {status}") as excinfo:
+    with pytest.raises(ProviderError) as excinfo:
         caller.ask(server.url, "t", sleeps.append, api_key_env="CMDSIM_TEST_KEY")
-    assert excinfo.value.status == status
-    assert excinfo.value.body == text[:2000]
+    # The message names the status and keeps the reply's body out, whatever its length.
+    assert str(excinfo.value).endswith(f": HTTP {status}")
     assert [path for path, _, _ in server.seen] == ["/v1/x"]
     assert sleeps == []
 
@@ -161,9 +161,8 @@ def test_other_status_not_retried_and_body_capped(server, caller, status, monkey
 @pytest.mark.parametrize("payload", [b"not json", {"unexpected": True}])
 def test_malformed_200(server, caller, payload):
     server.replies.append((200, payload))
-    with pytest.raises(ProviderError, match=f"malformed {PAYLOAD_KIND[caller.name]} payload") as excinfo:
+    with pytest.raises(ProviderError, match=f"malformed {PAYLOAD_KIND[caller.name]} payload"):
         caller.ask(server.url, "t", lambda _: None)
-    assert excinfo.value.status == 200
     assert len(server.seen) == 1
 
 

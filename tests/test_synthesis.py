@@ -18,7 +18,6 @@ from cmdsim.gateway import (
     ConfigurationError,
     MockProvider,
     ProviderError,
-    ProviderPool,
     ProviderSpec,
     TransportError,
 )
@@ -38,13 +37,8 @@ from cmdsim.synthesis import (
 MOCK = ProviderSpec(name="mock", endpoint="mock:", model_id="m")
 
 
-def make_pool(count: int = 1) -> ProviderPool:
-    return ProviderPool(
-        providers=tuple(
-            ProviderSpec(name=f"mock-{i}", endpoint="mock:", model_id=f"salt-{i}")
-            for i in range(count)
-        )
-    )
+def make_pool(count: int = 1) -> tuple[ProviderSpec, ...]:
+    return tuple(ProviderSpec(name=f"mock-{i}", endpoint="mock:", model_id=f"salt-{i}") for i in range(count))
 
 
 def make_seeds(count: int) -> list[CommandLine]:
@@ -254,7 +248,7 @@ class TestGeneratePairs:
         assert "duplicates the anchor" in rejects[0].reason
 
     def test_provider_failure_rejected_not_fatal(self, use_complete):
-        use_complete(failing(ProviderError("HTTP 500", status=500, body="")))
+        use_complete(failing(ProviderError("HTTP 500")))
         pairs, rejects = generate_pairs([CommandLine("auditpol /get")], MOCK)
         assert pairs == []
         assert rejects[0].reason.startswith("provider failure")
