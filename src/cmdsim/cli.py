@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import hashlib
 import logging
 import random
 import sys
@@ -476,14 +477,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    corpus = jsonl.read_commands(args.corpus)
-    cases = evaluation.load_retrieval_cases(args.testset, corpus)
-    backend = _backend(args)
     adapter = contrastive.AdapterModel.load(args.adapter) if args.adapter else None
+    adapter_sha256 = hashlib.sha256(Path(args.adapter).read_bytes()).hexdigest() if args.adapter else None
+    corpus_texts = [command.text for command in jsonl.read_commands(args.corpus)]
+    cases = evaluation.load_retrieval_cases(args.testset, corpus_texts)
+    backend = _backend(args)
     report = evaluation.evaluate_retrieval(cases, backend, args.k, adapter, _cache(args))
     _report(
         args, [("cases", len(cases)), *report.metrics.items()],
-        backend=backend.identity, adapter=args.adapter or None, cases=len(cases),
+        backend=backend.identity, adapter_sha256=adapter_sha256, cases=len(cases),
     )
     jsonl.write_csv(_out_path(args, args.ranks), ["case", "rank"], enumerate(report.ranks))
     return 0

@@ -37,19 +37,16 @@ DETECTION_MODES = ("concatenated", "averaged")
 
 
 @dataclass(frozen=True)
-class RetrievalCase:
-    """One retrieval query: its true positive and the negative pool."""
+class RetrievalTestset:
+    """Retrieval cases as indices into ``texts``, which holds each text once:
+    case i ranks ``pairs[i]``, its (query, positive), against ``negatives[i]``."""
 
-    query: CommandLine
-    positive: CommandLine
-    negatives: tuple[CommandLine, ...]
+    texts: tuple[str, ...]
+    pairs: np.ndarray
+    negatives: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        negative_texts = {n.text for n in self.negatives}
-        if self.positive.text in negative_texts:
-            raise ValueError("positive must not appear among the negatives")
-        if self.query.text in negative_texts:
-            raise ValueError("query must not appear among the negatives")
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def rank_rows(positive_scores: np.ndarray, negative_scores: np.ndarray) -> np.ndarray:
@@ -87,36 +84,38 @@ class RetrievalReport:
     metrics: dict[str, float]
 
 
-def load_retrieval_cases(
-    testset_path: str | Path,
-    corpus: Sequence[CommandLine],
-) -> list[RetrievalCase]:
-    """Read {query, positive, negative_ids} records; ids index ``corpus``."""
-    cases: list[RetrievalCase] = []
+def load_retrieval_cases(testset_path: str | Path, corpus_texts: Sequence[str]) -> RetrievalTestset:
+    """Read {query, positive, negative_ids} records; ids index ``corpus_texts``.
+    A record that is no valid case is a ``ValueError`` naming the file and line."""
+    index: dict[str, int] = {}
+    corpus_rows = np.array([index.setdefault(text, len(index)) for text in corpus_texts], dtype=np.intp)
+    pairs: list[tuple[int, int]] = []
+    negatives: list[np.ndarray] = []
     for lineno, record in read_records(testset_path, required=("query", "positive")):
+        where = f"{testset_path}:{lineno}"
         ids = record.get("negative_ids")
-        if not isinstance(ids, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in ids):
-            raise ValueError(f"{testset_path}:{lineno}: negative_ids must be a list of integer indices")
-        negatives = []
-        for negative_id in ids:
-            if not 0 <= negative_id < len(corpus):
-                raise ValueError(
-                    f"{testset_path}:{lineno}: negative id {negative_id} outside "
-                    f"corpus of {len(corpus)}"
-                )
-            negatives.append(corpus[negative_id])
-        cases.append(
-            RetrievalCase(
-                query=CommandLine(record["query"]),
-                positive=CommandLine(record["positive"]),
-                negatives=tuple(negatives),
-            )
-        )
-    return cases
+        if not isinstance(ids, list) or set(map(type, ids)) - {int}:
+            raise ValueError(f"{where}: negative_ids must be a list of integer indices")
+        # Compared as Python ints: 2**70 does not fit an intp.
+        if ids and (min(ids) < 0 or max(ids) >= len(corpus_rows)):
+            bad = next(i for i in ids if not 0 <= i < len(corpus_rows))
+            raise ValueError(f"{where}: negative id {bad} outside corpus of {len(corpus_rows)}")
+        negatives.append(corpus_rows[np.array(ids, dtype=np.intp)])
+        try:
+            query, positive = (index.setdefault(CommandLine(record[key]).text, len(index))
+                               for key in ("query", "positive"))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if positive in negatives[-1]:
+            raise ValueError(f"{where}: positive must not appear among the negatives")
+        if query in negatives[-1]:
+            raise ValueError(f"{where}: query must not appear among the negatives")
+        pairs.append((query, positive))
+    return RetrievalTestset(tuple(index), np.array(pairs, dtype=np.intp).reshape(-1, 2), tuple(negatives))
 
 
 def evaluate_retrieval(
-    cases: Sequence[RetrievalCase],
+    cases: RetrievalTestset,
     backend,
     ks: Sequence[int] = (3, 10),
     adapter=None,
@@ -124,9 +123,11 @@ def evaluate_retrieval(
 ) -> RetrievalReport:
     """Cosine-score every case and aggregate MRR@K / Top@K per K.
 
-    ``adapter`` is a :class:`~cmdsim.contrastive.AdapterModel` (identity
-    when None); one that records a backend identity other than
-    ``backend.identity`` is refused before anything is embedded.
+    Each text is embedded once, in order of first appearance: query,
+    positive, then negatives, case by case.  ``adapter`` is a
+    :class:`~cmdsim.contrastive.AdapterModel` (identity when None); one
+    that records a backend identity other than ``backend.identity`` is
+    refused before anything is embedded.
     """
     if not cases:
         raise ValueError("no retrieval cases given")
@@ -135,24 +136,21 @@ def evaluate_retrieval(
             f"adapter was trained on backend {adapter.backend_identity!r}, "
             f"not {backend.identity!r}"
         )
-    texts: list[str] = []
-    for case in cases:
-        texts.append(case.query.text)
-        texts.append(case.positive.text)
-        texts.extend(n.text for n in case.negatives)
-    unique_texts = list(dict.fromkeys(texts))
-    matrix = embed_batch(backend, unique_texts, cache)
+    appearances = np.concatenate([part for case in zip(cases.pairs, cases.negatives) for part in case])
+    distinct, first = np.unique(appearances, return_index=True)
+    embedded = distinct[np.argsort(first)]
+    matrix = embed_batch(backend, [cases.texts[i] for i in embedded], cache)
     if adapter is not None:
         matrix = adapter.transform(matrix)
-    row = {text: i for i, text in enumerate(unique_texts)}
+    row = np.empty(len(cases.texts), dtype=np.intp)
+    row[embedded] = np.arange(len(embedded))
 
     positive_scores = np.empty(len(cases))
-    negative_scores = np.full((len(cases), max(len(case.negatives) for case in cases)), np.nan)
-    for i, case in enumerate(cases):
-        query_vector = matrix[row[case.query.text]]
-        positive_scores[i] = query_vector @ matrix[row[case.positive.text]]
-        negative_rows = matrix[[row[n.text] for n in case.negatives]]
-        negative_scores[i, :len(case.negatives)] = negative_rows @ query_vector
+    negative_scores = np.full((len(cases), max(map(len, cases.negatives))), np.nan)
+    for i, ((query, positive), negatives) in enumerate(zip(row[cases.pairs], cases.negatives)):
+        query_vector = matrix[query]
+        positive_scores[i] = query_vector @ matrix[positive]
+        negative_scores[i, :len(negatives)] = matrix[row[negatives]] @ query_vector
     ranks = rank_rows(positive_scores, negative_scores).tolist()
     metrics: dict[str, float] = {}
     for k in ks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import inspect
 import json
 import re
@@ -745,6 +746,37 @@ class TestEvalRetrievalCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {adapter_path}: not an adapter checkpoint: {reason}")
         assert not out_dir.exists()
+
+    def test_bad_adapter_is_reported_before_the_testset_is_read(self, tmp_path, capsys):
+        corpus, _ = self.build_inputs(tmp_path)
+        testset = tmp_path / "bad_testset.jsonl"
+        testset.write_text("not json\n", encoding="utf-8")
+        adapter_path = tmp_path / "adapter.json"
+        adapter_path.write_text("not json", encoding="utf-8")
+        code = cli.run(["eval", "retrieval", "--testset", str(testset), "--corpus", str(corpus),
+                        "--adapter", str(adapter_path), "--dim", "64", "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {adapter_path}: not an adapter checkpoint: ")
+
+    def test_sidecar_records_the_adapter_digest_not_its_path(self, tmp_path):
+        corpus, testset = self.build_inputs(tmp_path)
+        checkpoint = tmp_path / "adapter.json"
+        AdapterModel(np.eye(64), backend_identity="hash3-64").save(checkpoint)
+        sidecars = []
+        for name in ("a", "b", None):
+            argv = ["eval", "retrieval", "--testset", str(testset), "--corpus", str(corpus),
+                    "--dim", "64", "--output-dir", str(tmp_path / f"out_{name}")]
+            if name:
+                copy = tmp_path / name / "adapter.json"
+                copy.parent.mkdir()
+                copy.write_bytes(checkpoint.read_bytes())
+                argv += ["--adapter", str(copy)]
+            assert cli.run(argv) == 0
+            sidecars.append((tmp_path / f"out_{name}" / "retrieval_report.txt.meta.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        digest = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+        assert json.loads(sidecars[0])["adapter_sha256"] == digest
+        assert json.loads(sidecars[2])["adapter_sha256"] is None
 
 
 class TestEvalDetectCli:

@@ -13,13 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdsim.core import CommandLine
 from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
 from cmdsim.evaluation import (
     CLASS_COMMANDS,
     DEFAULT_HYPER_GRID,
     MIN_TECHNIQUE_SIZE,
-    RetrievalCase,
     Technique,
     TechniqueCorpus,
     build_gene_pools,
@@ -124,50 +122,31 @@ class TestMetricAggregation:
         assert top_at_k(ranks, k) >= mrr_at_k(ranks, k) - 1e-12
 
 
-class TestRetrievalCase:
-    def test_positive_in_negatives_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            RetrievalCase(
-                query=CommandLine("q cmd"),
-                positive=CommandLine("p cmd"),
-                negatives=(CommandLine("p cmd"),),
-            )
-
-    def test_query_in_negatives_rejected(self):
-        with pytest.raises(ValueError, match="query"):
-            RetrievalCase(
-                query=CommandLine("q cmd"),
-                positive=CommandLine("p cmd"),
-                negatives=(CommandLine("q cmd"),),
-            )
+def load_cases(tmp_path, corpus, records):
+    """Write ``records`` as a testset JSONL and load it over the ``corpus`` texts."""
+    testset = tmp_path / "cases.jsonl"
+    testset.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    return load_retrieval_cases(testset, corpus)
 
 
 class TestLoadRetrievalCases:
-    def write(self, path, records):
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-
     def test_happy_path(self, tmp_path):
-        corpus = [CommandLine(f"corpus item {i}") for i in range(4)]
-        testset = tmp_path / "cases.jsonl"
-        self.write(
-            testset,
+        corpus = [f"corpus item {i}" for i in range(4)]
+        cases = load_cases(
+            tmp_path,
+            corpus,
             [
                 {"query": "q one", "positive": "p one", "negative_ids": [0, 2]},
                 {"query": "q two", "positive": "p two", "negative_ids": [3]},
             ],
         )
-        cases = load_retrieval_cases(testset, corpus)
         assert len(cases) == 2
-        assert cases[0].negatives == (corpus[0], corpus[2])
-        assert cases[1].query.text == "q two"
+        assert [cases.texts[i] for i in cases.negatives[0]] == [corpus[0], corpus[2]]
+        assert [cases.texts[i] for i in cases.pairs[1]] == ["q two", "p two"]
 
     def test_missing_field(self, tmp_path):
-        testset = tmp_path / "cases.jsonl"
-        self.write(testset, [{"query": "q", "negative_ids": []}])
         with pytest.raises(ValueError, match="cases.jsonl:1: missing required field 'positive'"):
-            load_retrieval_cases(testset, [])
+            load_cases(tmp_path, [], [{"query": "q", "negative_ids": []}])
 
     @pytest.mark.parametrize("negative_ids", [["1"], [1.0], 5, [True], None, {"0": 1}])
     def test_malformed_negative_ids_name_file_and_line(self, tmp_path, negative_ids):
@@ -177,13 +156,31 @@ class TestLoadRetrievalCases:
             record["negative_ids"] = negative_ids
         testset.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(testset))}:2: negative_ids must be a list of integer indices$"):
-            load_retrieval_cases(testset, [CommandLine("a b"), CommandLine("c d")])
+            load_retrieval_cases(testset, ["a b", "c d"])
 
     def test_negative_id_out_of_range(self, tmp_path):
-        testset = tmp_path / "cases.jsonl"
-        self.write(testset, [{"query": "q", "positive": "p", "negative_ids": [5]}])
-        with pytest.raises(ValueError, match="negative id 5 outside corpus of 2"):
-            load_retrieval_cases(testset, [CommandLine("a b"), CommandLine("c d")])
+        # -1 and 2**70 are range errors too, not an intp overflow.
+        testset = re.escape(str(tmp_path / "cases.jsonl"))
+        for negative_id in (5, -1, 2**70):
+            record = {"query": "q cmd", "positive": "p cmd", "negative_ids": [0, negative_id]}
+            with pytest.raises(ValueError, match=f"^{testset}:1: negative id {negative_id} outside corpus of 2$"):
+                load_cases(tmp_path, ["a b", "c d"], [record])
+
+    @pytest.mark.parametrize("field", ["positive", "query"])
+    def test_positive_or_query_in_negatives_rejected(self, tmp_path, field):
+        # Ids 1 and 2 hold the same text, and the second record lists only id 2.
+        records = [{"query": "q cmd", "positive": "p cmd", "negative_ids": [0]},
+                   {"query": "q cmd", "positive": "p cmd", "negative_ids": [0, 2]}]
+        testset = re.escape(str(tmp_path / "cases.jsonl"))
+        with pytest.raises(ValueError, match=f"^{testset}:2: {field} must not appear among the negatives$"):
+            load_cases(tmp_path, ["a b", f"{field[0]} cmd", f"{field[0]} cmd"], records)
+
+    @pytest.mark.parametrize("field", ["query", "positive"])
+    def test_too_short_command_names_file_and_line(self, tmp_path, field):
+        record = {"query": "q cmd", "positive": "p cmd", "negative_ids": [], field: "x"}
+        testset = re.escape(str(tmp_path / "cases.jsonl"))
+        with pytest.raises(ValueError, match=f"^{testset}:1: command line must be at least 2 characters: 'x'$"):
+            load_cases(tmp_path, ["a b"], [record])
 
 
 class TestEvaluateRetrieval:
@@ -198,64 +195,80 @@ class TestEvaluateRetrieval:
         "gamma one": [0.0, 0.0, 1.0],
     }
 
-    def cases(self):
-        c = {text: CommandLine(text) for text in self.TABLE}
-        return [
+    def cases(self, tmp_path):
+        corpus = list(self.TABLE)
+        ids = {text: i for i, text in enumerate(corpus)}
+        return load_cases(tmp_path, corpus, [
             # rank 1: positive is an exact duplicate direction
-            RetrievalCase(c["alpha one"], c["alpha one"], (c["beta one"], c["gamma one"])),
+            {"query": "alpha one", "positive": "alpha one", "negative_ids": [ids["beta one"], ids["gamma one"]]},
             # rank 2: "alpha deep" is closer to the query than the positive
-            RetrievalCase(c["alpha one"], c["alpha two"], (c["alpha deep"], c["beta one"])),
+            {"query": "alpha one", "positive": "alpha two", "negative_ids": [ids["alpha deep"], ids["beta one"]]},
             # rank 4: positive orthogonal, one exact-zero tie, two clear wins
-            RetrievalCase(
-                c["beta one"],
-                c["gamma one"],
-                (c["alpha two"], c["beta two"], c["alpha one"]),
-            ),
-        ]
+            {"query": "beta one", "positive": "gamma one",
+             "negative_ids": [ids["alpha two"], ids["beta two"], ids["alpha one"]]},
+        ])
 
-    def test_ranks_and_metrics(self):
-        report = evaluate_retrieval(self.cases(), VectorBackend(self.TABLE), ks=(1, 3, 10))
+    def test_ranks_and_metrics(self, tmp_path):
+        report = evaluate_retrieval(self.cases(tmp_path), VectorBackend(self.TABLE), ks=(1, 3, 10))
         assert report.ranks == (1, 2, 4)
         assert report.metrics["mrr@3"] == pytest.approx(50.0)
         assert report.metrics["top@3"] == pytest.approx(200.0 / 3.0)
         assert report.metrics["mrr@1"] == pytest.approx(100.0 / 3.0)
         assert report.metrics["top@10"] == pytest.approx(100.0)
 
-    def test_orthogonal_adapter_preserves_ranks(self):
+    def test_orthogonal_adapter_preserves_ranks(self, tmp_path):
         from cmdsim.contrastive import AdapterModel
 
         permutation = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        plain = evaluate_retrieval(self.cases(), VectorBackend(self.TABLE))
+        plain = evaluate_retrieval(self.cases(tmp_path), VectorBackend(self.TABLE))
         rotated = evaluate_retrieval(
-            self.cases(), VectorBackend(self.TABLE), adapter=AdapterModel(permutation)
+            self.cases(tmp_path), VectorBackend(self.TABLE), adapter=AdapterModel(permutation)
         )
         assert rotated.ranks == plain.ranks
 
-    def test_empty_cases_rejected(self):
+    def test_empty_cases_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no retrieval cases"):
-            evaluate_retrieval([], VectorBackend(self.TABLE))
+            evaluate_retrieval(load_cases(tmp_path, list(self.TABLE), []), VectorBackend(self.TABLE))
 
-    def test_ragged_cases_match_the_full_sort_oracle(self):
+    def test_ragged_cases_match_the_full_sort_oracle(self, tmp_path):
         # Cases of 0 to 6 negatives are ranked in one NaN-padded matrix.
         # Vectors on a {1, 2} grid repeat directions, so exact ties occur.
         rng = np.random.default_rng(5)
         table = {f"text {i}": [float(v) for v in rng.integers(1, 3, size=3)] for i in range(12)}
-        lines = [CommandLine(text) for text in table]
-        cases = []
+        corpus = list(table)
+        records = []
         for size in [0, 6, 1, 3, 0, 6, 2, 5, 4]:
-            query, positive, *negatives = rng.choice(len(lines), size=size + 2, replace=False)
-            cases.append(RetrievalCase(lines[query], lines[positive], tuple(lines[n] for n in negatives)))
-        report = evaluate_retrieval(cases, VectorBackend(table))
-        matrix = embed_batch(VectorBackend(table), list(table))
-        row = {text: i for i, text in enumerate(table)}
+            query, positive, *negatives = rng.choice(len(corpus), size=size + 2, replace=False).tolist()
+            records.append({"query": corpus[query], "positive": corpus[positive], "negative_ids": negatives})
+        report = evaluate_retrieval(load_cases(tmp_path, corpus, records), VectorBackend(table))
+        matrix = embed_batch(VectorBackend(table), corpus)
         expected = []
-        for case in cases:
-            query_vector = matrix[row[case.query.text]]
-            negative_rows = matrix[[row[n.text] for n in case.negatives]]
-            expected.append(full_sort_rank(float(query_vector @ matrix[row[case.positive.text]]),
+        for record in records:
+            query_vector = matrix[corpus.index(record["query"])]
+            negative_rows = matrix[record["negative_ids"]]
+            expected.append(full_sort_rank(float(query_vector @ matrix[corpus.index(record["positive"])]),
                                            list(negative_rows @ query_vector)))
         assert report.ranks == tuple(expected)
         assert len(set(expected)) > 3
+
+    def test_texts_are_embedded_once_in_order_of_first_appearance(self, tmp_path):
+        # A cold --cache appends the texts in this order.
+        class RecordingBackend(VectorBackend):
+            def embed(self, texts):
+                self.embedded.extend(texts)
+                return super().embed(texts)
+
+        backend = RecordingBackend(self.TABLE)
+        backend.embedded = []
+        cases = self.cases(tmp_path)
+        evaluate_retrieval(cases, backend)
+        corpus = list(self.TABLE)
+        expected = list(dict.fromkeys([
+            "alpha one", "alpha one", "beta one", "gamma one",
+            "alpha one", "alpha two", "alpha deep", "beta one",
+            "beta one", "gamma one", "alpha two", "beta two", "alpha one",
+        ]))
+        assert backend.embedded == expected != corpus
 
 
 class TestTechniqueCorpus:

@@ -8,11 +8,12 @@ benchmark's own tracer, so a rename or removal in the package fails here.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
-from cmdsim import clustering, embedding, gateway, synthesis
+from cmdsim import clustering, embedding, evaluation, gateway, synthesis
 from cmdsim.core import CommandLine
 
 from conftest import ScriptedPost, reply
@@ -67,3 +68,20 @@ def test_traced_provider_calls_reach_the_complete_span(monkeypatch):
         tracer.uninstall()
     assert (len(explanations), rejects, len(post.calls)) == (3, [], 3)
     assert [span[3] for span in tracer.spans].count("gateway.complete") == 3
+
+
+def test_traced_retrieval_counts_its_cases(tmp_path):
+    # The hook reads len() of evaluate_retrieval's first argument.
+    layers, tracer_module = _load("layers"), _load("tracer")
+    testset = tmp_path / "testset.jsonl"
+    testset.write_text("".join(json.dumps({"query": f"whoami /{i}", "positive": f"whoami -{i}",
+                                           "negative_ids": [0, 1]}) + "\n" for i in range(3)),
+                       encoding="utf-8")
+    cases = evaluation.load_retrieval_cases(testset, ["net user", "ipconfig /all"])
+    tracer = tracer_module.Tracer()
+    try:
+        layers.install(tracer)
+        evaluation.evaluate_retrieval(cases, embedding.HashingEmbeddingBackend(8))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["evaluation.retrieval_cases"] == len(cases) == 3
