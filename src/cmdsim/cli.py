@@ -399,7 +399,7 @@ def cmd_cluster_negatives(args: argparse.Namespace) -> int:
     # Each row as json.dumps would write {"query_id": i, "negative_ids": [...]},
     # joined from the ids' strings instead of encoding n ints a row.
     ids = np.array([str(i) for i in queries], dtype=object)
-    step = max(1, clustering.NEGATIVES_BLOCK // len(records))
+    step = max(clustering.NEGATIVES_MIN_QUERIES, clustering.NEGATIVES_BLOCK // len(records))
 
     def rows():
         for top in range(0, len(records), step):

@@ -97,7 +97,7 @@ class AdapterModel:
         base = np.asarray(base, dtype=np.float64)
         if base.ndim != 2 or base.shape[1] != self.d_in:
             raise ValueError(f"expected rows of dim {self.d_in}, got shape {base.shape}")
-        return unit_normalize(base @ self.weights)
+        return unit_normalize(base @ self.weights, in_place=True)
 
     def save(self, path: str | Path) -> None:
         payload = {

@@ -34,6 +34,9 @@ REMOTE_CHUNK = 2048
 # count matrix is HASH_SLICE x 2 x dim int64, 512 KiB at dim 256; larger
 # slices were no faster and raised peak memory.
 HASH_SLICE = 128
+# Rows per block of unit_normalize: a block's squares, its one
+# temporary, are 2 MiB at dim 256.
+NORMALIZE_ROWS = 1024
 # A gram key packs three 21-bit code points; this one, above every code
 # point, pads the single gram of a 1-2 character text.
 _PAD = 0x1FFFFF
@@ -44,17 +47,25 @@ class EmbeddingIntegrityError(ValueError):
     values, or a vector to normalize was zero."""
 
 
-def unit_normalize(vectors: np.ndarray) -> np.ndarray:
+def unit_normalize(vectors: np.ndarray, *, in_place: bool = False) -> np.ndarray:
     """L2-normalize a matrix of row vectors.
 
     Raises on zero-norm rows: a zero vector carries no direction and
-    would poison every cosine downstream.
+    would poison every cosine downstream.  With ``in_place``, a float64
+    ``vectors`` is itself divided and returned (partly divided if this
+    raises).  Norms are taken a block of rows at a time, so the only
+    temporary is one block's squares; each row's bits are those of
+    ``vectors / np.linalg.norm(vectors, axis=1, keepdims=True)``.
     """
     array = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(array, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise EmbeddingIntegrityError("cannot normalize a zero vector")
-    return array / norms
+    out = array if in_place else np.empty_like(array)
+    for top in range(0, len(array), NORMALIZE_ROWS):
+        block = array[top:top + NORMALIZE_ROWS]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise EmbeddingIntegrityError("cannot normalize a zero vector")
+        np.divide(block, norms, out=out[top:top + NORMALIZE_ROWS])
+    return out
 
 
 class HashingEmbeddingBackend:

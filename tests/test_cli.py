@@ -6,7 +6,10 @@ import csv
 import hashlib
 import inspect
 import json
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +22,7 @@ from cmdsim.embedding import DEFAULT_DIM, HashingEmbeddingBackend, embed_batch, 
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 from cmdsim.synthesis import SynthesisConfig
 
-from conftest import mock_vocab_commands, write_jsonl
+from conftest import cli_env, mock_vocab_commands, write_jsonl
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -417,7 +420,12 @@ class TestClusterStages:
 
     @pytest.mark.parametrize("block", [1, 20])
     def test_negatives_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
-        # 9 records: blocks of 1 query, and of 2 queries with a short last one.
+        # 9 records, whole in one block of 9 queries, against blocks of 1
+        # query (numpy's mat-vec per row) and of 2 queries with a short last
+        # one, with the floor on queries per block lowered to 1 so that such
+        # blocks occur.  Equal bytes pin that the stage writes each block's
+        # rows in query order, and that on this input a row of a 1-, 2- or
+        # 9-query product orders its negatives alike.
         records = explanation_records()
         for i, record in enumerate(records[:-1]):
             record["positive_id"] = (i + 3) % len(records)
@@ -425,6 +433,7 @@ class TestClusterStages:
         argv = ["cluster", "negatives", "--in", str(input_path), "--n", "4", "--dim", "64"]
         assert cli.run([*argv, "--output-dir", str(tmp_path / "whole")]) == 0
         monkeypatch.setattr(clustering, "NEGATIVES_BLOCK", block)
+        monkeypatch.setattr(clustering, "NEGATIVES_MIN_QUERIES", 1)
         calls = []
         mine = clustering.mine_negatives
         monkeypatch.setattr(clustering, "mine_negatives",
@@ -433,6 +442,52 @@ class TestClusterStages:
         assert calls == ([1] * 9 if block == 1 else [2, 2, 2, 2, 1])
         assert ((tmp_path / "blocks" / "negatives.jsonl").read_bytes()
                 == (tmp_path / "whole" / "negatives.jsonl").read_bytes())
+
+    @pytest.mark.parametrize(("block", "calls"), [
+        (2**15, [40]), (800, [20, 20]), (100, [16, 16, 8]),
+    ])
+    def test_negatives_queries_per_block(self, tmp_path, monkeypatch, block, calls):
+        # max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // N) queries at N = 40:
+        # the whole corpus, 800 // 40 = 20, and the floor of 16 over 100 // 40.
+        records = [{"explanation": f"rotates log {i} on node {i % 7}"} for i in range(40)]
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        monkeypatch.setattr(clustering, "NEGATIVES_BLOCK", block)
+        seen = []
+        mine = clustering.mine_negatives
+        monkeypatch.setattr(clustering, "mine_negatives",
+                            lambda queries, *a: seen.append(len(queries)) or mine(queries, *a))
+        assert cli.run(["cluster", "negatives", "--in", str(input_path), "--n", "5", "--dim", "64",
+                        "--output-dir", str(tmp_path / "out")]) == 0
+        assert seen == calls
+
+    @pytest.mark.parametrize("count", [300, 1100])
+    def test_negatives_bytes_do_not_depend_on_blas_threads(self, tmp_path, count):
+        # 300 rows go in blocks of 109, 109 and 82 queries, each a GEMM big
+        # enough for OpenBLAS to split over two threads; 1,100 rows go in
+        # blocks of 29 queries, over two slices of the corpus.  Repeated
+        # texts and stems tie many similarities, so a change in any bit
+        # could reorder.
+        rng = random.Random(43)
+        stems = [f"copies archive {i % 7} onto share {i % 5}" for i in range(25)]
+        records = []
+        for i in range(count):
+            record = {"explanation": rng.choice(stems) + " nightly" * rng.randrange(3)}
+            if rng.random() < 0.5:
+                record["positive_id"] = rng.randrange(count)
+            records.append(record)
+        input_path = write_jsonl(tmp_path / "explained.jsonl", records)
+        written = {}
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "cmdsim.cli", "cluster", "negatives", "--in", str(input_path),
+                 "--n", "250", "--output-dir", str(tmp_path / threads)],
+                cwd=tmp_path, env={**cli_env(), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            written[threads] = (tmp_path / threads / "negatives.jsonl").read_bytes()
+        assert written["1"].count(b"\n") == count
+        assert written["1"] == written["2"]
 
     @pytest.mark.parametrize(("n", "positive", "message"), [
         ("3", 9, "record 5: positive_id 9 outside corpus of 9"),

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cmdsim import clustering
 from cmdsim.clustering import (
     NEGATIVES_BLOCK,
+    NEGATIVES_MIN_QUERIES,
+    NEGATIVES_SLICE,
     NOISE,
     TILE,
     ClusterLabeling,
@@ -322,6 +325,64 @@ class TestMineNegatives:
         assert ours.shape == (count, n)
         for query, row in enumerate(ours.tolist()):
             assert row == naive_mine_negatives(query, matrix, n, positives[query])
+
+    @pytest.mark.parametrize("size", [2, 5, 16])
+    @pytest.mark.parametrize("slice_rows", [NEGATIVES_SLICE, 128])
+    def test_rows_are_the_sort_of_their_blocks_product(self, monkeypatch, size, slice_rows):
+        # The contract: row r's similarities are column r of the products
+        # matrix[s] @ matrix[block].T over slices s of the corpus (one
+        # slice, or three).  Few distinct texts give long runs of equal
+        # similarities, and n sits at a tie as well as off one.
+        monkeypatch.setattr(clustering, "NEGATIVES_SLICE", slice_rows)
+        rng = np.random.default_rng(37 + size)
+        distinct = [f"copies archive {i % 7} onto share {i % 5} nightly" for i in range(25)]
+        texts = [distinct[int(rng.integers(len(distinct)))] for _ in range(300)]
+        matrix = embed_batch(HashingEmbeddingBackend(64), texts)
+        count = len(texts)
+        for _ in range(6):
+            block = rng.choice(count, size=size, replace=False).tolist()
+            positives = [int(p) if rng.random() < 0.7 else None for p in rng.integers(count, size=size)]
+            sims = np.concatenate([matrix[top:top + slice_rows] @ matrix[block].T
+                                   for top in range(0, count, slice_rows)]).T
+            references = [
+                sorted((i for i in range(count) if i not in (query, positive)),
+                       key=lambda i, r=r: (sims[r, i], i))
+                for r, (query, positive) in enumerate(zip(block, positives))
+            ]
+            first = references[0]
+            tied = [p for p in range(1, len(first)) if sims[0, first[p - 1]] == sims[0, first[p]]]
+            assert tied, "a tie-heavy corpus"
+            for n in {tied[int(rng.integers(len(tied)))], int(rng.integers(1, 298)), 298}:
+                ours = mine_negatives(block, matrix, n, positives).tolist()
+                assert ours == [reference[:n] for reference in references]
+
+    def test_blocks_of_near_duplicates_agree_with_the_oracle_within_rounding(self):
+        # Near-duplicate texts give similarities equal in exact arithmetic,
+        # which a GEMM row and the oracle's per-pair dot can round an ulp
+        # apart, and so order differently.  Positions are compared by
+        # similarity within the float64 error bound of a d-term dot product
+        # of unit vectors, 2 * d * 2**-53, as perfbench curate compares.
+        rng = np.random.default_rng(41)
+        stems = [f"rotates {w} logs on node {i}" for i, w in enumerate(
+            ["audit", "backup", "print", "session", "service", "archive", "index", "mail"])]
+        texts = [f"{stems[int(rng.integers(len(stems)))]}{' nightly' * int(rng.integers(3))}"
+                 for _ in range(200)]
+        matrix = embed_batch(HashingEmbeddingBackend(256), texts)
+        count, dim = matrix.shape
+        tolerance = 2 * dim * 2.0**-53
+        positives = [int(p) if rng.random() < 0.5 else None for p in rng.integers(count, size=count)]
+        n = 150
+        step = NEGATIVES_MIN_QUERIES
+        ours = np.concatenate([
+            mine_negatives(range(top, min(top + step, count)), matrix, n, positives[top:top + step])
+            for top in range(0, count, step)
+        ])
+        for query, row in enumerate(ours.tolist()):
+            expected = naive_mine_negatives(query, matrix, n, positives[query])
+            assert len(set(row)) == n
+            assert query not in row and positives[query] not in row
+            similarity = matrix @ matrix[query]
+            assert all(abs(similarity[a] - similarity[b]) <= tolerance for a, b in zip(row, expected))
 
 
 class TestClusterCoverage:

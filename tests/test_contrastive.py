@@ -19,7 +19,7 @@ from cmdsim.contrastive import (
     train,
 )
 from cmdsim.core import CommandLine, CommandLinePair, Source
-from cmdsim.embedding import HashingEmbeddingBackend
+from cmdsim.embedding import NORMALIZE_ROWS, HashingEmbeddingBackend, unit_normalize
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 
 from oracles import central_difference_gradient, full_sort_rank, mrr_from_ranks
@@ -109,6 +109,20 @@ class TestAdapterModel:
         model = AdapterModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="zero vector"):
             model.transform(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_transform_is_bit_equal_to_normalizing_a_copy(self):
+        # transform divides base @ W in place; the bits must be those of
+        # unit_normalize(base @ W), over more rows than one block of it.
+        rng = np.random.default_rng(8)
+        weights = rng.normal(size=(6, 4))
+        weights[2] = 0.0
+        model = AdapterModel(weights)
+        base = rng.normal(size=(2 * NORMALIZE_ROWS + 5, 6))
+        np.testing.assert_array_equal(model.transform(base), unit_normalize(base @ weights))
+        # A row that W maps to zero, past the first block, is still refused.
+        base[NORMALIZE_ROWS + 2] = np.eye(6)[2]
+        with pytest.raises(ValueError, match="zero vector"):
+            model.transform(base)
 
     def test_save_load_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cmdsim.embedding import (
     DEFAULT_DIM,
     HASH_SLICE,
+    NORMALIZE_ROWS,
     EmbeddingCache,
     EmbeddingIntegrityError,
     REMOTE_CHUNK,
@@ -42,6 +43,22 @@ class TestUnitNormalize:
     def test_zero_row_rejected(self):
         with pytest.raises(EmbeddingIntegrityError):
             unit_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_blocks_give_the_bits_of_one_division(self, in_place):
+        # Over NORMALIZE_ROWS rows, norms are taken a block at a time.
+        rows = np.random.default_rng(5).normal(size=(2 * NORMALIZE_ROWS + 7, 33))
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        given = rows.copy()
+        out = unit_normalize(given, in_place=in_place)
+        assert (out is given) == in_place
+        np.testing.assert_array_equal(out, expected)
+
+    def test_zero_row_in_a_later_block_rejected(self):
+        rows = np.ones((NORMALIZE_ROWS + 3, 4))
+        rows[NORMALIZE_ROWS + 1] = 0.0
+        with pytest.raises(EmbeddingIntegrityError):
+            unit_normalize(rows, in_place=True)
 
 
 class TestHashingBackend:
