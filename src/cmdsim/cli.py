@@ -399,12 +399,10 @@ def cmd_cluster_negatives(args: argparse.Namespace) -> int:
     # Each row as json.dumps would write {"query_id": i, "negative_ids": [...]},
     # joined from the ids' strings instead of encoding n ints a row.
     ids = np.array([str(i) for i in queries], dtype=object)
-    step = max(clustering.NEGATIVES_MIN_QUERIES, clustering.NEGATIVES_BLOCK // len(records))
 
     def rows():
-        for top in range(0, len(records), step):
-            block = queries[top:top + step]
-            negatives = clustering.mine_negatives(block, matrix, n, positives[top:top + step])
+        for block in clustering.query_blocks(len(records)):
+            negatives = clustering.mine_negatives(block, matrix, n, positives[block.start:block.stop])
             for i, row in zip(block, negatives):
                 yield f'{{"query_id": {i}, "negative_ids": [{", ".join(ids[row].tolist())}]}}'
 
@@ -497,7 +495,7 @@ def cmd_eval_detect(args: argparse.Namespace) -> int:
     auc = evaluation.detection_auc(corpus, args.rate, backend, args.mode, _cache(args))
     _report(
         args,
-        [("techniques", len(corpus)), ("rate", args.rate), ("mode", args.mode), ("auc", auc)],
+        [("techniques", len(corpus.techniques)), ("rate", args.rate), ("mode", args.mode), ("auc", auc)],
         rate=args.rate, mode=args.mode, backend=backend.identity,
     )
     return 0

@@ -38,6 +38,16 @@ NEGATIVES_MIN_QUERIES = 16
 NEGATIVES_SLICE = 1024
 
 
+def query_blocks(count: int) -> list[range]:
+    """Consecutive blocks of ``range(count)``, one per mine_negatives call, of
+    max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count) queries.  A lone last
+    query joins the block before it: a 1-query block is a matrix-vector
+    product, whose bits for wide rows change with the BLAS thread count."""
+    step = max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count)
+    stops = [*range(step, count - 1, step), count]
+    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 @dataclass(frozen=True)
 class DbscanParams:
     """eps is a cosine-distance radius; neighborhoods are inclusive
@@ -267,14 +277,14 @@ def mine_negatives(
     a larger block can differ from that in the last bit, and from the
     same row in a block of another size.  The result depends on the
     input, the block, the BLAS build and, for a 1-query block of wide
-    rows, the BLAS thread count (README, ``cluster negatives``).
+    rows, the BLAS thread count (see :func:`query_blocks`).
 
     Returns a ``(len(queries), n)`` integer array.  Holds one
     ``len(queries) x N`` block of similarities and its partitioned copy,
-    so callers pass about ``NEGATIVES_BLOCK // N`` queries at a time, and
-    at least ``NEGATIVES_MIN_QUERIES``.  Cost: O(len(queries)*N*d) in
-    matrix products that read the corpus once per block, then
-    O(N + n log n) per query to select and order the n smallest.
+    so callers pass the blocks of :func:`query_blocks`.  Cost:
+    O(len(queries)*N*d) in matrix products that read the corpus once per
+    block, then O(N + n log n) per query to select and order the n
+    smallest.
     """
     matrix = np.asarray(embeddings, dtype=np.float64)
     check_negatives(matrix.shape[0], queries, n, positives)

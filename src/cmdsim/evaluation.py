@@ -161,21 +161,31 @@ def evaluate_retrieval(
 
 @dataclass(frozen=True)
 class Technique:
-    """One technique id and its command lines, in file order."""
+    """One technique id and its command lines, in file order: the id is not
+    empty, no command is blank, and no two share a canonical dedup key."""
 
     technique_id: str
     commands: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.technique_id:
-            raise ValueError("technique_id must not be empty")
-        keys = [canonical_dedup_key(c) for c in self.commands]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"technique {self.technique_id}: duplicate commands")
+        if (fault := _technique_fault(self.technique_id, self.commands)) is not None:
+            raise ValueError(fault[1])
 
-    @property
-    def size(self) -> int:
-        return len(self.commands)
+
+def _technique_fault(technique_id: str, commands: Sequence[str]) -> tuple[int, str] | None:
+    """The position of the first command that breaks a :class:`Technique`
+    rule and the reason, or None; an empty id is the first command's fault."""
+    if not technique_id:
+        return 0, "technique_id must not be empty"
+    keys: set[str] = set()
+    for position, command in enumerate(commands):
+        if not command.strip():
+            return position, f"technique {technique_id}: blank command"
+        key = canonical_dedup_key(command)
+        if key in keys:
+            return position, f"technique {technique_id}: duplicate command {command!r}"
+        keys.add(key)
+    return None
 
 
 class TechniqueCorpus:
@@ -187,12 +197,9 @@ class TechniqueCorpus:
             raise ValueError("technique ids must be unique")
         self.techniques = tuple(techniques)
 
-    def __len__(self) -> int:
-        return len(self.techniques)
-
     @property
     def all_commands(self) -> list[str]:
-        """Union of every technique's commands, in corpus order."""
+        """Every technique's commands in corpus order, a shared one once per technique."""
         return [c for t in self.techniques for c in t.commands]
 
 
@@ -200,14 +207,19 @@ def load_technique_corpus(path: str | Path) -> TechniqueCorpus:
     """Read {technique_id, command} records grouped by technique id.
 
     Records of one technique keep their file order; techniques appear in
-    order of first occurrence.
+    order of first occurrence.  A record that breaks a :class:`Technique`
+    rule is a ``ValueError`` naming the file and its line.
     """
-    grouped: dict[str, list[str]] = {}
-    for _, record in read_records(path, required=("technique_id", "command")):
-        grouped.setdefault(record["technique_id"], []).append(record["command"])
-    return TechniqueCorpus(
-        [Technique(technique_id, tuple(commands)) for technique_id, commands in grouped.items()]
-    )
+    grouped: dict[str, list[tuple[int, str]]] = {}
+    for lineno, record in read_records(path, required=("technique_id", "command")):
+        grouped.setdefault(record["technique_id"], []).append((lineno, record["command"]))
+    techniques = []
+    for technique_id, lines in grouped.items():
+        linenos, commands = zip(*lines)
+        if (fault := _technique_fault(technique_id, commands)) is not None:
+            raise ValueError(f"{path}:{linenos[fault[0]]}: {fault[1]}")
+        techniques.append(Technique(technique_id, commands))
+    return TechniqueCorpus(techniques)
 
 
 @dataclass(frozen=True)
@@ -215,48 +227,34 @@ class GenePoolSplit:
     """Reference-versus-query split of one technique at sample rate r.
 
     ``pool`` is the technique's first ceil((r/100) * size) commands in
-    corpus order, ``queries`` the remainder.  ``negatives`` is every
-    corpus command outside the technique; it keeps corpus order and may
-    repeat texts when different techniques share a command.
+    corpus order, ``queries`` the remainder.  ``start`` is the position of
+    the technique's first command in ``TechniqueCorpus.all_commands``.
     """
 
     technique_id: str
     pool: tuple[str, ...]
     queries: tuple[str, ...]
-    negatives: tuple[str, ...]
-
-
-def _ceil_fraction(rate: float, size: int) -> int:
-    # Exact integer arithmetic when the rate is integral; 20% of 10 must
-    # never become ceil(2.0000000000000004) = 3.
-    if float(rate).is_integer():
-        return (int(rate) * size + 99) // 100
-    return math.ceil(rate / 100.0 * size)
+    start: int
 
 
 def build_gene_pools(corpus: TechniqueCorpus, rate: float) -> list[GenePoolSplit]:
-    """Split every eligible technique (size >= 9) at sample rate ``rate``."""
+    """Split every eligible technique (size >= 9) at sample rate ``rate``,
+    taken as the decimal it prints as: 7.2% of 125 commands pools 9, where
+    ``7.2 / 100.0 * 125`` is 9.000000000000002."""
+    from fractions import Fraction  # imported here: no other stage needs it
+
     if not 0 < rate < 100:
         raise ValueError(f"sample rate must be strictly between 0 and 100, got {rate}")
+    share = Fraction(repr(float(rate))) / 100
     splits: list[GenePoolSplit] = []
+    start = 0
     for technique in corpus.techniques:
-        if technique.size < MIN_TECHNIQUE_SIZE:
-            continue
-        pool_size = _ceil_fraction(rate, technique.size)
-        pool = technique.commands[:pool_size]
-        queries = technique.commands[pool_size:]
-        negatives = tuple(
-            c for t in corpus.techniques if t.technique_id != technique.technique_id
-            for c in t.commands
-        )
-        splits.append(
-            GenePoolSplit(
-                technique_id=technique.technique_id,
-                pool=pool,
-                queries=queries,
-                negatives=negatives,
-            )
-        )
+        size = len(technique.commands)
+        if size >= MIN_TECHNIQUE_SIZE:
+            pool_size = math.ceil(share * size)
+            splits.append(GenePoolSplit(technique.technique_id, technique.commands[:pool_size],
+                                        technique.commands[pool_size:], start))
+        start += size
     return splits
 
 
@@ -302,7 +300,8 @@ def detection_auc(
     Per technique, positives are its held-out queries and negatives are
     every other technique's commands, each scored by maximum pool
     similarity.  ``concatenated`` pools all scored items into a single
-    AUC; ``averaged`` means the per-technique AUCs.
+    AUC; ``averaged`` means the per-technique AUCs.  Row i of the embedded
+    matrix is ``corpus.all_commands[i]``: one pool product per technique.
     """
     if mode not in DETECTION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,33 +310,23 @@ def detection_auc(
         raise ValueError(
             f"no technique has >= {MIN_TECHNIQUE_SIZE} commands; nothing to evaluate"
         )
-    unique_texts = list(dict.fromkeys(corpus.all_commands))
-    matrix = embed_batch(backend, unique_texts, cache)
-    row = {text: i for i, text in enumerate(unique_texts)}
-
-    def pool_scores(texts: Sequence[str], pool: Sequence[str]) -> np.ndarray:
-        pool_rows = matrix[[row[t] for t in pool]]
-        target_rows = matrix[[row[t] for t in texts]]
-        return (target_rows @ pool_rows.T).max(axis=1)
-
-    all_positives: list[np.ndarray] = []
-    all_negatives: list[np.ndarray] = []
-    per_technique: list[float] = []
+    # embed_batch embeds a repeated text once and copies its row.
+    matrix = embed_batch(backend, corpus.all_commands, cache)
+    scored: list[tuple[np.ndarray, np.ndarray]] = []
     for split in splits:
         if not split.queries:
             raise ValueError(f"technique {split.technique_id}: no query commands at rate {rate}")
-        if not split.negatives:
-            raise ValueError(f"technique {split.technique_id}: no negative commands")
-        positives = pool_scores(split.queries, split.pool)
-        negatives = pool_scores(split.negatives, split.pool)
-        if mode == "concatenated":
-            all_positives.append(positives)
-            all_negatives.append(negatives)
-        else:
-            per_technique.append(mann_whitney_auc(positives, negatives))
+        middle = split.start + len(split.pool)
+        end = middle + len(split.queries)
+        if end - split.start == len(matrix):
+            raise ValueError(f"technique {split.technique_id}: spans the whole corpus, no negatives")
+        pool = matrix[split.start:middle].T
+        positives = (matrix[middle:end] @ pool).max(axis=1)
+        negatives = (np.concatenate([matrix[:split.start], matrix[end:]]) @ pool).max(axis=1)
+        scored.append((positives, negatives))
     if mode == "concatenated":
-        return mann_whitney_auc(np.concatenate(all_positives), np.concatenate(all_negatives))
-    return float(np.mean(per_technique))
+        return mann_whitney_auc(*(np.concatenate(side) for side in zip(*scored)))
+    return float(np.mean([mann_whitney_auc(*pair) for pair in scored]))
 
 
 CLASS_COMMANDS: tuple[str, ...] = (

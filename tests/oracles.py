@@ -8,7 +8,9 @@ differences.  None of it shares code with the package under test.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
+from decimal import Decimal
 
 import numpy as np
 
@@ -304,3 +306,36 @@ def midrank_auc(positive_scores, negative_scores) -> float:
     rank_sum = float(np.sum(midranks[: positives.size]))
     wins = rank_sum - positives.size * (positives.size + 1) / 2.0
     return wins / (positives.size * negatives.size)
+
+
+def naive_gene_pool_auc(techniques, vectors, rate, mode: str) -> float:
+    """Gene-pool detection AUC from one dot product per pair.
+
+    ``techniques`` lists (technique id, commands); ``vectors`` maps each
+    command to its unit embedding.  A technique of 9 or more commands
+    pools its first ceil(rate% of its size) commands, the rate read as
+    the decimal it prints as.  Its other commands are positives, every
+    command of every other technique is a negative, and each scores its
+    largest dot product with a pool command.  ``concatenated`` counts the
+    pairs of all techniques at once; ``averaged`` means the per-technique
+    AUCs.
+    """
+    positives, negatives, aucs = [], [], []
+    for index, (_, commands) in enumerate(techniques):
+        if len(commands) < 9:
+            continue
+        pool_size = math.ceil(Decimal(repr(float(rate))) * len(commands) / 100)
+        pool = [vectors[command] for command in commands[:pool_size]]
+
+        def score(command):
+            return max(float(np.dot(vectors[command], member)) for member in pool)
+
+        own = [score(command) for command in commands[pool_size:]]
+        others = [score(command) for other, (_, rest) in enumerate(techniques)
+                  if other != index for command in rest]
+        positives += own
+        negatives += others
+        aucs.append(pair_count_auc(own, others))
+    if mode == "concatenated":
+        return pair_count_auc(positives, negatives)
+    return sum(aucs) / len(aucs)

@@ -421,11 +421,12 @@ class TestClusterStages:
     @pytest.mark.parametrize("block", [1, 20])
     def test_negatives_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
         # 9 records, whole in one block of 9 queries, against blocks of 1
-        # query (numpy's mat-vec per row) and of 2 queries with a short last
-        # one, with the floor on queries per block lowered to 1 so that such
-        # blocks occur.  Equal bytes pin that the stage writes each block's
-        # rows in query order, and that on this input a row of a 1-, 2- or
-        # 9-query product orders its negatives alike.
+        # query (numpy's mat-vec per row) and of 2 queries, each with the
+        # lone last query folded into a longer last block, with the floor on
+        # queries per block lowered to 1 so that such blocks occur.  Equal
+        # bytes pin that the stage writes each block's rows in query order,
+        # and that on this input a row of a 1-, 2-, 3- or 9-query product
+        # orders its negatives alike.
         records = explanation_records()
         for i, record in enumerate(records[:-1]):
             record["positive_id"] = (i + 3) % len(records)
@@ -439,7 +440,7 @@ class TestClusterStages:
         monkeypatch.setattr(clustering, "mine_negatives",
                             lambda queries, *a: calls.append(len(queries)) or mine(queries, *a))
         assert cli.run([*argv, "--output-dir", str(tmp_path / "blocks")]) == 0
-        assert calls == ([1] * 9 if block == 1 else [2, 2, 2, 2, 1])
+        assert calls == ([1] * 7 + [2] if block == 1 else [2, 2, 2, 3])
         assert ((tmp_path / "blocks" / "negatives.jsonl").read_bytes()
                 == (tmp_path / "whole" / "negatives.jsonl").read_bytes())
 
@@ -460,14 +461,12 @@ class TestClusterStages:
                         "--output-dir", str(tmp_path / "out")]) == 0
         assert seen == calls
 
-    @pytest.mark.parametrize("count", [300, 1100])
-    def test_negatives_bytes_do_not_depend_on_blas_threads(self, tmp_path, count):
-        # 300 rows go in blocks of 109, 109 and 82 queries, each a GEMM big
-        # enough for OpenBLAS to split over two threads; 1,100 rows go in
-        # blocks of 29 queries, over two slices of the corpus.  Repeated
-        # texts and stems tie many similarities, so a change in any bit
-        # could reorder.
-        rng = random.Random(43)
+    @staticmethod
+    def negatives_under_threads(tmp_path, count, dim, seed):
+        """``negatives.jsonl`` of ``count`` records under 1 and 2 OpenBLAS
+        threads.  Repeated texts and stems tie many similarities, so a
+        change in any bit could reorder."""
+        rng = random.Random(seed)
         stems = [f"copies archive {i % 7} onto share {i % 5}" for i in range(25)]
         records = []
         for i in range(count):
@@ -480,13 +479,29 @@ class TestClusterStages:
         for threads in ("1", "2"):
             result = subprocess.run(
                 [sys.executable, "-m", "cmdsim.cli", "cluster", "negatives", "--in", str(input_path),
-                 "--n", "250", "--output-dir", str(tmp_path / threads)],
+                 "--n", "250", "--dim", str(dim), "--output-dir", str(tmp_path / threads)],
                 cwd=tmp_path, env={**cli_env(), "OPENBLAS_NUM_THREADS": threads},
                 capture_output=True, text=True, timeout=120,
             )
             assert result.returncode == 0, result.stderr
             written[threads] = (tmp_path / threads / "negatives.jsonl").read_bytes()
         assert written["1"].count(b"\n") == count
+        return written
+
+    @pytest.mark.parametrize("count", [300, 1100])
+    def test_negatives_bytes_do_not_depend_on_blas_threads(self, tmp_path, count):
+        # 300 rows go in blocks of 109, 109 and 82 queries, each a GEMM big
+        # enough for OpenBLAS to split over two threads; 1,100 rows go in
+        # blocks of 29 queries, over two slices of the corpus.
+        written = self.negatives_under_threads(tmp_path, count, 256, 43)
+        assert written["1"] == written["2"]
+
+    def test_lone_last_query_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 801 rows go in blocks of 40 queries and a last one of 41.  As a
+        # block of its own, the lone last query's matrix-vector product over
+        # 768-wide rows ordered its negatives differently under 1 and 2
+        # threads.
+        written = self.negatives_under_threads(tmp_path, 801, 768, 1)
         assert written["1"] == written["2"]
 
     @pytest.mark.parametrize(("n", "positive", "message"), [
@@ -862,6 +877,48 @@ class TestEvalDetectCli:
         assert lines["mode"] == "concatenated"
         assert 0.5 < float(lines["auc"]) <= 1.0
         assert (tmp_path / "detect.txt").read_text() == out
+
+    def test_bad_technique_record_is_named_by_its_line(self, tmp_path, capsys):
+        # The loader's tests cover each rule; this one, the exit status and
+        # message.  A blank line first, so the record's line is not its index.
+        records = [{"technique_id": "T1", "command": "whoami /all"},
+                   {"technique_id": "T2", "command": "net view"},
+                   {"technique_id": "T1", "command": "WHOAMI  /ALL"}]
+        corpus = tmp_path / "techniques.jsonl"
+        corpus.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = cli.run(["eval", "detect", "--corpus", str(corpus), "--dim", "16",
+                        "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {corpus}:4: technique T1: duplicate command 'WHOAMI  /ALL'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 60 techniques of 9 to 14 commands at the default width: each
+        # technique's negatives product is about 680 x 256 by 256 x 2.
+        rng = random.Random(28)
+        records = []
+        for t in range(60):
+            verb = MOCK_VERB_SYNONYMS[t % len(MOCK_VERB_SYNONYMS)][0]
+            for i in range(9 + t % 6):
+                flag, target = rng.choice(MOCK_FLAG_SYNONYMS)[0], rng.choice(MOCK_TARGETS)
+                records.append({"technique_id": f"T{t:04d}",
+                                "command": f"{verb} {flag} {target}{i:x} {rng.randrange(10**6)}"})
+        corpus = write_jsonl(tmp_path / "techniques.jsonl", records)
+        written = {}
+        for threads in ("1", "2"):
+            for mode in evaluation.DETECTION_MODES:
+                out = tmp_path / threads / mode
+                result = subprocess.run(
+                    [sys.executable, "-m", "cmdsim.cli", "eval", "detect", "--corpus", str(corpus),
+                     "--rate", "12.5", "--mode", mode, "--output-dir", str(out), "--out", "detect.txt"],
+                    cwd=tmp_path, env={**cli_env(), "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True, text=True, timeout=120,
+                )
+                assert result.returncode == 0, result.stderr
+                written[threads, mode] = (out / "detect.txt").read_bytes()
+        for mode in evaluation.DETECTION_MODES:
+            assert b"auc=" in written["1", mode]
+            assert written["1", mode] == written["2", mode]
 
 
 class TestEvalClassifyCli:

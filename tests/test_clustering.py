@@ -18,6 +18,7 @@ from cmdsim.clustering import (
     dbscan,
     dedup_by_clusters,
     mine_negatives,
+    query_blocks,
     _neighbour_lists,
 )
 from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
@@ -239,6 +240,19 @@ class TestDedupByClusters:
 
 
 class TestMineNegatives:
+    def test_query_blocks_leave_no_lone_query(self):
+        # The blocks tile range(count) in order, each of the step of
+        # max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count) queries but
+        # the last, which takes 2 to step + 1; none holds a lone query.
+        for count in range(2, 5001):
+            step = max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count)
+            blocks = query_blocks(count)
+            assert blocks[0].start == 0 and blocks[-1].stop == count
+            assert all(a.stop == b.start and b.step == 1 for a, b in zip(blocks, blocks[1:]))
+            assert {len(block) for block in blocks[:-1]} <= {step}
+            assert 2 <= len(blocks[-1]) <= step + 1
+        assert query_blocks(1) == [range(1)]
+
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

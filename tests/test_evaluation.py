@@ -17,6 +17,7 @@ from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
 from cmdsim.evaluation import (
     CLASS_COMMANDS,
     DEFAULT_HYPER_GRID,
+    DETECTION_MODES,
     MIN_TECHNIQUE_SIZE,
     Technique,
     TechniqueCorpus,
@@ -42,6 +43,7 @@ from oracles import (
     logreg_probe_reference,
     midrank_auc,
     mrr_from_ranks,
+    naive_gene_pool_auc,
     pair_count_auc,
     top_from_ranks,
 )
@@ -311,6 +313,22 @@ class TestTechniqueCorpus:
         with pytest.raises(ValueError, match="bad.jsonl:1: missing required field 'command'"):
             load_technique_corpus(path)
 
+    @pytest.mark.parametrize(("bad", "reason"), [
+        ({"technique_id": "t1", "command": "WHOAMI  /ALL"}, "technique t1: duplicate command 'WHOAMI  /ALL'"),
+        ({"technique_id": "", "command": "net user"}, "technique_id must not be empty"),
+        ({"technique_id": "t2", "command": "   "}, "technique t2: blank command"),
+    ], ids=["duplicate", "empty-id", "blank-command"])
+    def test_load_names_the_line_that_breaks_a_technique_rule(self, tmp_path, bad, reason):
+        # A blank first line, so line numbers are not record indices; t3's
+        # blank command on line 5 comes after the fault on line 4.
+        path = tmp_path / "tech.jsonl"
+        records = [{"technique_id": "t1", "command": "whoami /all"},
+                   {"technique_id": "t2", "command": "net view"}, bad,
+                   {"technique_id": "t3", "command": " "}]
+        path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {reason}')}$"):
+            load_technique_corpus(path)
+
     def test_load_names_the_true_line(self, tmp_path):
         path = tmp_path / "tech.jsonl"
         path.write_text('\n\n{"technique_id": "t", "command": 3}\n', encoding="utf-8")
@@ -348,7 +366,7 @@ class TestBuildGenePools:
 
     @pytest.mark.parametrize(
         "rate,size,expected",
-        [(50, 9, 5), (1, 9, 1), (99, 30, 30), (10, 30, 3), (33, 12, 4)],
+        [(50, 9, 5), (1, 9, 1), (99, 30, 30), (10, 30, 3), (33, 12, 4), (7.2, 125, 9), (0.8, 125, 1)],
     )
     def test_pool_sizes(self, rate, size, expected):
         corpus = TechniqueCorpus([technique_of_size("t1", size)])
@@ -361,18 +379,15 @@ class TestBuildGenePools:
 
     def test_partition_and_composition(self):
         corpus = TechniqueCorpus(
-            [technique_of_size("t1", 10), technique_of_size("t2", 12)]
+            [technique_of_size("t0", 3), technique_of_size("t1", 10), technique_of_size("t2", 12)]
         )
         for split in build_gene_pools(corpus, 30):
             technique = next(
                 t for t in corpus.techniques if t.technique_id == split.technique_id
             )
             assert split.pool + split.queries == technique.commands
-            others = [
-                c for t in corpus.techniques
-                if t.technique_id != split.technique_id for c in t.commands
-            ]
-            assert list(split.negatives) == others
+            end = split.start + len(technique.commands)
+            assert corpus.all_commands[split.start:end] == list(technique.commands)
 
 
 class TestMannWhitneyAuc:
@@ -451,6 +466,43 @@ class TestDetectionAuc:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             detection_auc(mock_technique_corpus(), 25, HashingEmbeddingBackend(dim=16), mode="median")
+
+    @pytest.mark.parametrize("mode", DETECTION_MODES)
+    @pytest.mark.parametrize("rate", [5, 12.5, 50])
+    def test_matches_the_naive_oracle(self, mode, rate):
+        # Each command is a vector of four +-0.5 entries, three of them on
+        # its technique's six axes: unit length, with dot products that are
+        # multiples of 0.25 in any summation order, so a tie is a tie both
+        # here and in the oracle.  T0 also holds T1's first command, which
+        # is then a query of T0 and twice a negative of every other
+        # technique; the 5-command technique is too small to score but is
+        # a negative of every other.
+        rng = random.Random(5)
+        table: dict[str, list[float]] = {}
+        techniques = []
+        for t in range(6):
+            home = rng.sample(range(16), 6)
+            commands = []
+            for i in range(12 if t < 5 else 5):
+                axes = rng.sample(home, 3)
+                axes.append(rng.choice([a for a in range(16) if a not in axes]))
+                vector = [0.0] * 16
+                for axis in axes:
+                    vector[axis] = rng.choice([0.5, 0.5, -0.5])
+                commands.append(f"T{t} cmd {i}")
+                table[commands[-1]] = vector
+            techniques.append((f"T{t}", tuple(commands)))
+        techniques[0] = ("T0", techniques[0][1] + techniques[1][1][:1])
+        corpus = TechniqueCorpus([Technique(*t) for t in techniques])
+        backend = VectorBackend(table)
+        vectors = dict(zip(corpus.all_commands, embed_batch(backend, corpus.all_commands)))
+        expected = naive_gene_pool_auc(techniques, vectors, rate, mode)
+        assert detection_auc(corpus, rate, backend, mode) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_technique_spanning_the_corpus(self):
+        corpus = TechniqueCorpus([technique_of_size("t1", 10), technique_of_size("tiny", 0)])
+        with pytest.raises(ValueError, match="^technique t1: spans the whole corpus"):
+            detection_auc(corpus, 25, HashingEmbeddingBackend(dim=16))
 
     def test_all_techniques_too_small(self):
         corpus = TechniqueCorpus([technique_of_size("tiny", 5)])
