@@ -475,8 +475,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    adapter = contrastive.AdapterModel.load(args.adapter) if args.adapter else None
-    adapter_sha256 = hashlib.sha256(Path(args.adapter).read_bytes()).hexdigest() if args.adapter else None
+    checkpoint = Path(args.adapter).read_bytes() if args.adapter else None
+    adapter = contrastive.AdapterModel.load(args.adapter, checkpoint) if args.adapter else None
+    adapter_sha256 = hashlib.sha256(checkpoint).hexdigest() if args.adapter else None
     corpus_texts = [command.text for command in jsonl.read_commands(args.corpus)]
     cases = evaluation.load_retrieval_cases(args.testset, corpus_texts)
     backend = _backend(args)

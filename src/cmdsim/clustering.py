@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import similarities
+
 logger = logging.getLogger(__name__)
 
 # Edge of the square tiles of matrix @ matrix.T that dbscan computes: a
@@ -31,21 +33,14 @@ TILE = 256
 # that many queries rather than once per query.
 NEGATIVES_BLOCK = 2**15
 NEGATIVES_MIN_QUERIES = 16
-# Corpus rows per product in mine_negatives.  OpenBLAS packs only these
-# rows, and their transposed product stays in cache: against one
-# product over the whole corpus, 45 MB less peak memory and half the
-# time at N = 28,521, with the same bits there.
-NEGATIVES_SLICE = 1024
 
 
 def query_blocks(count: int) -> list[range]:
     """Consecutive blocks of ``range(count)``, one per mine_negatives call, of
-    max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count) queries.  A lone last
-    query joins the block before it: a 1-query block is a matrix-vector
-    product, whose bits for wide rows change with the BLAS thread count."""
+    max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count) queries, the last
+    one shorter."""
     step = max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count)
-    stops = [*range(step, count - 1, step), count]
-    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -269,15 +264,10 @@ def mine_negatives(
     Excludes the query itself and, when given, its positive
     ``positives[r]``.  Each row is in ascending-similarity order; equal
     similarities break toward the smaller index.  Row r's similarities,
-    and so its ties, are column r of the products
-    ``embeddings[s] @ embeddings[queries].T`` over consecutive slices s
-    of ``NEGATIVES_SLICE`` corpus rows.  For a 1-query block that is
-    numpy's matrix-vector product over each slice, the same as
-    ``embeddings @ embeddings[q]`` for N <= ``NEGATIVES_SLICE``; a row of
-    a larger block can differ from that in the last bit, and from the
-    same row in a block of another size.  The result depends on the
-    input, the block, the BLAS build and, for a 1-query block of wide
-    rows, the BLAS thread count (see :func:`query_blocks`).
+    and so its ties, are row r of :func:`~cmdsim.embedding.similarities`
+    of the corpus and the queries' rows; a row can differ in the last bit
+    from the same query's in a block of another size.  The result
+    depends on the input, the block and the BLAS build.
 
     Returns a ``(len(queries), n)`` integer array.  Holds one
     ``len(queries) x N`` block of similarities and its partitioned copy,
@@ -289,14 +279,7 @@ def mine_negatives(
     matrix = np.asarray(embeddings, dtype=np.float64)
     check_negatives(matrix.shape[0], queries, n, positives)
     rows = np.asarray(queries, dtype=np.intp)
-    # The corpus is the product's row side.  As the column side, OpenBLAS
-    # split it over threads into parts whose edge entries round
-    # differently, and the bits changed with the thread count at most N.
-    # Slices bound what OpenBLAS packs for a matrix product.
-    columns = matrix[rows].T
-    block = np.empty((len(rows), len(matrix)))
-    for top in range(0, len(matrix), NEGATIVES_SLICE):
-        block[:, top:top + NEGATIVES_SLICE] = (matrix[top:top + NEGATIVES_SLICE] @ columns).T
+    block = similarities(matrix, matrix[rows])
     block[np.arange(len(rows)), rows] = np.inf
     if positives is not None:
         given = [r for r, positive in enumerate(positives) if positive is not None]

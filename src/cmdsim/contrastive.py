@@ -111,12 +111,12 @@ class AdapterModel:
             handle.write(json.dumps(payload) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "AdapterModel":
-        """The adapter :meth:`save` wrote to ``path``; a file that is no such
+    def load(cls, path: str | Path, data: bytes | None = None) -> "AdapterModel":
+        """The adapter :meth:`save` wrote to ``path``, parsed from ``data``
+        when given, the file's bytes as already read; a file that is no such
         checkpoint is a ``ValueError`` that names it."""
         try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
             weights = np.asarray(payload["W"], dtype=np.float64).reshape(payload["d_in"], payload["d_out"])
             return cls(weights, backend_identity=payload.get("backend_identity", ""), step=payload.get("step", 0))
         except (ValueError, LookupError, TypeError) as exc:

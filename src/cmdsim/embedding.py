@@ -37,6 +37,10 @@ HASH_SLICE = 128
 # Rows per block of unit_normalize: a block's squares, its one
 # temporary, are 2 MiB at dim 256.
 NORMALIZE_ROWS = 1024
+# Corpus rows per product in similarities.  OpenBLAS packs only these
+# rows: against one product over the whole corpus, 45 MB less peak
+# memory and half the time at N = 28,521, with the same bits there.
+NEGATIVES_SLICE = 1024
 # A gram key packs three 21-bit code points; this one, above every code
 # point, pads the single gram of a 1-2 character text.
 _PAD = 0x1FFFFF
@@ -66,6 +70,23 @@ def unit_normalize(vectors: np.ndarray, *, in_place: bool = False) -> np.ndarray
             raise EmbeddingIntegrityError("cannot normalize a zero vector")
         np.divide(block, norms, out=out[top:top + NORMALIZE_ROWS])
     return out
+
+
+def similarities(corpus: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The C-contiguous (len(queries), len(corpus)) dot products of the
+    query rows with the corpus rows: cosine scores for unit rows.
+
+    They come from products ``corpus[s] @ queries.T`` over slices s of
+    NEGATIVES_SLICE corpus rows, a lone query repeated into a C-contiguous
+    d x 2 operand, so their bits depend on the BLAS build but not on its
+    thread count: a matrix-vector product, or the corpus as the column
+    side, changed bits with it (see README).
+    """
+    columns = np.repeat(queries.T, 2, axis=1) if len(queries) == 1 else queries.T
+    scores = np.empty((len(queries), len(corpus)))
+    for top in range(0, len(corpus), NEGATIVES_SLICE):
+        scores[:, top:top + NEGATIVES_SLICE] = (corpus[top:top + NEGATIVES_SLICE] @ columns).T[:len(queries)]
+    return scores
 
 
 class HashingEmbeddingBackend:

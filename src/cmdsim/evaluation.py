@@ -3,10 +3,7 @@ gene-pool malicious-command detection (Mann-Whitney AUC), and the
 seven-command classification benchmark.
 
 Scores and metrics use fixed summation orders, so repeated runs over
-the same inputs are bit-identical on one BLAS build with one thread
-count.  A BLAS splits a GEMM by its thread count, so the logistic
-regression probe's weights can differ in the last bits between, say,
-``OPENBLAS_NUM_THREADS=1`` and 2.
+the same inputs are bit-identical on one BLAS build.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CommandLine, canonical_dedup_key
-from .embedding import EmbeddingCache, embed_batch
+from .embedding import EmbeddingCache, embed_batch, similarities
 from .jsonl import read_records
 
 logger = logging.getLogger(__name__)
@@ -148,9 +145,8 @@ def evaluate_retrieval(
     positive_scores = np.empty(len(cases))
     negative_scores = np.full((len(cases), max(map(len, cases.negatives))), np.nan)
     for i, ((query, positive), negatives) in enumerate(zip(row[cases.pairs], cases.negatives)):
-        query_vector = matrix[query]
-        positive_scores[i] = query_vector @ matrix[positive]
-        negative_scores[i, :len(negatives)] = matrix[row[negatives]] @ query_vector
+        positive_scores[i] = matrix[query] @ matrix[positive]
+        negative_scores[i, :len(negatives)] = similarities(matrix[row[negatives]], matrix[query][None])[0]
     ranks = rank_rows(positive_scores, negative_scores).tolist()
     metrics: dict[str, float] = {}
     for k in ks:
@@ -320,10 +316,8 @@ def detection_auc(
         end = middle + len(split.queries)
         if end - split.start == len(matrix):
             raise ValueError(f"technique {split.technique_id}: spans the whole corpus, no negatives")
-        pool = matrix[split.start:middle].T
-        positives = (matrix[middle:end] @ pool).max(axis=1)
-        negatives = (np.concatenate([matrix[:split.start], matrix[end:]]) @ pool).max(axis=1)
-        scored.append((positives, negatives))
+        scores = similarities(matrix, matrix[split.start:middle]).max(axis=0)
+        scored.append((scores[middle:end], np.concatenate([scores[:split.start], scores[end:]])))
     if mode == "concatenated":
         return mann_whitney_auc(*(np.concatenate(side) for side in zip(*scored)))
     return float(np.mean([mann_whitney_auc(*pair) for pair in scored]))

@@ -112,9 +112,15 @@ def write_jsonl(path: Path, records) -> Path:
     return path
 
 
-@functools.cache
 def cli_env() -> dict[str, str]:
-    """Environment for CLI child processes that run in a temp directory.
+    """Environment for CLI child processes that run in a temp directory:
+    the current ``os.environ`` with the PYTHONPATH of :func:`_child_path`."""
+    return {**os.environ, "PYTHONPATH": _child_path()}
+
+
+@functools.cache
+def _child_path() -> str:
+    """PYTHONPATH for CLI child processes.
 
     A relative PYTHONPATH entry (``PYTHONPATH=src``) does not resolve from
     the child's ``cwd``, so the ``src`` directory of the cmdsim this suite
@@ -141,7 +147,27 @@ def cli_env() -> dict[str, str]:
     assert child_file == cli_file, (
         f"child imports {child_file}, the suite imported {cli_file}"
     )
-    return env
+    return env["PYTHONPATH"]
+
+
+def outputs_under_blas_threads(workdir: Path, args: list[str], output: str) -> dict[str, bytes]:
+    """Run ``python ARGS --output-dir workdir/T`` in ``workdir`` under
+    ``OPENBLAS_NUM_THREADS=T``, for T = "1" and "2", and return the bytes
+    each run wrote to ``workdir/T/output``, keyed by T.
+
+    ARGS is ``-m cmdsim.cli STAGE ...``, or ``-c CODE`` for a CODE that
+    writes into the directory it gets as ``sys.argv[2]``.
+    """
+    written = {}
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, *args, "--output-dir", str(workdir / threads)],
+            cwd=workdir, env={**cli_env(), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        written[threads] = (workdir / threads / output).read_bytes()
+    return written
 
 
 # ``python -c _KILL_BOOTSTRAP KILL_AT ARGV...`` runs ``python -m cmdsim.cli

@@ -14,6 +14,7 @@ saw.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -351,6 +352,15 @@ def _mock_pipeline(workdir: Path) -> dict[str, float]:
     return metrics
 
 
+_PIPELINE_ARTIFACTS = (
+    "synthesized.jsonl", "pairs.jsonl", "pairs.jsonl.rejects.jsonl",
+    "train_pairs.jsonl", "corpus.jsonl", "testset.jsonl",
+    "adapter.json", "adapter.json.history.csv",
+    "report_identity.txt", "ranks_identity.csv",
+    "report_adapter.txt", "ranks_adapter.csv",
+)
+
+
 def test_criterion_08_end_to_end_pipeline(capfd, tmp_path):
     with criterion(capfd, 8, "deterministic mock pipeline, adapter beats identity"):
         start = time.perf_counter()
@@ -358,18 +368,21 @@ def test_criterion_08_end_to_end_pipeline(capfd, tmp_path):
         metrics_b = _mock_pipeline(tmp_path / "run_b")
         assert metrics_a == metrics_b
         assert metrics_a["adapter"] > metrics_a["identity"]
-        artifacts = [
-            "synthesized.jsonl", "pairs.jsonl", "pairs.jsonl.rejects.jsonl",
-            "train_pairs.jsonl", "corpus.jsonl", "testset.jsonl",
-            "adapter.json", "adapter.json.history.csv",
-            "report_identity.txt", "ranks_identity.csv",
-            "report_adapter.txt", "ranks_adapter.csv",
-        ]
-        for name in artifacts:
+        for name in _PIPELINE_ARTIFACTS:
             bytes_a = (tmp_path / "run_a" / name).read_bytes()
             bytes_b = (tmp_path / "run_b" / name).read_bytes()
             assert bytes_a == bytes_b, f"{name} differs between runs"
         assert time.perf_counter() - start < 60.0
+
+
+def test_pipeline_artifacts_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    digests = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        _mock_pipeline(tmp_path / threads)
+        digests[threads] = [hashlib.sha256((tmp_path / threads / name).read_bytes()).hexdigest()
+                            for name in _PIPELINE_ARTIFACTS]
+    assert digests["1"] == digests["2"]
 
 
 def test_criterion_09_classification_benchmark(capfd):

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cmdsim import clustering
+from cmdsim import clustering, embedding
 from cmdsim.clustering import (
     NEGATIVES_BLOCK,
     NEGATIVES_MIN_QUERIES,
-    NEGATIVES_SLICE,
     NOISE,
     TILE,
     ClusterLabeling,
@@ -21,7 +20,7 @@ from cmdsim.clustering import (
     query_blocks,
     _neighbour_lists,
 )
-from cmdsim.embedding import HashingEmbeddingBackend, embed_batch
+from cmdsim.embedding import NEGATIVES_SLICE, HashingEmbeddingBackend, embed_batch, similarities
 
 from oracles import (
     clustered_unit_vectors,
@@ -243,14 +242,14 @@ class TestMineNegatives:
     def test_query_blocks_leave_no_lone_query(self):
         # The blocks tile range(count) in order, each of the step of
         # max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count) queries but
-        # the last, which takes 2 to step + 1; none holds a lone query.
+        # the last, which takes 1 to step.
         for count in range(2, 5001):
             step = max(NEGATIVES_MIN_QUERIES, NEGATIVES_BLOCK // count)
             blocks = query_blocks(count)
             assert blocks[0].start == 0 and blocks[-1].stop == count
             assert all(a.stop == b.start and b.step == 1 for a, b in zip(blocks, blocks[1:]))
             assert {len(block) for block in blocks[:-1]} <= {step}
-            assert 2 <= len(blocks[-1]) <= step + 1
+            assert 1 <= len(blocks[-1]) <= step
         assert query_blocks(1) == [range(1)]
 
     def test_matches_full_sort_oracle(self):
@@ -300,7 +299,9 @@ class TestMineNegatives:
 
     def test_tie_heavy_corpus_matches_sort_of_computed_vector(self):
         # Few distinct texts, so every query has long runs of exactly
-        # equal similarities for the tie rule to order.
+        # equal similarities for the tie rule to order.  A lone query's
+        # similarities are the helper's doubled-operand product, which
+        # rounds unlike numpy's matrix-vector product.
         rng = np.random.default_rng(29)
         distinct = [f"copies archive {i % 7} onto share {i % 5} nightly" for i in range(25)]
         texts = [distinct[int(rng.integers(len(distinct)))] for _ in range(300)]
@@ -309,7 +310,7 @@ class TestMineNegatives:
         for _ in range(40):
             query = int(rng.integers(count))
             positive = int(rng.integers(count)) if rng.random() < 0.7 else None
-            sims = matrix @ matrix[query]
+            sims = similarities(matrix, matrix[[query]])[0]
             candidates = [i for i in range(count) if i not in (query, positive)]
             reference = sorted(candidates, key=lambda i: (sims[i], i))
             # n = p puts the cut between two equal similarities.
@@ -347,7 +348,7 @@ class TestMineNegatives:
         # matrix[s] @ matrix[block].T over slices s of the corpus (one
         # slice, or three).  Few distinct texts give long runs of equal
         # similarities, and n sits at a tie as well as off one.
-        monkeypatch.setattr(clustering, "NEGATIVES_SLICE", slice_rows)
+        monkeypatch.setattr(embedding, "NEGATIVES_SLICE", slice_rows)
         rng = np.random.default_rng(37 + size)
         distinct = [f"copies archive {i % 7} onto share {i % 5} nightly" for i in range(25)]
         texts = [distinct[int(rng.integers(len(distinct)))] for _ in range(300)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cmdsim.embedding import (
     DEFAULT_DIM,
     HASH_SLICE,
+    NEGATIVES_SLICE,
     NORMALIZE_ROWS,
     EmbeddingCache,
     EmbeddingIntegrityError,
@@ -17,11 +18,12 @@ from cmdsim.embedding import (
     HashingEmbeddingBackend,
     RemoteEmbeddingBackend,
     embed_batch,
+    similarities,
     unit_normalize,
 )
 from cmdsim.gateway import ConfigurationError, ProviderError, TransportError
 
-from conftest import ScriptedPost, reply
+from conftest import ScriptedPost, outputs_under_blas_threads, reply
 from oracles import hash3_embed
 
 texts_strategy = st.text(min_size=1, max_size=40).filter(lambda s: s.strip())
@@ -59,6 +61,53 @@ class TestUnitNormalize:
         rows[NORMALIZE_ROWS + 1] = 0.0
         with pytest.raises(EmbeddingIntegrityError):
             unit_normalize(rows, in_place=True)
+
+
+# (rows, width) of random unit rows.  On OpenBLAS 0.3.31, a 2-core host,
+# the sliced matrix-vector product of one random query changed bits
+# between 1 and 2 threads at seven of these nine shapes.
+PROBE_SHAPES = ((361, 1536), (801, 1536), (1001, 768), (1001, 1536), (1601, 1536),
+                (5003, 768), (5003, 1536), (801, 768), (3900, 256))
+
+_SIMILARITIES_DIGESTS = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from cmdsim.embedding import similarities, unit_normalize
+out = Path(sys.argv[2])
+out.mkdir()
+lines = []
+for rows, dim in SHAPES:
+    rng = np.random.default_rng(rows * dim)
+    corpus = unit_normalize(rng.standard_normal((rows, dim)))
+    for count in (1, 2):
+        scores = similarities(corpus, unit_normalize(rng.standard_normal((count, dim))))
+        lines.append(f"{rows} {dim} {count} {hashlib.sha256(scores.tobytes()).hexdigest()}\\n")
+(out / "digests.txt").write_text("".join(lines))
+"""
+
+
+class TestSimilarities:
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_slices_of_the_corpus_times_the_queries(self, count):
+        # Three slices, the last one short.  A lone query is one column of
+        # its C-contiguous doubled operand.
+        rng = np.random.default_rng(count)
+        corpus = unit_normalize(rng.standard_normal((2 * NEGATIVES_SLICE + 7, 24)))
+        queries = unit_normalize(rng.standard_normal((count, 24))) if count else np.empty((0, 24))
+        columns = np.repeat(queries.T, 2, axis=1) if count == 1 else queries.T
+        expected = np.concatenate([corpus[top:top + NEGATIVES_SLICE] @ columns
+                                   for top in range(0, len(corpus), NEGATIVES_SLICE)]).T[:count]
+        scores = similarities(corpus, queries)
+        assert scores.shape == (count, len(corpus)) and scores.flags.c_contiguous
+        assert scores.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(scores, queries @ corpus.T, rtol=0, atol=1e-14)
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        code = f"SHAPES = {PROBE_SHAPES!r}\n{_SIMILARITIES_DIGESTS}"
+        written = outputs_under_blas_threads(tmp_path, ["-c", code], "digests.txt")
+        assert written["1"].count(b"\n") == 2 * len(PROBE_SHAPES)
+        assert written["1"] == written["2"]
 
 
 class TestHashingBackend:
