@@ -80,15 +80,14 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
     Empty input yields an empty labeling.  Cluster ids are assigned in
     discovery order.  A row with a NaN or infinite value is an error.
 
-    Row i's neighbours are ``np.flatnonzero(matrix @ matrix[i] >= 1 - eps)``,
-    but all lists are built up front by ``_neighbour_lists``: one pass
-    over the tiles of ``matrix @ matrix.T`` on or above the diagonal
-    (about n^2 d / 2 multiply-adds), plus one mat-vec per row that has a
-    tile entry inside the rounding band around ``1 - eps``.  Outside the
-    band a tile entry and the row's mat-vec entry are on the same side
-    of the threshold, and band rows are recomputed by that very mat-vec,
-    so the lists do not depend on how BLAS blocks or rounds.  Extra
-    memory is O(tile^2 + neighbour pairs).
+    Row i's neighbours are ``np.flatnonzero(similarities(matrix, matrix[[i]])[0]
+    >= 1 - eps)``, but all lists are built up front by ``_neighbour_lists``:
+    one pass over the tiles of ``matrix @ matrix.T`` on or above the
+    diagonal (about n^2 d / 2 multiply-adds), plus that ``similarities`` row
+    for each point with a tile entry inside the rounding band around
+    ``1 - eps``.  Outside the band a tile entry and the point's row are on
+    the same side of the threshold, so the lists depend on the BLAS build
+    but not on its thread count.  Extra memory is O(tile^2 + neighbour pairs).
     """
     matrix = np.asarray(vectors, dtype=np.float64)
     if matrix.size == 0:
@@ -135,15 +134,15 @@ def _neighbour_lists(matrix: np.ndarray, threshold: float) -> tuple[np.ndarray, 
     """Every row's inclusive neighbour list, as CSR, and the band row count.
 
     Row i's list is ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
-    equals ``np.flatnonzero(matrix @ matrix[i] >= threshold)``.
+    equals ``np.flatnonzero(similarities(matrix, matrix[[i]])[0] >= threshold)``.
 
     Any computed dot product of rows i and j, whatever its summation
     order, is within gamma * |x_i| |x_j| <= gamma * max|x|^2 of the exact
     one (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so
-    a tile entry and either row's mat-vec entry differ by at most
+    a tile entry and either row's ``similarities`` entry differ by at most
     ``band``.  A tile entry further than that from the threshold is
-    classified as the mat-vec would; one within it marks its row and its
-    column, and each marked row is recomputed by the mat-vec.
+    classified as that row would classify it; one within it marks its row
+    and its column, and each marked row is recomputed by ``similarities``.
     """
     n, d = matrix.shape
     # gamma_{d+2} rather than gamma_d also covers the rounding of the
@@ -193,7 +192,7 @@ def _neighbour_lists(matrix: np.ndarray, threshold: float) -> tuple[np.ndarray, 
             recomputed += len(band_rows)
             pairs = np.concatenate([
                 pairs[~marked[pairs // n]],
-                *(i * n + np.flatnonzero(matrix @ matrix[i] >= threshold) for i in band_rows),
+                *(i * n + np.flatnonzero(similarities(matrix, matrix[[i]])[0] >= threshold) for i in band_rows),
             ])
         pairs.sort()
         indptr[top + 1:top + len(block) + 1] = np.bincount(pairs // n - top, minlength=len(block))

@@ -41,6 +41,11 @@ NORMALIZE_ROWS = 1024
 # rows: against one product over the whole corpus, 45 MB less peak
 # memory and half the time at N = 28,521, with the same bits there.
 NEGATIVES_SLICE = 1024
+# Corpus rows per group in similarities.  In a product whose row count is
+# not a multiple of 4, OpenBLAS 0.3.31 scored the last (rows mod 4) rows
+# with other kernels, which gave a vector other bits than its copies earlier
+# in the product; with whole groups, equal rows of one product score equal.
+ROW_GROUP = 8
 # A gram key packs three 21-bit code points; this one, above every code
 # point, pads the single gram of a 1-2 character text.
 _PAD = 0x1FFFFF
@@ -80,12 +85,19 @@ def similarities(corpus: np.ndarray, queries: np.ndarray) -> np.ndarray:
     NEGATIVES_SLICE corpus rows, a lone query repeated into a C-contiguous
     d x 2 operand, so their bits depend on the BLAS build but not on its
     thread count: a matrix-vector product, or the corpus as the column
-    side, changed bits with it (see README).
+    side, changed bits with it (see README).  A last slice that is not
+    whole ROW_GROUPs is copied and padded with zero rows, so equal corpus
+    rows within one slice get equal scores; callers that want no copy pass
+    whole groups.  A row's bits still depend on the size of its slice.
     """
     columns = np.repeat(queries.T, 2, axis=1) if len(queries) == 1 else queries.T
     scores = np.empty((len(queries), len(corpus)))
     for top in range(0, len(corpus), NEGATIVES_SLICE):
-        scores[:, top:top + NEGATIVES_SLICE] = (corpus[top:top + NEGATIVES_SLICE] @ columns).T[:len(queries)]
+        part = corpus[top:top + NEGATIVES_SLICE]
+        rows = len(part)
+        if rows % ROW_GROUP:
+            part = np.concatenate([part, np.zeros((-rows % ROW_GROUP, part.shape[1]))])
+        scores[:, top:top + rows] = (part @ columns).T[:len(queries), :rows]
     return scores
 
 
@@ -330,6 +342,11 @@ def embed_batch(
             hit = cache.get(backend.identity, text)
             if hit is None:
                 missing.append(text)
+            elif hit.shape != (backend.dim,):
+                raise EmbeddingIntegrityError(
+                    f"{cache.path}: cached row of {backend.identity} for {text!r} "
+                    f"has {hit.size} values, expected {backend.dim}"
+                )
             else:
                 out[i] = hit
             if looked % REMOTE_CHUNK == 0:

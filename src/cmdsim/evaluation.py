@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CommandLine, canonical_dedup_key
-from .embedding import EmbeddingCache, embed_batch, similarities
+from .embedding import ROW_GROUP, EmbeddingCache, embed_batch, similarities
 from .jsonl import read_records
 
 logger = logging.getLogger(__name__)
@@ -121,7 +121,11 @@ def evaluate_retrieval(
     """Cosine-score every case and aggregate MRR@K / Top@K per K.
 
     Each text is embedded once, in order of first appearance: query,
-    positive, then negatives, case by case.  ``adapter`` is a
+    positive, then negatives, case by case.  A case's positive and
+    negatives are scored in one :func:`~cmdsim.embedding.similarities`
+    product, the positive first, so a negative whose vector equals the
+    positive's ties it in a case of up to 1,023 negatives (one slice), and
+    ties count against the positive (:func:`rank_rows`).  ``adapter`` is a
     :class:`~cmdsim.contrastive.AdapterModel` (identity when None); one
     that records a backend identity other than ``backend.identity`` is
     refused before anything is embedded.
@@ -142,12 +146,13 @@ def evaluate_retrieval(
     row = np.empty(len(cases.texts), dtype=np.intp)
     row[embedded] = np.arange(len(embedded))
 
-    positive_scores = np.empty(len(cases))
-    negative_scores = np.full((len(cases), max(map(len, cases.negatives))), np.nan)
-    for i, ((query, positive), negatives) in enumerate(zip(row[cases.pairs], cases.negatives)):
-        positive_scores[i] = matrix[query] @ matrix[positive]
-        negative_scores[i, :len(negatives)] = similarities(matrix[row[negatives]], matrix[query][None])[0]
-    ranks = rank_rows(positive_scores, negative_scores).tolist()
+    scores = np.full((len(cases), 1 + max(map(len, cases.negatives))), np.nan)
+    for i, ((query, positive), negatives) in enumerate(zip(cases.pairs, cases.negatives)):
+        # Copies of the positive pad the rows to whole groups, so similarities copies nothing.
+        count = 1 + len(negatives)
+        candidates = row[np.concatenate([[positive], negatives, np.full(-count % ROW_GROUP, positive)])]
+        scores[i, :count] = similarities(matrix[candidates], matrix[row[[query]]])[0, :count]
+    ranks = rank_rows(scores[:, 0], scores[:, 1:]).tolist()
     metrics: dict[str, float] = {}
     for k in ks:
         metrics[f"mrr@{k}"] = mrr_at_k(ranks, k)

@@ -17,7 +17,7 @@ import pytest
 
 from cmdsim import analytics, cli, clustering, evaluation
 from cmdsim.contrastive import AdapterModel, TrainConfig
-from cmdsim.embedding import DEFAULT_DIM, HashingEmbeddingBackend, embed_batch, unit_normalize
+from cmdsim.embedding import DEFAULT_DIM, HashingEmbeddingBackend, embed_batch, similarities, unit_normalize
 from cmdsim.gateway import MOCK_FLAG_SYNONYMS, MOCK_TARGETS, MOCK_VERB_SYNONYMS
 from cmdsim.synthesis import SynthesisConfig
 
@@ -344,6 +344,20 @@ def explanation_records() -> list[dict]:
     ]
 
 
+# ``cluster dedup`` of INPUT at each eps of EPS, at width 768 and min_pts 2;
+# the testsets are joined into one file of the directory in sys.argv[2].
+_DEDUP_SWEEP = """
+import sys
+from pathlib import Path
+from cmdsim import cli
+out = Path(sys.argv[2])
+for k, eps in enumerate(EPS):
+    assert cli.run(["cluster", "dedup", "--in", INPUT, "--eps", repr(eps), "--min-pts", "2",
+                    "--dim", "768", "--out", f"testset{k}.jsonl", "--output-dir", str(out)]) == 0
+(out / "testset.jsonl").write_bytes(b"".join((out / f"testset{k}.jsonl").read_bytes() for k in range(len(EPS))))
+"""
+
+
 class TestClusterStages:
     def test_dedup_keeps_two_per_duplicate_group(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
@@ -493,6 +507,32 @@ class TestClusterStages:
         # 768-wide rows ordered its negatives differently under 1 and 2
         # threads.
         written = self.negatives_under_threads(tmp_path, 801, 768, 1)
+        assert written["1"] == written["2"]
+
+    def test_dedup_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 1,001 explanations of width 768, a shape where one matrix-vector
+        # product per row changed bits with the thread count, at its last
+        # row among others.  Rows 0 and 1 are near copies; row 1,000 is the
+        # planted pair's other end, and is dropped from their cluster exactly
+        # when the pair is within eps.  The sweep puts the pair's similarity
+        # at the threshold 1 - eps and up to 8 ulps either side of it, so
+        # every rounding of the pair's band row lands on both sides.
+        rng = random.Random(0)
+        anchor = "creates a scheduled task named updater that runs a powershell script at every logon of any user"
+        explanations = [anchor, f"{anchor} now"]
+        explanations += ["reads " + "".join(rng.choices("abcdefghijklmnopqrstuvwxyz ", k=60)) for _ in range(998)]
+        explanations.append(anchor.replace("scheduled task named updater", "service called updater"))
+        input_path = write_jsonl(tmp_path / "explained.jsonl", [{"explanation": text} for text in explanations])
+        matrix = embed_batch(HashingEmbeddingBackend(768), explanations)
+        thresholds = [similarities(matrix, matrix[[0]])[0, -1]]
+        for toward in (0.0, 2.0) * 8:
+            thresholds.append(np.nextafter(thresholds[-2 if len(thresholds) > 1 else -1], toward))
+        eps = [float(1.0 - threshold) for threshold in thresholds]
+        assert [1.0 - e for e in eps] == thresholds and len(set(eps)) == 17
+        code = f"INPUT = {str(input_path)!r}\nEPS = {eps!r}\n{_DEDUP_SWEEP}"
+        written = outputs_under_blas_threads(tmp_path, ["-c", code], "testset.jsonl")
+        # Each outcome happens: 1,000 or 1,001 records survive each run.
+        assert 17 * 1000 < written["1"].count(b"\n") < 17 * 1001
         assert written["1"] == written["2"]
 
     @pytest.mark.parametrize(("n", "positive", "message"), [
@@ -818,6 +858,36 @@ class TestEvalRetrievalCli:
                         "--adapter", str(adapter_path), "--dim", "64", "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {adapter_path}: not an adapter checkpoint: ")
+
+    @pytest.mark.parametrize("adapter", [False, True])
+    def test_negative_equal_to_the_positive_ties_it(self, tmp_path, adapter):
+        # hash3 embeds the canonical form, so a negative that differs from the
+        # positive only in case and spacing has the positive's vector.  It ties
+        # the positive wherever it sits, and the tie counts against the
+        # positive.  Case c has 1 + c negatives with the twin last, so the
+        # twin takes every position up to the ninth candidate; the last case
+        # puts it first.  A dot product for the positive, or the last
+        # candidates % 4 rows of an unpadded product, scored these vectors
+        # other bits, and ranked some cases 1.
+        query = "z: copy -enc /y wmic updater wmic"
+        positive = f"{query} /persistent:yes"
+        twin = "Z:  COPY  -ENC  /Y  WMIC  UPDATER  WMIC  /PERSISTENT:YES"
+        corpus = write_jsonl(tmp_path / "corpus.jsonl",
+                             [{"text": text} for text in [twin, *mock_vocab_commands(8)]])
+        negatives = [[*range(1, 1 + c), 0] for c in range(9)] + [list(range(9))]
+        testset = write_jsonl(tmp_path / "testset.jsonl", [
+            {"query": query, "positive": positive, "negative_ids": ids} for ids in negatives
+        ])
+        argv = ["eval", "retrieval", "--testset", str(testset), "--corpus", str(corpus),
+                "--dim", "256", "--output-dir", str(tmp_path / "out")]
+        if adapter:
+            weights = np.random.default_rng(5).standard_normal((256, 256))
+            AdapterModel(weights, backend_identity="hash3-256").save(tmp_path / "adapter.json")
+            argv += ["--adapter", str(tmp_path / "adapter.json")]
+        assert cli.run(argv) == 0
+        with open(tmp_path / "out" / "retrieval_ranks.csv", encoding="utf-8") as handle:
+            ranks = [int(rank) for _, rank in list(csv.reader(handle))[1:]]
+        assert ranks == [2] * len(negatives)
 
     def test_sidecar_records_the_adapter_digest_not_its_path(self, tmp_path):
         corpus, testset = self.build_inputs(tmp_path)

@@ -109,15 +109,16 @@ class TestDbscan:
             assert ours.num_clusters == reference_count
 
 
-def matvec_neighbour_lists(matrix: np.ndarray, eps: float) -> list[list[int]]:
-    """The reference lists: one mat-vec per row, inclusive radius."""
-    return [np.flatnonzero(matrix @ matrix[i] >= 1.0 - eps).tolist() for i in range(len(matrix))]
+def per_row_neighbour_lists(matrix: np.ndarray, eps: float) -> list[list[int]]:
+    """The reference lists: one ``similarities`` row per point, inclusive radius."""
+    return [np.flatnonzero(similarities(matrix, matrix[[i]])[0] >= 1.0 - eps).tolist()
+            for i in range(len(matrix))]
 
 
-def assert_matches_matvec_reference(matrix: np.ndarray, eps: float, min_pts: int) -> int:
+def assert_matches_per_row_reference(matrix: np.ndarray, eps: float, min_pts: int) -> int:
     """Check the tiled lists and the labeling against the per-row
-    mat-vec reference; returns the number of rows recomputed."""
-    reference = matvec_neighbour_lists(matrix, eps)
+    ``similarities`` reference; returns the number of rows recomputed."""
+    reference = per_row_neighbour_lists(matrix, eps)
     indptr, indices, recomputed = _neighbour_lists(matrix, 1.0 - eps)
     assert indices.dtype == np.int32
     assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(matrix))] == reference
@@ -133,7 +134,7 @@ class TestDbscanTiles:
     @pytest.mark.parametrize("eps", [0.05, 0.2])
     def test_tile_edges_and_mirror(self, n, eps):
         rng = np.random.default_rng(n)
-        assert_matches_matvec_reference(clustered_unit_vectors(rng, n, 6), eps, min_pts=3)
+        assert_matches_per_row_reference(clustered_unit_vectors(rng, n, 6), eps, min_pts=3)
 
     def test_exact_duplicates_across_tiles(self):
         rng = np.random.default_rng(11)
@@ -142,8 +143,8 @@ class TestDbscanTiles:
         # repeats row i across an off-diagonal tile.
         matrix[10:20] = matrix[:10]
         matrix[TILE:2 * TILE] = matrix[:TILE]
-        assert_matches_matvec_reference(matrix, 0.05, min_pts=2)
-        assert_matches_matvec_reference(matrix, 1e-12, min_pts=2)
+        assert_matches_per_row_reference(matrix, 0.05, min_pts=2)
+        assert_matches_per_row_reference(matrix, 1e-12, min_pts=2)
 
     @pytest.mark.parametrize("j", [6, TILE + 40])
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
@@ -152,7 +153,7 @@ class TestDbscanTiles:
         matrix = clustered_unit_vectors(rng, TILE + 60, 16)
         matrix[j] = matrix[5] + 0.3 * rng.normal(size=16)
         matrix[j] /= np.linalg.norm(matrix[j])
-        similarity = (matrix @ matrix[5])[j]
+        similarity = similarities(matrix, matrix[[5]])[0, j]
         assert 0.5 <= similarity < 1.0
         # 1 - s is exact for s in [0.5, 1], so the threshold 1 - eps is
         # the computed similarity itself, or one ulp away from it.
@@ -161,9 +162,9 @@ class TestDbscanTiles:
             threshold = np.nextafter(threshold, 2.0 if ulps > 0 else 0.0)
         eps = 1.0 - threshold
         assert 1.0 - eps == threshold
-        assert (j in matvec_neighbour_lists(matrix, eps)[5]) == (ulps <= 0)
+        assert (j in per_row_neighbour_lists(matrix, eps)[5]) == (ulps <= 0)
         # Exactly rows 5 and j: for j in another tile, j is marked as a column.
-        assert assert_matches_matvec_reference(matrix, eps, min_pts=2) == 2
+        assert assert_matches_per_row_reference(matrix, eps, min_pts=2) == 2
 
     @pytest.mark.parametrize("min_pts", [1, 2, 3, 5])
     def test_chains_border_points_and_noise_starts(self, min_pts):
@@ -175,7 +176,7 @@ class TestDbscanTiles:
             rng = np.random.default_rng(seed)
             angles = rng.uniform(0.0, 3.0, size=60)
             matrix = np.column_stack([np.cos(angles), np.sin(angles)])
-            assert_matches_matvec_reference(matrix, 1.0 - np.cos(0.06), min_pts)
+            assert_matches_per_row_reference(matrix, 1.0 - np.cos(0.06), min_pts)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_underflowing_and_overflowing_rows(self, scale):
@@ -185,7 +186,7 @@ class TestDbscanTiles:
         matrix = scale * np.vstack([clustered_unit_vectors(rng, 40, 4), [[1.0, -1.0, 0.0, 0.0]] * 3])
         with np.errstate(over="ignore", invalid="ignore"):
             for eps in (0.5, 1.0, 1.5):
-                assert_matches_matvec_reference(matrix, eps, min_pts=2)
+                assert_matches_per_row_reference(matrix, eps, min_pts=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmdsim import cli
 from cmdsim.embedding import (
     DEFAULT_DIM,
     HASH_SLICE,
@@ -15,6 +16,7 @@ from cmdsim.embedding import (
     EmbeddingCache,
     EmbeddingIntegrityError,
     REMOTE_CHUNK,
+    ROW_GROUP,
     HashingEmbeddingBackend,
     RemoteEmbeddingBackend,
     embed_batch,
@@ -90,18 +92,34 @@ for rows, dim in SHAPES:
 class TestSimilarities:
     @pytest.mark.parametrize("count", [0, 1, 2, 5])
     def test_slices_of_the_corpus_times_the_queries(self, count):
-        # Three slices, the last one short.  A lone query is one column of
-        # its C-contiguous doubled operand.
+        # Three slices, the last one short and padded with zero rows to a
+        # whole row group.  A lone query is one column of its C-contiguous
+        # doubled operand.
         rng = np.random.default_rng(count)
         corpus = unit_normalize(rng.standard_normal((2 * NEGATIVES_SLICE + 7, 24)))
         queries = unit_normalize(rng.standard_normal((count, 24))) if count else np.empty((0, 24))
         columns = np.repeat(queries.T, 2, axis=1) if count == 1 else queries.T
-        expected = np.concatenate([corpus[top:top + NEGATIVES_SLICE] @ columns
-                                   for top in range(0, len(corpus), NEGATIVES_SLICE)]).T[:count]
+        parts = [corpus[top:top + NEGATIVES_SLICE] for top in range(0, len(corpus), NEGATIVES_SLICE)]
+        parts[-1] = np.concatenate([parts[-1], np.zeros((ROW_GROUP - 7, 24))])
+        expected = np.concatenate([part @ columns for part in parts])[:len(corpus)].T[:count]
         scores = similarities(corpus, queries)
         assert scores.shape == (count, len(corpus)) and scores.flags.c_contiguous
         assert scores.tobytes() == expected.tobytes()
         np.testing.assert_allclose(scores, queries @ corpus.T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rows", [1, 5, 9, 51, 1001, 1023])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_equal_rows_of_one_slice_score_equal(self, rows, count):
+        # Unpadded, the last rows % 4 rows of a product went through other
+        # kernels and could score a vector other bits than its copies
+        # earlier in the product.
+        rng = np.random.default_rng(rows * count)
+        for dim in (16, 64, 256, 768):
+            corpus = unit_normalize(rng.standard_normal((rows, dim)))
+            corpus[::2] = corpus[0]
+            corpus[-1] = corpus[0]
+            scores = similarities(corpus, unit_normalize(rng.standard_normal((count, dim))))
+            assert (scores[:, ::2] == scores[:, :1]).all() and (scores[:, -1] == scores[:, 0]).all()
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         code = f"SHAPES = {PROBE_SHAPES!r}\n{_SIMILARITIES_DIGESTS}"
@@ -454,6 +472,22 @@ class TestEmbeddingCache:
         assert cached_texts(reloaded, backend.identity, texts) == texts
         assert reloaded.get(backend.identity, "net start").tobytes() == again[1].tobytes()
         assert _rows_path(path).read_bytes() == vectors.tobytes() + again[1].tobytes()
+
+    def test_row_of_another_width_names_the_file(self, tmp_path, capsys):
+        # The line is well formed, so the cache loads; only the backend knows
+        # that hash3-256 rows hold 256 values.
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"identity": "hash3-256", "dim": 128, "offset": 0, "texts": ["net user"]}\n',
+                        encoding="utf-8")
+        _rows_path(path).write_bytes(np.full(128, 128**-0.5).tobytes())
+        message = "cache.jsonl: cached row of hash3-256 for 'net user' has 128 values, expected 256"
+        with pytest.raises(EmbeddingIntegrityError, match=message):
+            embed_batch(HashingEmbeddingBackend(256), ["net view", "net user"], EmbeddingCache(path))
+        texts = tmp_path / "texts.jsonl"
+        texts.write_text('{"text": "net user"}\n', encoding="utf-8")
+        assert cli.run(["embed", "--in", str(texts), "--cache", str(path),
+                        "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message[len('cache.jsonl: '):]}\n"
 
     def test_old_format_names_the_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
