@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dedup_p = _add_stage(cluster_sub, "cluster.dedup", "deduplicate by explanation clusters", cmd_cluster_dbscan, backend=True)
     dedup_p.add_argument("--in", dest="input", required=True, help="explanations JSONL ({text, explanation})")
-    dedup_p.add_argument("--keep", type=int, default=2, help="entries kept per cluster (default %(default)s)")
+    dedup_p.add_argument("--keep", type=_int_at_least(1), default=2, help="entries kept per cluster (default %(default)s)")
     dedup_p.add_argument("--out", default="testset.jsonl", help="surviving records JSONL (default %(default)s)")
 
     negatives_p = _add_stage(cluster_sub, "cluster.negatives", "mine least-similar negatives", cmd_cluster_negatives, backend=True)

@@ -23,8 +23,8 @@ from .embedding import similarities
 
 logger = logging.getLogger(__name__)
 
-# Edge of the square tiles of matrix @ matrix.T that dbscan computes: a
-# 256 x 256 float64 tile is 512 KiB, and BLAS runs near full speed on it.
+# Edge of the square similarity tiles that dbscan computes: a 256 x 256
+# float64 tile is 512 KiB, and BLAS runs near full speed on it.
 TILE = 256
 
 # Similarities per mine_negatives call that callers aim for: 2**15
@@ -80,14 +80,13 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
     Empty input yields an empty labeling.  Cluster ids are assigned in
     discovery order.  A row with a NaN or infinite value is an error.
 
-    Row i's neighbours are ``np.flatnonzero(similarities(matrix, matrix[[i]])[0]
-    >= 1 - eps)``, but all lists are built up front by ``_neighbour_lists``:
-    one pass over the tiles of ``matrix @ matrix.T`` on or above the
-    diagonal (about n^2 d / 2 multiply-adds), plus that ``similarities`` row
-    for each point with a tile entry inside the rounding band around
-    ``1 - eps``.  Outside the band a tile entry and the point's row are on
-    the same side of the threshold, so the lists depend on the BLAS build
-    but not on its thread count.  Extra memory is O(tile^2 + neighbour pairs).
+    All neighbour lists are built up front by ``_neighbour_lists``, one
+    pass over the ``similarities`` tiles of the matrix on or above the
+    diagonal (about n^2 d / 2 multiply-adds).  Rows i <= j are neighbours
+    when the entry of i's row and j's column in the tile that holds it is
+    >= 1 - eps, so the lists are symmetric, as DBSCAN assumes, and depend on
+    the BLAS build but not on its thread count.  Extra memory is
+    O(tile^2 + neighbour pairs).
     """
     matrix = np.asarray(vectors, dtype=np.float64)
     if matrix.size == 0:
@@ -98,7 +97,7 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} has a non-finite value")
     n = matrix.shape[0]
-    indptr, indices, recomputed = _neighbour_lists(matrix, 1.0 - params.eps)
+    indptr, indices = _neighbour_lists(matrix, 1.0 - params.eps)
     # Only core points expand, and a point outside every cluster so far
     # joins the first cluster that reaches it, so claiming it there, once,
     # gives the labels of the textbook FIFO, whose later copies of a point
@@ -123,81 +122,48 @@ def dbscan(vectors: np.ndarray, params: DbscanParams) -> ClusterLabeling:
                     if core[j]:
                         queue.append(j)
     logger.info(
-        "dbscan: %d points, %d clusters, %d noise, %d neighbour pairs, "
-        "%d rows recomputed in the band",
-        n, next_cluster, labels.count(NOISE), len(indices), recomputed,
+        "dbscan: %d points, %d clusters, %d noise, %d neighbour pairs",
+        n, next_cluster, labels.count(NOISE), len(indices),
     )
     return ClusterLabeling(labels=tuple(labels), num_clusters=next_cluster)
 
 
-def _neighbour_lists(matrix: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every row's inclusive neighbour list, as CSR, and the band row count.
+def _neighbour_lists(matrix: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's inclusive neighbour list, as CSR.
 
-    Row i's list is ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
-    equals ``np.flatnonzero(similarities(matrix, matrix[[i]])[0] >= threshold)``.
-
-    Any computed dot product of rows i and j, whatever its summation
-    order, is within gamma * |x_i| |x_j| <= gamma * max|x|^2 of the exact
-    one (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so
-    a tile entry and either row's ``similarities`` entry differ by at most
-    ``band``.  A tile entry further than that from the threshold is
-    classified as that row would classify it; one within it marks its row
-    and its column, and each marked row is recomputed by ``similarities``.
+    Row i's list is ``indices[indptr[i]:indptr[i + 1]]``, ascending.  Rows
+    i <= j, in tiles starting at rows ``top`` and ``left``, are neighbours
+    when entry (i - top, j - left) of ``similarities(matrix[left:left +
+    TILE], matrix[top:top + TILE])`` is >= threshold.  One entry decides
+    each pair, so the lists are symmetric.
     """
-    n, d = matrix.shape
-    # gamma_{d+2} rather than gamma_d also covers the rounding of the
-    # squared norms and of the band itself; the last term covers
-    # products that underflow.
-    rounding = (d + 2) * 2.0**-53
-    gamma = rounding / (1.0 - rounding)
-    max_norm_sq = float(np.einsum("ij,ij->i", matrix, matrix).max())
-    band = 2.0 * gamma * max_norm_sq + 2.0 * d * np.finfo(np.float64).smallest_subnormal
-    # A double compares with the rounded low or high as with the exact value.
-    low, high = threshold - band, threshold + band
-    buffer = np.empty(TILE * TILE)
-    marked = np.zeros(n, dtype=bool)
+    n = matrix.shape[0]
     # Pair (i, j) is the key i * n + j, kept in the bucket of i's row
     # block, so sorting a bucket puts its lists in row order, each
     # ascending.
     buckets: list[list[np.ndarray]] = [[] for _ in range(0, n, TILE)]
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices: list[np.ndarray] = []
-    recomputed = 0
     for top in range(0, n, TILE):
         block = matrix[top:top + TILE]
         for left in range(top, n, TILE):
             other = matrix[left:left + TILE]
-            tile = buffer[: len(block) * len(other)].reshape(len(block), len(other))
-            np.matmul(block, other.T, out=tile)
-            # Entries below low are out for the mat-vec too, so only the
-            # rest are looked at.  NaN, from products that overflow, is
-            # looked at and lands in the band.
-            candidates = np.flatnonzero(~(tile < low))
-            values = tile.ravel()[candidates]
-            r, c = np.divmod(candidates, len(other))
-            near = ~(values > high)
-            marked[top + r[near]] = True
-            marked[left + c[near]] = True
-            hit = values >= threshold
-            r, c = top + r[hit], left + c[hit]
+            hits = similarities(other, block) >= threshold
+            if left == top:
+                hits = np.triu(hits)
+            r, c = np.divmod(np.flatnonzero(hits), len(other))
+            r, c = top + r, left + c
+            mirror = r != c
             buckets[top // TILE].append(r * n + c)
-            if left != top:
-                buckets[left // TILE].append(c * n + r)
+            buckets[left // TILE].append(c[mirror] * n + r[mirror])
         # Every tile that holds a row of this block is done, so the
-        # block's lists and marks are final.
+        # block's lists are final.
         pairs = np.concatenate(buckets[top // TILE])
         buckets[top // TILE] = []
-        band_rows = top + np.flatnonzero(marked[top:top + len(block)])
-        if len(band_rows):
-            recomputed += len(band_rows)
-            pairs = np.concatenate([
-                pairs[~marked[pairs // n]],
-                *(i * n + np.flatnonzero(similarities(matrix, matrix[[i]])[0] >= threshold) for i in band_rows),
-            ])
         pairs.sort()
         indptr[top + 1:top + len(block) + 1] = np.bincount(pairs // n - top, minlength=len(block))
         indices.append(np.remainder(pairs, n, out=pairs).astype(np.int32))
-    return np.cumsum(indptr), np.concatenate(indices), recomputed
+    return np.cumsum(indptr), np.concatenate(indices)
 
 
 def dedup_by_clusters(

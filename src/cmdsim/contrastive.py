@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CommandLinePair
-from .embedding import EmbeddingCache, embed_batch, unit_normalize
+from .embedding import EmbeddingCache, embed_batch, similarities, unit_normalize
 from .evaluation import _softmax_rows, mrr_at_k, rank_rows
 from .jsonl import _replacing
 
@@ -38,6 +38,11 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Validation anchors per similarities product: 256 anchors over 1,000
+# positives hold 4 MB of scores and their transposed copy at once, where
+# one product of all 1,000 held 16 MB.
+VALIDATION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -190,10 +195,15 @@ def _validation_mrr3(
     anchor_base: np.ndarray,
     positive_base: np.ndarray,
 ) -> float:
-    sims = adapter.transform(anchor_base) @ adapter.transform(positive_base).T
-    positives = sims.diagonal().copy()
-    np.fill_diagonal(sims, np.nan)  # a row's other positives are its negatives
-    return mrr_at_k(rank_rows(positives, sims).tolist(), 3)
+    anchors, positives = adapter.transform(anchor_base), adapter.transform(positive_base)
+    ranks: list[int] = []
+    for top in range(0, len(anchors), VALIDATION_BLOCK):
+        sims = similarities(positives, anchors[top:top + VALIDATION_BLOCK])
+        rows = np.arange(len(sims))
+        own = sims[rows, top + rows]
+        sims[rows, top + rows] = np.nan  # a row's other positives are its negatives
+        ranks += rank_rows(own, sims).tolist()
+    return mrr_at_k(ranks, 3)
 
 
 def train(

@@ -255,6 +255,10 @@ class EmbeddingCache:
             try:
                 batch = json.loads(line)
                 identity, dim, offset, texts = (batch[k] for k in ("identity", "dim", "offset", "texts"))
+                # type(), not isinstance(): a JSON true is an int to Python.
+                if not (type(identity) is str and type(dim) is int and type(offset) is int
+                        and type(texts) is list and all(type(text) is str for text in texts)):
+                    raise ValueError("identity, dim, offset or texts has the wrong type")
                 if offset != self._values:
                     raise ValueError(f"batch starts at value {offset}, not {self._values}")
                 if not dim > 0:

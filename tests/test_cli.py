@@ -516,7 +516,7 @@ class TestClusterStages:
         # planted pair's other end, and is dropped from their cluster exactly
         # when the pair is within eps.  The sweep puts the pair's similarity
         # at the threshold 1 - eps and up to 8 ulps either side of it, so
-        # every rounding of the pair's band row lands on both sides.
+        # every rounding of the pair's tile entry lands on both sides.
         rng = random.Random(0)
         anchor = "creates a scheduled task named updater that runs a powershell script at every logon of any user"
         explanations = [anchor, f"{anchor} now"]
@@ -586,6 +586,21 @@ class TestClusterStages:
         assert code == 1
         assert "n must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep", ["0", "-2"])
+    def test_dedup_refuses_keep_below_one_before_embedding(self, tmp_path, capsys, keep):
+        # From --config the stage exits 1; as a flag, argparse refuses it with its usual 2.
+        input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
+        out_dir = tmp_path / "out"
+        config = tmp_path / "config.ini"
+        config.write_text(f"[cluster.dedup]\nkeep = {keep}\n", encoding="utf-8")
+        base = ["cluster", "dedup", "--in", str(input_path), "--dim", "64",
+                "--cache", "c.jsonl", "--output-dir", str(out_dir)]
+        assert cli.run([*base, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: config file {config}: [cluster.dedup] keep: must be >= 1, got {keep}\n"
+        assert cli.run([*base, f"--keep={keep}"]) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --keep: must be >= 1, got {keep}\n")
+        assert not out_dir.exists()
+
     def test_each_run_logs_at_its_own_level(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "explained.jsonl", explanation_records())
         argv = ["cluster", "dedup", "--in", str(input_path), "--eps", "0.05", "--min-pts", "2",
@@ -598,7 +613,7 @@ class TestClusterStages:
         assert info_lines[0] == info_lines[2] == []
         assert info_lines[1] == [
             "INFO cmdsim.clustering: dbscan: 9 points, 2 clusters, 2 noise, "
-            "27 neighbour pairs, 0 rows recomputed in the band"
+            "27 neighbour pairs"
         ]
 
     @pytest.mark.parametrize("stage", ["dedup", "coverage"])

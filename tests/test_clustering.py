@@ -109,24 +109,35 @@ class TestDbscan:
             assert ours.num_clusters == reference_count
 
 
-def per_row_neighbour_lists(matrix: np.ndarray, eps: float) -> list[list[int]]:
-    """The reference lists: one ``similarities`` row per point, inclusive radius."""
-    return [np.flatnonzero(similarities(matrix, matrix[[i]])[0] >= 1.0 - eps).tolist()
-            for i in range(len(matrix))]
+def tile_neighbour_lists(matrix: np.ndarray, threshold: float) -> list[list[int]]:
+    """The reference lists, inclusive radius: a dense adjacency of the
+    ``similarities`` entry of each (i's tile, j's tile) pair with i <= j,
+    mirrored below the diagonal."""
+    n = len(matrix)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for top in range(0, n, TILE):
+        for left in range(top, n, TILE):
+            tile = similarities(matrix[left:left + TILE], matrix[top:top + TILE])
+            adjacency[top:top + TILE, left:left + TILE] = tile >= threshold
+    adjacency = np.triu(adjacency)
+    adjacency |= adjacency.T
+    return [np.flatnonzero(row).tolist() for row in adjacency]
 
 
-def assert_matches_per_row_reference(matrix: np.ndarray, eps: float, min_pts: int) -> int:
-    """Check the tiled lists and the labeling against the per-row
-    ``similarities`` reference; returns the number of rows recomputed."""
-    reference = per_row_neighbour_lists(matrix, eps)
-    indptr, indices, recomputed = _neighbour_lists(matrix, 1.0 - eps)
+def csr_lists(matrix: np.ndarray, threshold: float) -> list[list[int]]:
+    indptr, indices = _neighbour_lists(matrix, threshold)
     assert indices.dtype == np.int32
-    assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(matrix))] == reference
+    return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(matrix))]
+
+
+def assert_matches_tile_reference(matrix: np.ndarray, eps: float, min_pts: int) -> None:
+    """Check the CSR lists and the labeling against the dense tile reference."""
+    reference = tile_neighbour_lists(matrix, 1.0 - eps)
+    assert csr_lists(matrix, 1.0 - eps) == reference
     labels, count = naive_dbscan_from_neighbors(reference, min_pts)
     ours = dbscan(matrix, DbscanParams(eps=eps, min_pts=min_pts))
     assert list(ours.labels) == labels
     assert ours.num_clusters == count
-    return recomputed
 
 
 class TestDbscanTiles:
@@ -134,7 +145,7 @@ class TestDbscanTiles:
     @pytest.mark.parametrize("eps", [0.05, 0.2])
     def test_tile_edges_and_mirror(self, n, eps):
         rng = np.random.default_rng(n)
-        assert_matches_per_row_reference(clustered_unit_vectors(rng, n, 6), eps, min_pts=3)
+        assert_matches_tile_reference(clustered_unit_vectors(rng, n, 6), eps, min_pts=3)
 
     def test_exact_duplicates_across_tiles(self):
         rng = np.random.default_rng(11)
@@ -143,28 +154,43 @@ class TestDbscanTiles:
         # repeats row i across an off-diagonal tile.
         matrix[10:20] = matrix[:10]
         matrix[TILE:2 * TILE] = matrix[:TILE]
-        assert_matches_per_row_reference(matrix, 0.05, min_pts=2)
-        assert_matches_per_row_reference(matrix, 1e-12, min_pts=2)
+        assert_matches_tile_reference(matrix, 0.05, min_pts=2)
+        assert_matches_tile_reference(matrix, 1e-12, min_pts=2)
 
     @pytest.mark.parametrize("j", [6, TILE + 40])
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
     def test_pair_at_the_threshold_is_recomputed(self, j, ulps):
+        """A pair at a threshold 1 ulp below, at, or 1 ulp above its tile
+        entry is decided by that entry alone, in both rows' lists."""
         rng = np.random.default_rng(j)
         matrix = clustered_unit_vectors(rng, TILE + 60, 16)
         matrix[j] = matrix[5] + 0.3 * rng.normal(size=16)
         matrix[j] /= np.linalg.norm(matrix[j])
-        similarity = similarities(matrix, matrix[[5]])[0, j]
+        left = j - j % TILE
+        similarity = similarities(matrix[left:left + TILE], matrix[:TILE])[5, j - left]
         assert 0.5 <= similarity < 1.0
         # 1 - s is exact for s in [0.5, 1], so the threshold 1 - eps is
-        # the computed similarity itself, or one ulp away from it.
+        # the pair's tile entry itself, or one ulp away from it.
         threshold = similarity
         for _ in range(abs(ulps)):
             threshold = np.nextafter(threshold, 2.0 if ulps > 0 else 0.0)
         eps = 1.0 - threshold
         assert 1.0 - eps == threshold
-        assert (j in per_row_neighbour_lists(matrix, eps)[5]) == (ulps <= 0)
-        # Exactly rows 5 and j: for j in another tile, j is marked as a column.
-        assert assert_matches_per_row_reference(matrix, eps, min_pts=2) == 2
+        lists = csr_lists(matrix, threshold)
+        assert (j in lists[5]) == (5 in lists[j]) == (ulps <= 0)
+        assert_matches_tile_reference(matrix, eps, min_pts=2)
+
+    def test_lists_are_symmetric_where_lone_query_rows_disagree(self):
+        # Row 3's lone-query similarities row scores row 1024 above row
+        # 1024's row scores row 3 (in the last bits, with OpenBLAS 0.3.31);
+        # at a threshold between the two, per-row lists disagree.
+        matrix = np.random.default_rng(0).normal(size=(1100, 768))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        i, j = 3, 1024
+        threshold = max(similarities(matrix, matrix[[i]])[0, j], similarities(matrix, matrix[[j]])[0, i])
+        lists = csr_lists(matrix, threshold)
+        assert (j in lists[i]) == (i in lists[j])
+        assert lists == tile_neighbour_lists(matrix, threshold)
 
     @pytest.mark.parametrize("min_pts", [1, 2, 3, 5])
     def test_chains_border_points_and_noise_starts(self, min_pts):
@@ -176,7 +202,7 @@ class TestDbscanTiles:
             rng = np.random.default_rng(seed)
             angles = rng.uniform(0.0, 3.0, size=60)
             matrix = np.column_stack([np.cos(angles), np.sin(angles)])
-            assert_matches_per_row_reference(matrix, 1.0 - np.cos(0.06), min_pts)
+            assert_matches_tile_reference(matrix, 1.0 - np.cos(0.06), min_pts)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_underflowing_and_overflowing_rows(self, scale):
@@ -186,7 +212,7 @@ class TestDbscanTiles:
         matrix = scale * np.vstack([clustered_unit_vectors(rng, 40, 4), [[1.0, -1.0, 0.0, 0.0]] * 3])
         with np.errstate(over="ignore", invalid="ignore"):
             for eps in (0.5, 1.0, 1.5):
-                assert_matches_per_row_reference(matrix, eps, min_pts=2)
+                assert_matches_tile_reference(matrix, eps, min_pts=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
@@ -199,8 +225,7 @@ class TestDbscanTiles:
         with caplog.at_level("INFO", logger="cmdsim.clustering"):
             dbscan(matrix, DbscanParams(eps=0.1, min_pts=3))
         assert caplog.messages == [
-            "dbscan: 7 points, 2 clusters, 1 noise, 19 neighbour pairs, "
-            "0 rows recomputed in the band"
+            "dbscan: 7 points, 2 clusters, 1 noise, 19 neighbour pairs"
         ]
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdsim.contrastive import (
+    VALIDATION_BLOCK,
     AdapterModel,
     TrainConfig,
     TrainEvent,
@@ -269,6 +270,16 @@ class TestValidationMrr3:
         sims = adapter.transform(anchors) @ adapter.transform(positives).T
         off_diagonal = ~np.eye(len(rows), dtype=bool)
         assert np.any((sims == sims.diagonal()[:, None]) & off_diagonal)
+        assert _validation_mrr3(adapter, anchors, positives) == oracle_validation_mrr3(sims)
+
+    def test_anchors_past_one_block(self):
+        # Two blocks, the second short; repeated rows tie positives across blocks.
+        rng = np.random.default_rng(7)
+        adapter = AdapterModel(rng.normal(size=(16, 8)))
+        rows = rng.integers(0, 200, size=VALIDATION_BLOCK + 44)
+        anchors = rng.normal(size=(200, 16))[rows]
+        positives = anchors + 2.0 * rng.normal(size=(200, 16))[rows]
+        sims = adapter.transform(anchors) @ adapter.transform(positives).T
         assert _validation_mrr3(adapter, anchors, positives) == oracle_validation_mrr3(sims)
 
     def test_nan_positive_ranks_first(self):

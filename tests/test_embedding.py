@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,6 +410,20 @@ class TestEmbeddingCache:
         _rows_path(path).write_bytes(np.ones(8).tobytes())
         with pytest.raises(ValueError, match="cache.jsonl:1: corrupt cache line"):
             EmbeddingCache(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("identity", 7), ("dim", True), ("offset", False), ("offset", 0.0),
+        ("texts", "ab"), ("texts", [1, 2]),
+    ])
+    def test_field_of_the_wrong_type_raises_and_cuts_nothing(self, tmp_path, key, value):
+        path = tmp_path / "cache.jsonl"
+        index = (json.dumps({"identity": "x", "dim": 2, "offset": 0, "texts": ["a", "b"], key: value}) + "\n").encode()
+        path.write_bytes(index)
+        _rows_path(path).write_bytes(np.ones(4).tobytes())
+        with pytest.raises(ValueError, match="cache.jsonl:1: corrupt cache line: .* has the wrong type"):
+            EmbeddingCache(path)
+        assert path.read_bytes() == index
+        assert _rows_path(path).read_bytes() == np.ones(4).tobytes()
 
     def test_corrupt_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -2,9 +2,11 @@
 
 A ranked or thresholded cosine score goes through
 ``embedding.similarities``, whose products do not change bits with the
-BLAS thread count and score equal rows of one slice equally.  Every other
-``@``, ``np.matmul``, ``np.dot`` or ``np.einsum`` is listed below with its
-reason, so that a new raw scoring product is a deliberate choice.
+BLAS thread count and score equal rows of one slice equally: DBSCAN's
+tiles, negative mining, eval retrieval and eval detect, and the adapter's
+validation MRR@3.  Every other ``@``, ``np.matmul``, ``np.dot`` or
+``np.einsum`` is a fit and is listed below with its reason, so that a new
+raw scoring product is a deliberate choice.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ PRODUCT_CALLS = {"matmul", "dot", "einsum"}
 ALLOWED = collections.Counter({
     # The one scoring product.
     ("embedding.py", "similarities"): 1,
-    # DBSCAN's tile screen and its squared norms: a tile entry decides a
-    # pair only outside the rounding band, and band rows go through
-    # similarities.
-    ("clustering.py", "_neighbour_lists"): 2,
-    # Adapter training: the map itself, the InfoNCE gradient, the
-    # validation MRR@3 and the logged loss.  Fits, not rankings.
+    # Adapter training: the map itself, the InfoNCE gradient and the
+    # logged loss.  Fits, not rankings.
     ("contrastive.py", "AdapterModel.transform"): 1,
     ("contrastive.py", "info_nce_gradients"): 7,
-    ("contrastive.py", "_validation_mrr3"): 1,
     ("contrastive.py", "train"): 1,
     # The logistic-regression probe of eval classify: its fit and predict.
     ("evaluation.py", "_fit_multinomial"): 2,
