@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import logging
 import random
@@ -226,6 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     an_cov_p.add_argument("--out", help="optional report file")
 
     return parser
+
+
+# One parser per process: building it costs about 130 add_argument calls,
+# and a process may run many stages.  ``run`` undoes what --config sets
+# before it returns, so runs in one process must not overlap in threads.
+_parser = functools.cache(build_parser)
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
@@ -597,7 +604,7 @@ def cmd_analyze_coverage(args: argparse.Namespace) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit status."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -617,9 +624,15 @@ def run(argv: list[str] | None = None) -> int:
     root.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         if args.config:
-            # Config values become the stage's defaults, so a flag still wins.
-            args.stage_parser.set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            # Config values become the stage's defaults, so a flag still
+            # wins; the parser's own defaults are back before the stage runs.
+            stage_parser, defaults = args.stage_parser, _config_defaults(args)
+            saved = {dest: stage_parser.get_default(dest) for dest in defaults}
+            stage_parser.set_defaults(**defaults)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                stage_parser.set_defaults(**saved)
         return handler(args)
     except (ValueError, KeyError, OSError, GatewayError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmdsim import analytics
 from cmdsim.analytics import (
     HISTOGRAM_BINS,
     CoverageReport,
@@ -202,6 +203,56 @@ class TestMaxOverlapVsSeeds:
             assert scores == expected
             assert histogram.n == len(generated)
         assert 0.0 < scores[0] < 1.0
+
+
+def _words(rng, alphabet, size):
+    return " ".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=size))
+
+
+def _packed_cases():
+    """(generated, seeds) per property of the packed (seed-per-word) path."""
+    rng = np.random.default_rng(5)
+    abc = ["a", "b", "c"]
+    mixed = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    return {
+        "repeated seed tokens": (
+            [_words(rng, abc, rng.integers(1, 20)) for _ in range(30)] + ["a a a a", "b a b a b"],
+            ["a a a", "b a a b a a", "c c c c c c c c c", "a b a b a b a b"]
+            + [_words(rng, abc, rng.integers(1, 30)) for _ in range(10)],
+        ),
+        "empty commands and seeds": (
+            ["", "  ", "a b", "", "c"],
+            ["", "a", " ", "b c"],
+        ),
+        "empty seeds only": (["a b", ""], ["", "   "]),
+        "seeds of 63, 64 and 65 tokens": (
+            [_words(rng, abc, size) for size in (0, 1, 40, 63, 64, 65, 100, 130)],
+            [_words(rng, abc, size) for size in (63, 64, 64, 65, 65, 1)],
+        ),
+        "tokens no seed has": (
+            ["zz yy xx", "a zz b yy c", "qq", "b qq b qq"]
+            + [_words(rng, mixed, rng.integers(1, 15)) for _ in range(10)],
+            [_words(rng, abc, rng.integers(1, 10)) for _ in range(8)],
+        ),
+        # Random lengths, so that the length sort reorders the commands.
+        "several blocks and chunks": (
+            [_words(rng, mixed, rng.integers(0, 16)) for _ in range(2 * analytics.COMMAND_BLOCK + 7)],
+            [_words(rng, mixed, rng.integers(0, 12)) for _ in range(analytics.SEED_CHUNK + 5)],
+        ),
+    }
+
+
+class TestPackedSeeds:
+    """``max_overlap_vs_seeds`` equals the full-table oracle by ``repr``."""
+
+    @pytest.mark.parametrize("case", sorted(_packed_cases()))
+    def test_matches_oracle_in_every_mode(self, case):
+        generated, seeds = _packed_cases()[case]
+        oracle = [[rouge_scores(tokenize(g), tokenize(s)) for s in seeds] for g in generated]
+        for column, mode in enumerate(("precision", "recall", "f1")):
+            scores, histogram = max_overlap_vs_seeds(generated, seeds, mode)
+            assert repr(scores) == repr([max(row[column] for row in rows) for rows in oracle]), mode
+            assert histogram.n == len(generated)
 
 
 class TestPairOverlapDistribution:

@@ -1244,6 +1244,24 @@ class TestConfigPrecedence:
         assert code == 0
         assert len(read_jsonl(out_dir / "synthesized.jsonl")) == 6
 
+    def test_config_defaults_end_with_their_run(self, tmp_path, monkeypatch):
+        # One parser serves every run of a process, so a run's --config
+        # must not become the next run's default.
+        input_path = write_jsonl(tmp_path / "explained.jsonl", [{"explanation": "rotates logs"}])
+        config = tmp_path / "config.ini"
+        config.write_text("[cluster.negatives]\nn = 3\n", encoding="utf-8")
+        seen = []
+
+        def stop(count, queries, n, positives):
+            seen.append(n)
+            raise ValueError("stopped")
+
+        monkeypatch.setattr(clustering, "check_negatives", stop)
+        base = ["cluster", "negatives", "--in", str(input_path), "--output-dir", str(tmp_path / "out")]
+        assert cli.run([*base, "--config", str(config)]) == 1
+        assert cli.run(base) == 1
+        assert seen == [3, 1000]
+
     def test_config_without_section_header_exits_one(self, tmp_path, capsys):
         pairs = write_jsonl(tmp_path / "p.jsonl", [{"anchor": "ab", "positive": "cde"}])
         config = tmp_path / "bad.ini"
